@@ -398,6 +398,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _suppress_defaults(parser: argparse.ArgumentParser) -> None:
+    for action in parser._actions:
+        action.default = argparse.SUPPRESS
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                _suppress_defaults(sub)
+
+
+def _passed_dests(argv: list[str]) -> set[str]:
+    """Destinations argv sets, under every spelling argparse accepts (--master too).
+
+    A second parse with every default suppressed keeps only what argv set.
+    """
+    parser = build_parser()
+    _suppress_defaults(parser)
+    return set(vars(parser.parse_args(argv)))
+
+
 def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
     """Fill values from the INI file for flags the user did not pass."""
     if not args.config:
@@ -407,7 +425,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         raise ParameterError(f"config file not found: {args.config}")
     if not cp.has_section(args.subcommand):
         return
-    passed = {tok.split("=")[0].lstrip("-").replace("-", "_") for tok in argv if tok.startswith("--")}
+    passed = _passed_dests(argv)
     for key, raw in cp.items(args.subcommand):
         attr = key.replace("-", "_")
         if attr in passed or not hasattr(args, attr):

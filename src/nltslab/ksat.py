@@ -187,10 +187,6 @@ def pack_assignment(bits: Sequence[int] | int, n: int) -> int:
     return packed
 
 
-def unpack_assignment(packed: int, n: int) -> tuple[int, ...]:
-    return tuple((packed >> i) & 1 for i in range(n))
-
-
 def count_violations(f: Formula, assignment: Sequence[int] | int) -> int:
     """Number of clauses violated by the assignment (tautologies never count)."""
     packed = pack_assignment(assignment, f.n)

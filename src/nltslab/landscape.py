@@ -9,6 +9,7 @@ computed with vectorized popcounts on the packed words.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import multiprocessing as mp
@@ -30,6 +31,15 @@ DEFAULT_PAIR_CAP = 1 << 20
 #: Budget for the union over variable subsets in enumerate_sat_eps:
 #: choose(n, excluded) * 2^n must stay below this.
 DEFAULT_EPS_BUDGET = 1 << 34
+#: Member rows formatted per write in members_to_csv; bounds its buffers.
+_CSV_CHUNK_ROWS = 4096
+
+
+def _bit_rows(members: np.ndarray, n: int) -> np.ndarray:
+    """Packed words as ASCII bit rows of dtype S{n}: bit i of a word is character i."""
+    octets = np.ascontiguousarray(members, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :n] + np.uint8(ord("0"))
+    return bits.view(f"S{n}").reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -46,14 +56,14 @@ class SolutionSet:
     def __post_init__(self):
         members = np.asarray(self.members, dtype=np.uint64)
         object.__setattr__(self, "members", members)
-        if members.size > 1 and not (np.diff(members.astype(np.int64)) > 0).all():
+        if not (members[1:] > members[:-1]).all():
             raise ParameterError("members must be strictly ascending")
 
     def __len__(self) -> int:
         return int(self.members.size)
 
     def bitstrings(self) -> list[str]:
-        return ["".join(str((int(z) >> i) & 1) for i in range(self.n)) for z in self.members]
+        return _bit_rows(self.members, self.n).astype(str).tolist()
 
 
 @dataclass(frozen=True)
@@ -83,17 +93,23 @@ class ClusterPartition:
 
 
 def _scan_range(args) -> np.ndarray:
-    """Enumerate satisfying packed assignments in [start, stop).
+    """Packed assignments in [start, stop) violating at most r of the clauses.
 
-    Keeps a shrinking candidate array; rows whose running violation count
-    exceeds r are dropped after every clause (early exit).
+    Blocks of BLOCK_SIZE candidates are filtered clause by clause, and rows
+    whose running violation count exceeds r are dropped after every clause
+    (early exit).  Candidates and clause masks are uint32 words when they fit
+    in 32 bits, which always holds under DEFAULT_ENUM_CAP, and uint64 words
+    otherwise; the r > 0 counter is the narrowest unsigned type holding r + 1.
+    The result is cast to uint64 once per range.
     """
     start, stop, masks, values, r = args
+    fits32 = stop <= 1 << 32 and not (masks >> np.uint64(32)).any()
+    word = np.uint32 if fits32 else np.uint64
+    masks, values = masks.astype(word), values.astype(word)
     out: list[np.ndarray] = []
     for lo in range(start, stop, BLOCK_SIZE):
-        hi = min(lo + BLOCK_SIZE, stop)
-        cand = np.arange(lo, hi, dtype=np.uint64)
-        if masks.size == 0:
+        cand = np.arange(lo, min(lo + BLOCK_SIZE, stop), dtype=word)
+        if r >= masks.size:
             out.append(cand)
             continue
         if r == 0:
@@ -102,7 +118,7 @@ def _scan_range(args) -> np.ndarray:
                 if cand.size == 0:
                     break
         else:
-            viol = np.zeros(cand.size, dtype=np.int64)
+            viol = np.zeros(cand.size, dtype=np.min_scalar_type(r + 1))
             for mask, val in zip(masks, values):
                 viol += (cand & mask) == val
                 keep = viol <= r
@@ -112,7 +128,7 @@ def _scan_range(args) -> np.ndarray:
                     if cand.size == 0:
                         break
         out.append(cand)
-    return np.concatenate(out) if out else np.empty(0, dtype=np.uint64)
+    return np.concatenate(out).astype(np.uint64, copy=False) if out else np.empty(0, dtype=np.uint64)
 
 
 def _restricted_clause_arrays(f: Formula, S: Iterable[int] | None):
@@ -345,12 +361,17 @@ def cluster_stats(P: ClusterPartition, c1: float | None = None, c2: float | None
 # ---------------------------------------------------------------------------
 
 def members_to_csv(A: SolutionSet, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["# nltslab members v1", f"n={A.n}", f"r={A.r}"])
-        w.writerow(["packed", "bits"])
-        for z, s in zip(A.members, A.bitstrings()):
-            w.writerow([int(z), s])
+    """Two csv header rows, then one ``packed,bits`` row per member, CRLF-terminated."""
+    head = io.StringIO()
+    w = csv.writer(head)
+    w.writerow(["# nltslab members v1", f"n={A.n}", f"r={A.r}"])
+    w.writerow(["packed", "bits"])
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode())
+        for lo in range(0, len(A), _CSV_CHUNK_ROWS):
+            chunk = A.members[lo : lo + _CSV_CHUNK_ROWS]
+            rows = zip(chunk.tolist(), _bit_rows(chunk, A.n).tolist())
+            fh.write(b"".join(b"%d,%s\r\n" % row for row in rows))
 
 
 def histogram_to_csv(h: OverlapHistogram, path: str | Path) -> None:

@@ -23,10 +23,6 @@ from .landscape import BLOCK_SIZE, SolutionSet
 DEFAULT_SPIN_CAP = 30
 DEFAULT_RETRY_BUDGET = 10_000
 
-#: Parisi ground-state constant for scaling experiments; the artifact never
-#: asserts against it directly, only against ratios across degrees.
-ETA_PARISI_DEFAULT = 0.763166
-
 
 @dataclass(frozen=True)
 class RegularHypergraph:

@@ -71,6 +71,24 @@ def naive_violations(f: ksat.Formula, bits) -> int:
     return count
 
 
+def literal_violation_counts(f: ksat.Formula, S=None) -> np.ndarray:
+    """Violated-clause count of every assignment of the cube, literal by literal.
+
+    The same evaluation as ``naive_violations``, vectorised over assignments
+    rather than packed into clause masks; clauses outside C(S) are skipped.
+    """
+    z = np.arange(1 << f.n, dtype=np.int64)
+    counts = np.zeros(z.size, dtype=np.int64)
+    for c in f.clauses:
+        if S is not None and not set(c.variables) <= set(S):
+            continue
+        satisfied = np.zeros(z.size, dtype=bool)
+        for lit in c.literals:
+            satisfied |= (((z >> lit.var) & 1) == 1) != lit.negated
+        counts += ~satisfied
+    return counts
+
+
 def naive_enumerate(f: ksat.Formula, r: int, S=None) -> list[int]:
     """Per-assignment loop oracle; returns sorted packed assignments."""
     if S is None:

@@ -148,6 +148,20 @@ def test_config_file_with_flag_override(tmp_path):
     assert summary["r"] == 0  # flag wins over the file's r = 2
 
 
+@pytest.mark.parametrize(
+    "flag", [["--master-seed", "5"], ["--master", "5"], ["--master-s=5"]],
+    ids=["full", "abbreviated", "abbreviated-equals"],
+)
+def test_config_loses_to_every_flag_spelling(tmp_path, flag):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[gen]\nmaster_seed = 7\n")
+    out = tmp_path / "run"
+    code = run_cli(["gen", "--config", cfg, *flag, "--n", 6, "--K", 3, "--m", 4, "--out", out])
+    assert code == 0
+    assert read_manifest(out)["config"]["master_seed"] == 5
+    assert (out / f"formula_{cli.stream_seed(5, 0)}.cnf").exists()
+
+
 def test_stream_seed_stable():
     assert cli.stream_seed(1, 0) == cli.stream_seed(1, 0)
     assert cli.stream_seed(1, 0) != cli.stream_seed(1, 1)

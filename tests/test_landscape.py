@@ -1,3 +1,6 @@
+import csv
+import functools
+import io
 import math
 
 import numpy as np
@@ -5,13 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_enumerate, transitive_closure_clusters
+from conftest import literal_violation_counts, naive_enumerate, transitive_closure_clusters
 from nltslab import ksat, landscape
 from nltslab.errors import ContractError, ParameterError, ResourceLimitError
 
 
 def _set(n: int, packed) -> landscape.SolutionSet:
     return landscape.SolutionSet(n=n, members=np.asarray(sorted(packed), dtype=np.uint64), r=0)
+
+
+# ---------------------------------------------------------------------------
+# solution sets
+# ---------------------------------------------------------------------------
+
+def test_members_order_compared_as_unsigned_64_bit():
+    # members on both sides of 2^63: a signed comparison gets both cases wrong
+    A = landscape.SolutionSet(n=64, members=[1, 2**63 + 5], r=0)
+    assert A.members.tolist() == [1, 2**63 + 5]
+    with pytest.raises(ParameterError):
+        landscape.SolutionSet(n=64, members=[2**64 - 1, 0], r=0)
+    with pytest.raises(ParameterError):
+        landscape.SolutionSet(n=3, members=[2, 2], r=0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +138,68 @@ def test_eps_union_exact_size_equals_union_over_larger_sets(seed):
 def test_enumerate_eps_budget(demo_formula):
     with pytest.raises(ResourceLimitError):
         landscape.enumerate_sat_eps(demo_formula, eps=1 / 3, r=0, budget=1)
+
+
+# Process-pool enumeration.  At n=18 the cube is 4 blocks, so any worker
+# count splits it on block boundaries; at n=21, 3 workers ask for 24 tasks
+# over 32 blocks, so the task bounds fall inside blocks.
+_POOL_FORMULAS = {
+    18: ksat.generate_formula(18, 50, 3, seed=11),
+    21: ksat.generate_formula(21, 40, 3, seed=12),
+}
+
+
+def _pool_restriction(n: int, restricted: bool):
+    return frozenset(range(n)) - {2, 9, 15} if restricted else None
+
+
+@functools.lru_cache(maxsize=None)
+def _pool_oracle_counts(n: int, restricted: bool) -> np.ndarray:
+    counts = literal_violation_counts(_POOL_FORMULAS[n], _pool_restriction(n, restricted))
+    return counts.astype(np.uint8)  # at most 50 clauses; 2 MiB per cached cube at n=21
+
+
+@pytest.mark.parametrize("n, workers", [(18, 2), (18, 3), (21, 3)])
+@pytest.mark.parametrize("r", [0, 2])
+@pytest.mark.parametrize("restricted", [False, True])
+def test_enumerate_pool_matches_serial_and_oracle(n, workers, r, restricted):
+    f, S = _POOL_FORMULAS[n], _pool_restriction(n, restricted)
+    serial = landscape.enumerate_sat(f, r, S=S, workers=1).members
+    pooled = landscape.enumerate_sat(f, r, S=S, workers=workers).members
+    assert serial.dtype == pooled.dtype == np.uint64
+    assert pooled.tolist() == serial.tolist()
+    oracle = np.flatnonzero(_pool_oracle_counts(n, restricted) <= r)
+    assert 0 < oracle.size < 1 << n
+    assert serial.tolist() == oracle.tolist()
+
+
+def test_scan_range_keeps_clause_bits_above_32():
+    # (x0 | ~x40) is violated only where x40 = 1, so never inside [0, 2^16);
+    # a 32-bit word would drop bit 40 and reject every even assignment
+    L = ksat.Literal
+    f = ksat.Formula(n=41, K=2, clauses=(ksat.Clause((L(0, False), L(40, True))),))
+    masks, values, _ = f.clause_arrays
+    got = landscape._scan_range((0, landscape.BLOCK_SIZE, masks, values, 0))
+    assert got.dtype == np.uint64
+    assert got.tolist() == list(range(landscape.BLOCK_SIZE))
+
+
+def test_violation_counter_holds_r_plus_one():
+    # 510 unit clauses: counts spread around 255, so at r = 255 a row reaches
+    # 256 before it is dropped, one past what a uint8 counter holds
+    f = ksat.generate_formula(10, 510, 1, seed=1)
+    counts = literal_violation_counts(f)
+    assert counts.min() <= 255 < counts.max()
+    got = landscape.enumerate_sat(f, 255).members
+    assert got.tolist() == np.flatnonzero(counts <= 255).tolist()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_enumerate_pool_without_clauses(workers):
+    f = ksat.Formula(n=18, K=3, clauses=())
+    pooled = landscape.enumerate_sat(f, 0, workers=workers).members
+    assert pooled.dtype == np.uint64
+    assert pooled.tolist() == list(range(1 << 18))
 
 
 # ---------------------------------------------------------------------------
@@ -319,3 +398,49 @@ def test_csv_exports(tmp_path, demo_formula):
     landscape.histogram_to_csv(landscape.overlap_histogram(A), hpath)
     lines = hpath.read_text().strip().splitlines()
     assert len(lines) == 2 + A.n + 1
+
+
+def _per_bit(z: int, n: int) -> str:
+    return "".join(str((int(z) >> i) & 1) for i in range(n))
+
+
+def _members_csv_oracle(A: landscape.SolutionSet) -> bytes:
+    """The member file as csv.writer lays it out, one row per member."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["# nltslab members v1", f"n={A.n}", f"r={A.r}"])
+    w.writerow(["packed", "bits"])
+    for z in A.members:
+        w.writerow([int(z), _per_bit(z, A.n)])
+    return buf.getvalue().encode()
+
+
+def _random_members(n: int, size: int) -> list[int]:
+    rng = np.random.default_rng(40)
+    members = np.unique(rng.integers(0, 1 << n, size + size // 10, dtype=np.uint64))[:size]
+    assert members.size == size
+    return members.tolist()
+
+
+@pytest.mark.parametrize(
+    "n, r, members",
+    [
+        (5, 0, []),
+        (1, 1, [0, 1]),
+        (30, 2, [0, 2**30 - 1]),
+        (64, 0, [3, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1]),
+        (40, 1, _random_members(40, 10_000)),
+    ],
+    ids=["empty", "n1", "n30", "n64", "n40-random"],
+)
+def test_members_csv_matches_csv_writer(tmp_path, n, r, members):
+    A = landscape.SolutionSet(n=n, members=np.asarray(members, dtype=np.uint64), r=r)
+    path = tmp_path / "members.csv"
+    landscape.members_to_csv(A, path)
+    assert path.read_bytes() == _members_csv_oracle(A)
+    assert A.bitstrings() == [_per_bit(z, n) for z in members]
+
+
+def test_bitstrings_of_a_strided_member_view():
+    A = landscape.SolutionSet(n=4, members=np.arange(16, dtype=np.uint64)[::3], r=0)
+    assert A.bitstrings() == [_per_bit(z, 4) for z in range(0, 16, 3)]
