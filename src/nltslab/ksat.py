@@ -270,24 +270,40 @@ def to_dimacs(f: Formula) -> str:
 
 
 def from_dimacs(text: str, K: int | None = None, seed: int | None = None) -> Formula:
+    """Parse DIMACS CNF: a ``p cnf n m`` header, then m 0-terminated clauses.
+
+    Clauses are read from the stream of tokens, so a line may hold several
+    clauses and a clause may span lines.  Lines starting with ``c`` are
+    comments; a line starting with ``%`` (the SATLIB trailer) ends the input.
+    """
     n = None
     m_declared = None
     clauses: list[Clause] = []
+    lits: list[Literal] = []
     for line in text.splitlines():
         line = line.strip()
+        if line.startswith("%"):
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf" or not (parts[2] + parts[3]).isdigit():
                 raise ParameterError(f"malformed DIMACS header: {line!r}")
             n, m_declared = int(parts[2]), int(parts[3])
             continue
-        toks = [int(t) for t in line.split()]
-        if not toks or toks[-1] != 0:
-            raise ParameterError(f"clause line not 0-terminated: {line!r}")
-        lits = tuple(Literal(abs(t) - 1, t < 0) for t in toks[:-1])
-        clauses.append(Clause(lits))
+        for tok in line.split():
+            try:
+                t = int(tok)
+            except ValueError:
+                raise ParameterError(f"malformed DIMACS literal {tok!r} in line {line!r}") from None
+            if t == 0:
+                clauses.append(Clause(tuple(lits)))
+                lits = []
+            else:
+                lits.append(Literal(abs(t) - 1, t < 0))
+    if lits:
+        raise ParameterError(f"last clause not 0-terminated: {len(lits)} literals after the last 0")
     if n is None:
         raise ParameterError("missing DIMACS header")
     if m_declared != len(clauses):

@@ -2,8 +2,9 @@
 
 Assignments are enumerated as packed integers in blocks; each block is an
 independent work unit, so enumeration parallelizes over a process pool and
-merges deterministically (ascending order).  Pairwise Hamming distances are
-computed with vectorized popcounts on the packed words.
+merges deterministically (ascending order).  Every pair quantity (overlap
+histogram, OGP witness, cluster labels and certificates) comes from one
+kernel, _pair_tiles, which sweeps the pairs in popcounted tiles of a few MiB.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ DEFAULT_ENUM_CAP = 30
 BLOCK_SIZE = 1 << 16
 #: Cap on solution-set size for the O(|A|^2) pair loops.
 DEFAULT_PAIR_CAP = 1 << 20
+#: Pair tile shape: its widest temporary, 2^20 uint64 XOR words, is 8 MiB.
+_TILE_ROWS, _TILE_COLS = 256, 4096
 #: Budget for the union over variable subsets in enumerate_sat_eps:
 #: choose(n, excluded) * 2^n must stay below this.
 DEFAULT_EPS_BUDGET = 1 << 34
@@ -58,6 +61,8 @@ class SolutionSet:
         object.__setattr__(self, "members", members)
         if not (members[1:] > members[:-1]).all():
             raise ParameterError("members must be strictly ascending")
+        if members.size and int(members[-1]) >> self.n:
+            raise ParameterError(f"member {int(members[-1])} lies outside the cube of n={self.n} bits")
 
     def __len__(self) -> int:
         return int(self.members.size)
@@ -215,24 +220,42 @@ def _check_pair_cap(size: int, cap: int):
         )
 
 
-def overlap_histogram(A: SolutionSet, cap: int = DEFAULT_PAIR_CAP, row_block: int = 2048) -> OverlapHistogram:
-    """Exact Hamming-distance histogram over all unordered member pairs."""
+def _pair_tiles(A: SolutionSet):
+    """Uint8 tiles (i0, j0, d): d[a, b] is the distance of members i0 + a, j0 + b.
+
+    Row blocks come in ascending order.  Each yields first its square (j0 == i0:
+    both orders of its pairs, plus the zero diagonal), then all later members
+    in ascending column tiles.  Words are uint32 when n <= 32.
+    """
+    words = A.members.astype(np.uint32) if A.n <= 32 else A.members
+    for i0 in range(0, words.size, _TILE_ROWS):
+        i1 = min(i0 + _TILE_ROWS, words.size)
+        rows = words[i0:i1, None]
+        yield i0, i0, np.bitwise_count(rows ^ words[None, i0:i1])
+        for j0 in range(i1, words.size, _TILE_COLS):
+            yield i0, j0, np.bitwise_count(rows ^ words[None, j0 : j0 + _TILE_COLS])
+
+
+def overlap_histogram(A: SolutionSet, cap: int = DEFAULT_PAIR_CAP) -> OverlapHistogram:
+    """Exact Hamming-distance histogram over all unordered member pairs.
+
+    A tile's bytes are counted two at a time, in uint16 bins folded back onto
+    each byte, which halves the work of bincount.
+    """
     _check_pair_cap(len(A), cap)
-    members = A.members
-    counts = np.zeros(A.n + 1, dtype=np.int64)
-    for lo in range(0, members.size, row_block):
-        hi = min(lo + row_block, members.size)
-        block = members[lo:hi]
-        # pairs within the block (strict upper triangle)
-        d_in = np.bitwise_count(block[:, None] ^ block[None, :])
-        iu = np.triu_indices(hi - lo, k=1)
-        counts += np.bincount(d_in[iu].ravel(), minlength=A.n + 1)
-        # pairs between this block and all later members
-        rest = members[hi:]
-        if rest.size:
-            d_out = np.bitwise_count(block[:, None] ^ rest[None, :])
-            counts += np.bincount(d_out.ravel(), minlength=A.n + 1)
-    return OverlapHistogram(n=A.n, counts=counts)
+    n = A.n
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for i0, j0, d in _pair_tiles(A):
+        flat = d.reshape(-1)
+        odd = flat.size % 2
+        both = np.bincount(flat[odd:].view(np.uint16), minlength=256 * (n + 1)).reshape(n + 1, 256)
+        tile = both[:, : n + 1].sum(axis=0) + both.sum(axis=1)
+        tile[flat[0]] += odd  # the byte left out of the uint16 view
+        if i0 == j0:  # a square holds each pair twice, plus its diagonal
+            tile[0] -= d.shape[0]
+            tile //= 2
+        counts += tile
+    return OverlapHistogram(n=n, counts=counts)
 
 
 def _thresholds(n: int, nu1: float, nu2: float) -> tuple[int, int]:
@@ -244,7 +267,8 @@ def detect_ogp(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_C
 
     Boundary convention: distances d <= floor(nu1*n) count as close and
     d >= ceil(nu2*n) as far; both boundaries are inclusive, so only the open
-    interval between the integer thresholds counts as a gap violation.
+    interval between the integer thresholds counts as a gap violation.  The
+    witness is the gap pair (i, j), i < j, with the least (i, j) in member order.
     """
     if not 0.0 < nu1 < nu2 < 1.0:
         raise ParameterError(f"need 0 < nu1 < nu2 < 1, got nu1={nu1}, nu2={nu2}")
@@ -253,49 +277,29 @@ def detect_ogp(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_C
     if len(A) <= 1:
         return True, None
     hist = overlap_histogram(A, cap=cap)
-    gap = hist.counts[t1 + 1 : t2]
-    if gap.sum() == 0:
+    if hist.counts[t1 + 1 : t2].sum() == 0:
         return True, None
-    members = A.members
-    for i in range(members.size - 1):
-        d = np.bitwise_count(members[i + 1 :] ^ members[i])
-        bad = np.nonzero((d > t1) & (d < t2))[0]
-        if bad.size:
-            return False, (int(members[i]), int(members[i + 1 + bad[0]]))
-    raise AssertionError("histogram reported a gap violation but no witness found")
-
-
-class _UnionFind:
-    """Disjoint sets over 0..size-1 with path compression and union by rank."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.rank = [0] * size
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
+    witness = None
+    for i0, j0, d in _pair_tiles(A):
+        if witness is not None and i0 > witness[0]:
+            break
+        gap = (d > t1) & (d < t2)
+        if gap.any():
+            a, b = divmod(int(gap.argmax()), d.shape[1])  # row order: a square's upper half first
+            pair = (i0 + a, j0 + b)
+            witness = pair if witness is None else min(witness, pair)
+    if witness is None:
+        raise AssertionError("histogram reported a gap violation but no witness found")
+    return False, tuple(int(A.members[k]) for k in witness)
 
 
 def cluster(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_CAP) -> ClusterPartition:
-    """Connected components of the distance-<= nu1*n relation, with certificates.
+    """Classes of the distance-<= nu1*n relation, with certificates.
 
-    Requires the OGP to hold at (nu1, nu2) with nu1 < nu2/2; under that
-    condition the close relation is transitive and the partition unique.
+    Requires the OGP to hold at (nu1, nu2) with nu1 < nu2/2; then the close
+    relation is an equivalence, so each member's label is the index of the
+    first member within nu1*n of it, and clusters come in that order.  The
+    certificates max_intra and min_inter are recomputed from the labels.
     """
     if not nu1 < nu2 / 2:
         raise ParameterError(f"clustering needs nu1 < nu2/2, got nu1={nu1}, nu2={nu2}")
@@ -306,28 +310,23 @@ def cluster(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_CAP)
         )
     members = A.members
     t1, t2 = _thresholds(A.n, nu1, nu2)
-    uf = _UnionFind(members.size)
-    for i in range(members.size - 1):
-        d = np.bitwise_count(members[i + 1 :] ^ members[i])
-        for j in np.nonzero(d <= t1)[0]:
-            uf.union(i, i + 1 + int(j))
-    groups: dict[int, list[int]] = {}
-    for i in range(members.size):
-        groups.setdefault(uf.find(i), []).append(i)
-    clusters = tuple(members[np.asarray(g, dtype=np.int64)] for g in sorted(groups.values()))
-    # recompute certificates from scratch
-    labels = np.empty(members.size, dtype=np.int64)
-    for ell, g in enumerate(sorted(groups.values())):
-        labels[np.asarray(g, dtype=np.int64)] = ell
-    max_intra, min_inter = -1, -1
-    for i in range(members.size - 1):
-        d = np.bitwise_count(members[i + 1 :] ^ members[i]).astype(np.int64)
-        same = labels[i + 1 :] == labels[i]
-        if same.any():
-            max_intra = max(max_intra, int(d[same].max()))
-        if (~same).any():
-            mi = int(d[~same].min())
-            min_inter = mi if min_inter < 0 else min(min_inter, mi)
+    labels = np.arange(members.size)
+    for i0, j0, d in _pair_tiles(A):
+        close = d <= t1
+        hit = close.any(axis=0)
+        cols = j0 + np.flatnonzero(hit)
+        labels[cols] = np.minimum(labels[cols], i0 + close[:, hit].argmax(axis=0))
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    clusters = tuple(np.split(members[order], starts)) if members.size else ()
+    # the zero diagonal of the squares counts as intra, n + 1 stands for no pair
+    intra, inter = 0, A.n + 1
+    for i0, j0, d in _pair_tiles(A):
+        same = labels[i0 : i0 + d.shape[0], None] == labels[None, j0 : j0 + d.shape[1]]
+        intra = max(intra, int(d.max(where=same, initial=0)))
+        inter = min(inter, int(d.min(where=~same, initial=A.n + 1)))
+    max_intra = intra if len(clusters) < members.size else -1
+    min_inter = inter if len(clusters) > 1 else -1
     if max_intra > t1:
         raise ContractError(f"intra-cluster distance {max_intra} exceeds floor(nu1*n)={t1}")
     if min_inter >= 0 and min_inter < t2:

@@ -243,3 +243,30 @@ def test_dimacs_roundtrip_tautology(tmp_path):
 def test_dimacs_header_mismatch():
     with pytest.raises(ParameterError):
         ksat.from_dimacs("p cnf 2 3\n1 2 0\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p cnf 3 2\n1 -2 0 2 3 0\n",
+        "p cnf 3 2\n1\n-2 0 2\n3\n0\n",
+        "c SATLIB layout\np cnf 3 2\n 1 -2 0\n 2 3 0\n%\n0\n\n",
+    ],
+    ids=["clauses-sharing-a-line", "clause-across-lines", "satlib-trailer"],
+)
+def test_dimacs_clauses_are_a_token_stream(text):
+    L, C = ksat.Literal, ksat.Clause
+    f = ksat.from_dimacs(text)
+    assert (f.n, f.K) == (3, 2)
+    assert f.clauses == (C((L(0, False), L(1, True))), C((L(1, False), L(2, False))))
+    assert ksat.from_dimacs(ksat.to_dimacs(f)) == f
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["p cnf 2 1\n1 2\n", "p cnf 2 1\n1 x 0\n", "p cnf two 1\n1 0\n"],
+    ids=["unterminated", "not-a-literal", "not-a-count"],
+)
+def test_dimacs_malformed_input(text):
+    with pytest.raises(ParameterError):
+        ksat.from_dimacs(text)

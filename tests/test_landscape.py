@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ def test_members_order_compared_as_unsigned_64_bit():
         landscape.SolutionSet(n=64, members=[2**64 - 1, 0], r=0)
     with pytest.raises(ParameterError):
         landscape.SolutionSet(n=3, members=[2, 2], r=0)
+
+
+def test_members_must_lie_in_the_cube():
+    with pytest.raises(ParameterError, match=r"member 8 .*n=3\b"):
+        landscape.SolutionSet(n=3, members=[1, 8], r=0)
+    with pytest.raises(ParameterError, match=r"member 1099511627776 .*n=40\b"):
+        landscape.SolutionSet(n=40, members=[0, 2**40], r=0)
+    assert len(landscape.SolutionSet(n=3, members=[0, 7], r=0)) == 2
+    assert len(landscape.SolutionSet(n=64, members=[0, 2**64 - 1], r=0)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +306,14 @@ def test_cluster_singleton():
     assert P.clusters[0].tolist() == [7]
 
 
+@pytest.mark.parametrize("packed", [[], [7], [0b0000, 0b1111]])
+def test_cluster_certificates_without_intra_pairs(packed):
+    P = landscape.cluster(_set(4, packed), 0.1, 0.3)
+    assert [c.tolist() for c in P.clusters] == [[z] for z in packed]
+    assert P.max_intra == -1
+    assert P.min_inter == (4 if len(packed) == 2 else -1)
+
+
 def test_cluster_precondition_failures():
     A = _set(8, [0, 0b11])
     with pytest.raises(ContractError) as exc:
@@ -381,6 +399,135 @@ def test_cluster_stats_fractions():
     assert stats["max_cluster_fraction"] == 0.5
     assert stats["max_cluster_below_exp_c1n"] is True
     assert stats["total_above_exp_c2n"] is True
+
+
+# ---------------------------------------------------------------------------
+# the tiled pair kernel against whole-matrix oracles
+# ---------------------------------------------------------------------------
+
+_CLOSE, _FAR = 2, 9  # floor(nu1 n) and ceil(nu2 n) at _gap_nus(n)
+
+
+def _gap_nus(n: int) -> tuple[float, float]:
+    return (_CLOSE + 0.5) / n, (_FAR - 0.5) / n
+
+
+def _far_from(z: int, members: list[int], t: int) -> bool:
+    m = np.asarray(members, dtype=np.uint64)
+    return not m.size or int(np.bitwise_count(m ^ np.uint64(z)).min()) >= t
+
+
+def _balls(rng, n: int, size: int) -> list[int]:
+    """At least `size` members in balls of radius 1 around centres _FAR + 2 apart.
+
+    Members of one ball lie within _CLOSE of each other and members of
+    different balls at least _FAR apart, so the OGP holds at _gap_nus(n).
+    """
+    centres: list[int] = []
+    members: list[int] = []
+    while len(members) < size:
+        c = int(rng.integers(0, 1 << n, dtype=np.uint64))
+        if _far_from(c, centres, _FAR + 2):
+            centres.append(c)
+            flips = rng.choice(n, size=int(rng.integers(0, 24)), replace=False)
+            members += [c] + [c ^ (1 << int(b)) for b in flips]
+    return members
+
+
+def _gap_pair(rng, n: int, members: list[int], late: bool) -> tuple[int, int]:
+    """A point below 2^(n-6) and that point with 5 bits flipped, both _FAR from `members`.
+
+    With `late` one flipped bit is bit n-1, so the partner sits in the upper
+    half of the member order; otherwise the partner stays below 2^(n-6).
+    """
+    while True:
+        y = int(rng.integers(0, 1 << (n - 6), dtype=np.uint64))
+        if late:
+            mask = 1 << (n - 1) | sum(1 << int(b) for b in rng.choice(n - 1, 4, replace=False))
+        else:
+            mask = sum(1 << int(b) for b in rng.choice(n - 6, 5, replace=False))
+        if _far_from(y, members, _FAR) and _far_from(y ^ mask, members, _FAR):
+            return y, y ^ mask
+
+
+def _oracle(members: np.ndarray, n: int):
+    """Histogram, gap pairs in (i, j) order, components and certificates of the full matrix."""
+    d = np.bitwise_count(members[:, None] ^ members[None, :]).astype(np.int64)
+    upper = np.triu(np.ones(d.shape, dtype=bool), 1)
+    hist = np.bincount(d[upper], minlength=n + 1)
+    gaps = np.argwhere(upper & (d > _CLOSE) & (d < _FAR))
+    comp = np.full(members.size, -1)
+    for s in range(members.size):  # breadth-first closure of d <= _CLOSE
+        frontier = [s] if comp[s] < 0 else []
+        comp[frontier] = s
+        while len(frontier):
+            frontier = np.flatnonzero((d[frontier] <= _CLOSE).any(axis=0) & (comp < 0))
+            comp[frontier] = s
+    same = comp[:, None] == comp[None, :]
+    max_intra = int(d[upper & same].max(initial=-1))
+    min_inter = int(d[upper & ~same].min()) if (~same).any() else -1
+    clusters = [members[comp == s] for s in np.unique(comp)]
+    return hist, gaps, clusters, max_intra, min_inter
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("tile", [(64, 96), (37, 53), None], ids=["64x96", "37x53", "default"])
+def test_pair_kernel_matches_oracles_across_tiles(monkeypatch, n, tile):
+    if tile is not None:
+        monkeypatch.setattr(landscape, "_TILE_ROWS", tile[0])
+        monkeypatch.setattr(landscape, "_TILE_COLS", tile[1])
+    rng = np.random.default_rng(n)
+    nu1, nu2 = _gap_nus(n)
+    base = _balls(rng, n, 800)
+    A = _set(n, base)
+    assert A.members.max() >> (n - 1) == 1  # the top bit is in use
+    hist, gaps, clusters, max_intra, min_inter = _oracle(A.members, n)
+    assert gaps.size == 0 and len(clusters) > 20
+    assert landscape.overlap_histogram(A).counts.tolist() == hist.tolist()
+    assert landscape.detect_ogp(A, nu1, nu2) == (True, None)
+    P = landscape.cluster(A, nu1, nu2)
+    assert [c.tolist() for c in P.clusters] == [c.tolist() for c in clusters]
+    assert (P.max_intra, P.min_inter) == (max_intra, min_inter)
+
+    # one gap pair, whose partner lies beyond the first column tile of its row
+    # block; then a decoy gap pair inside that block's square, after it in (i, j) order
+    first = decoy = _gap_pair(rng, n, base, late=True)
+    while min(decoy) <= first[0]:
+        decoy = tuple(sorted(_gap_pair(rng, n, base + list(first), late=False)))
+    for planted in ([first], [first, decoy]):
+        B = _set(n, base + [z for pair in planted for z in pair])
+        hist, gaps, *_ = _oracle(B.members, n)
+        i, j = gaps[0]
+        assert {tuple(int(z) for z in B.members[[a, b]]) for a, b in gaps} == set(planted)
+        assert (int(B.members[i]), int(B.members[j])) == first
+        if tile is not None:
+            rows, cols = tile
+            assert i < rows and j >= rows + cols
+            if len(planted) == 2:
+                a, b = gaps[1]
+                assert i < a < rows and b < rows
+        assert landscape.overlap_histogram(B).counts.tolist() == hist.tolist()
+        assert landscape.detect_ogp(B, nu1, nu2) == (False, first)
+        with pytest.raises(ContractError) as exc:
+            landscape.cluster(B, nu1, nu2)
+        assert exc.value.witness == first
+
+
+def test_pair_kernel_memory_is_bounded():
+    # tiles bound the temporaries, so the peak does not grow with |A|
+    n = 40
+    A = _set(n, _balls(np.random.default_rng(40), n, 20_000))
+    nu1, nu2 = _gap_nus(n)
+    tracemalloc.start()
+    try:
+        landscape.overlap_histogram(A)
+        holds, _ = landscape.detect_ogp(A, nu1, nu2)
+        P = landscape.cluster(A, nu1, nu2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds and sum(c.size for c in P.clusters) == len(A)
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
