@@ -9,7 +9,7 @@ Randomness flows from one 64-bit master seed: the stream for instance index
 
 Exit codes: 0 success, 2 validation, 3 resource-cap breach, 4 internal
 assertion.  Caps can be overridden with NLTSLAB_ENUM_CAP, NLTSLAB_QUBIT_CAP,
-NLTSLAB_PAIR_CAP and NLTSLAB_ETA_BUDGET.
+NLTSLAB_PAIR_CAP, NLTSLAB_SPIN_CAP and NLTSLAB_ETA_BUDGET.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ def _caps() -> dict:
         "enum_cap": _env_int("NLTSLAB_ENUM_CAP", landscape.DEFAULT_ENUM_CAP),
         "qubit_cap": _env_int("NLTSLAB_QUBIT_CAP", hamiltonian.DEFAULT_QUBIT_CAP),
         "pair_cap": _env_int("NLTSLAB_PAIR_CAP", landscape.DEFAULT_PAIR_CAP),
+        "spin_cap": _env_int("NLTSLAB_SPIN_CAP", pspin.DEFAULT_SPIN_CAP),
         "eta_budget": _env_int("NLTSLAB_ETA_BUDGET", ksat.DEFAULT_ETA_BUDGET),
     }
 
@@ -213,7 +214,7 @@ def cmd_pspin(args, run: _Run):
         gname = f"hypergraph_{seed}.json"
         pspin.save_hypergraph(g, run.path(gname))
         run.register(gname)
-        sigma, emin = pspin.ground_state_bruteforce(g, J)
+        sigma, emin = pspin.ground_state_bruteforce(g, J, cap=caps["spin_cap"])
         record = {
             "seed": seed, "n": g.n, "d": g.d, "p": g.p, "m": g.m,
             "couplings": list(J.values),
@@ -222,7 +223,7 @@ def cmd_pspin(args, run: _Run):
             "ground_state": [int(s) for s in sigma],
         }
         if args.slack is not None:
-            A = pspin.near_ground_set(g, J, args.slack)
+            A = pspin.near_ground_set(g, J, args.slack, cap=caps["spin_cap"])
             name = f"near_ground_{seed}.csv"
             landscape.members_to_csv(A, run.path(name))
             run.register(name)

@@ -183,29 +183,44 @@ def build_layout(f: Formula, cap: int = DEFAULT_QUBIT_CAP) -> QubitLayout:
     return layout_from_blocks(blocks, num_variables=f.n, cap=cap)
 
 
+def _subset_xors(masks: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Entry b XORs ``masks[k]`` over the set bits k of b; on disjoint masks, their union."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    out = np.zeros(1 << masks.size, dtype=np.uint64)
+    for k, mask in enumerate(masks):
+        np.bitwise_xor(out[: 1 << k], mask, out=out[1 << k : 2 << k])
+    return out
+
+
 def violation_counts(layout: QubitLayout, constraint_ids: Iterable[int] | None = None) -> np.ndarray:
-    """Per-basis-index count of constraints whose local pattern is forbidden."""
+    """Per-basis-index count of constraints whose local pattern is forbidden.
+
+    An outer sum of tables over the high nq - L and the low L qubits, where L
+    is the split nearest nq/2 that no selected constraint straddles (0 or nq).
+    """
+    nq = layout.num_qubits
     ids = range(len(layout.constraints)) if constraint_ids is None else constraint_ids
-    idx = np.arange(layout.dim, dtype=np.uint64)
-    viol = np.zeros(layout.dim, dtype=np.int64)
-    for j in ids:
-        c = layout.constraints[j]
-        mask = np.uint64(c.global_mask)
+    selected = [layout.constraints[j] for j in ids]
+    spans = [(min(c.qubits), max(c.qubits)) for c in selected if c.qubits]
+    L = min(
+        (b for b in range(nq + 1) if all(last < b or first >= b for first, last in spans)),
+        key=lambda b: abs(2 * b - nq),
+    )
+    lo, hi = np.zeros(1 << L, dtype=np.int64), np.zeros(1 << (nq - L), dtype=np.int64)
+    idx = np.arange(max(lo.size, hi.size), dtype=np.uint64)
+    for c in selected:
+        table, shift = (lo, 0) if c.global_mask < 1 << L else (hi, L)
+        mask = np.uint64(c.global_mask >> shift)
         for gval in c.global_values:
-            viol += (idx & mask) == np.uint64(gval)
-    return viol
+            table += (idx[: table.size] & mask) == np.uint64(gval >> shift)
+    return (hi[:, None] + lo[None, :]).ravel()
 
 
 def cat_state(layout: QubitLayout) -> StateVector:
     """Tensor product of (|0..0> + |1..1>)/sqrt(2) over every nonempty fiber."""
-    indices = np.zeros(1, dtype=np.uint64)
-    n_active = 0
-    for i in layout.active_variables:
-        fm = np.uint64(layout.fiber_masks[i])
-        indices = np.concatenate([indices, indices | fm])
-        n_active += 1
+    active = layout.active_variables
     amp = np.zeros(layout.dim, dtype=np.complex128)
-    amp[indices] = INV_SQRT2**n_active
+    amp[_subset_xors([layout.fiber_masks[i] for i in active])] = INV_SQRT2 ** len(active)
     return StateVector(layout, amp)
 
 
@@ -245,14 +260,16 @@ def project_out_cat(psi: StateVector, variable: int) -> StateVector:
     if not fiber:
         # no qubits carry this variable; its CAT projector is trivial
         return StateVector(psi.layout, np.zeros_like(psi.amp))
-    mask = np.uint64(psi.layout.fiber_masks[variable])
-    idx = np.arange(psi.layout.dim, dtype=np.uint64)
-    z0 = idx[(idx & mask) == 0]
-    z1 = z0 | mask
+    # axis nq-1-q of the (2,)*nq view is qubit q; fix the fiber axes at 0, then at 1
+    nq = psi.layout.num_qubits
+    z0, z1 = [slice(None)] * nq, [slice(None)] * nq
+    for q in fiber:
+        z0[nq - 1 - q], z1[nq - 1 - q] = 0, 1
     out = psi.amp.copy()
-    s = (psi.amp[z0] + psi.amp[z1]) / 2.0
-    out[z0] -= s
-    out[z1] -= s
+    amp, view, z0, z1 = psi.amp.reshape((2,) * nq), out.reshape((2,) * nq), tuple(z0), tuple(z1)
+    s = (amp[z0] + amp[z1]) / 2.0
+    view[z0] -= s
+    view[z1] -= s
     return StateVector(psi.layout, out)
 
 
@@ -353,15 +370,13 @@ def _basis_support(layout: QubitLayout, w: BasisElement) -> tuple[np.ndarray, np
         raise ParameterError(
             f"basis element has {len(w.patterns)} factors, layout has {len(active)} active variables"
         )
-    idx = np.zeros(1, dtype=np.uint64)
-    coef = np.ones(1, dtype=np.float64)
-    for pos, i in enumerate(active):
-        fiber = layout.fibers[i]
-        sig = np.uint64(_scatter(w.patterns[pos], fiber))
-        sigbar = sig ^ np.uint64(layout.fiber_masks[i])
-        idx = np.concatenate([idx | sig, idx | sigbar])
-        coef = np.concatenate([coef, w.signs[pos] * coef])
-    return idx, coef
+    # bit k of an entry's position picks ~sigma over sigma on the k-th active fiber
+    base = 0
+    for pat, i in zip(w.patterns, active):
+        base |= _scatter(pat, layout.fibers[i])
+    idx = _subset_xors([layout.fiber_masks[i] for i in active]) ^ np.uint64(base)
+    minus = _subset_xors([sign == -1 for sign in w.signs])
+    return idx, 1.0 - 2.0 * minus
 
 
 def basis_element_vector(layout: QubitLayout, w: BasisElement) -> StateVector:
@@ -479,26 +494,14 @@ class ProbabilityBoundReport:
 def consistent_strings(layout: QubitLayout, S: Iterable[int], cap_log2: int = 22) -> np.ndarray:
     """All basis indices whose fiber values are constant on every active i in S."""
     S = frozenset(S)
-    indices = np.zeros(1, dtype=np.uint64)
-    size_log2 = 0
+    flips = []
     for i in layout.active_variables:
-        fiber = layout.fibers[i]
-        if i in S:
-            size_log2 += 1
-        else:
-            size_log2 += len(fiber)
-        if size_log2 > cap_log2:
-            raise ResourceLimitError(
-                f"consistent-string set exceeds 2^{cap_log2}", budget_name="sbar_cap"
-            )
-        if i in S:
-            fm = np.uint64(layout.fiber_masks[i])
-            indices = np.concatenate([indices, indices | fm])
-        else:
-            for q in fiber:
-                bit = np.uint64(1 << q)
-                indices = np.concatenate([indices, indices | bit])
-    return np.sort(indices)
+        flips += [layout.fiber_masks[i]] if i in S else [1 << q for q in layout.fibers[i]]
+    if len(flips) > cap_log2:
+        raise ResourceLimitError(
+            f"consistent-string set exceeds 2^{cap_log2}", budget_name="sbar_cap"
+        )
+    return np.sort(_subset_xors(flips))
 
 
 def check_probability_bound(
@@ -521,12 +524,7 @@ def check_probability_bound(
     zs = consistent_strings(layout, S)
     # l(z): violations among clauses entirely within S
     cs_ids = sorted(ksat.clauses_within(f, S))
-    ell = np.zeros(zs.size, dtype=np.int64)
-    for j in cs_ids:
-        c = layout.constraints[j]
-        mask = np.uint64(c.global_mask)
-        for gval in c.global_values:
-            ell += (zs & mask) == np.uint64(gval)
+    ell = violation_counts(layout, cs_ids)[zs]
     s0 = int((ell == 0).sum())
     psi_abs = np.abs(psi.amp[zs])
     if s0 == 0:

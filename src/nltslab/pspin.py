@@ -3,21 +3,21 @@
 Hypergraphs come from the configuration model: n*d stubs are shuffled and
 grouped into m = n*d/p hyperedges, resampling whole draws until no edge
 repeats a node.  Spin configurations are packed bit masks (bit i = 1 means
-sigma_i = -1), so each energy term is a parity popcount.
+sigma_i = -1), so each energy term is a parity, and the parities of all edges
+are read from two half-cube tables.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .hamiltonian import QubitLayout, layout_from_blocks
+from .hamiltonian import DEFAULT_QUBIT_CAP, QubitLayout, _subset_xors, layout_from_blocks
 from .landscape import BLOCK_SIZE, SolutionSet
 
 DEFAULT_SPIN_CAP = 30
@@ -45,12 +45,6 @@ class RegularHypergraph:
     @property
     def m(self) -> int:
         return len(self.hyperedges)
-
-    @cached_property
-    def edge_masks(self) -> np.ndarray:
-        return np.asarray(
-            [sum(1 << v for v in e) for e in self.hyperedges], dtype=np.uint64
-        )
 
 
 @dataclass(frozen=True)
@@ -123,12 +117,30 @@ def energy(g: RegularHypergraph, J: CouplingVector, sigma: Sequence[int]) -> int
 
 
 def _energies_packed(g: RegularHypergraph, J: CouplingVector, zs: np.ndarray) -> np.ndarray:
-    """Vectorized energies for packed configurations (bit i set = spin -1)."""
-    total = np.zeros(zs.size, dtype=np.int64)
-    jarr = np.asarray(J.values, dtype=np.int64)
-    for mask, j in zip(g.edge_masks, jarr):
-        parity = (np.bitwise_count(zs & mask) & np.uint64(1)).astype(np.int64)
-        total += j * (1 - 2 * parity)
+    """Vectorized energies for packed configurations (bit i set = spin -1).
+
+    Bit e of a 64-edge word W(z) is the parity of z on edge e.  W splits over
+    the low L = ceil(n/2) and the high n - L spins, W(z) = T_lo[z mod 2^L] ^
+    T_hi[z >> L], where each table XOR-doubles the spins' edge-incidence
+    words.  Then H = sum(J) - 2 (popcount(W & P) - popcount(W & N)), with P
+    and N the words of the +1 and -1 couplings.
+    """
+    L = (g.n + 1) // 2
+    zs = np.asarray(zs, dtype=np.uint64)
+    lo = (zs & np.uint64((1 << L) - 1)).astype(np.intp)
+    hi = (zs >> np.uint64(L)).astype(np.intp)
+    total = np.full(zs.size, sum(J.values), dtype=np.int64)
+    for w in range(0, g.m, 64):
+        edges, signs = g.hyperedges[w : w + 64], J.values[w : w + 64]
+        incidence = [0] * g.n
+        for e, edge in enumerate(edges):
+            for v in edge:
+                incidence[v] |= 1 << e
+        pos = np.uint64(sum(1 << e for e, j in enumerate(signs) if j == 1))
+        neg = np.uint64(sum(1 << e for e, j in enumerate(signs) if j == -1))
+        W = _subset_xors(incidence[:L])[lo] ^ _subset_xors(incidence[L:])[hi]
+        total -= 2 * np.bitwise_count(W & pos).astype(np.int64)
+        total += 2 * np.bitwise_count(W & neg).astype(np.int64)
     return total
 
 
@@ -176,7 +188,7 @@ def near_ground_set(
     return SolutionSet(n=g.n, members=members, r=int(slack))
 
 
-def quantize(g: RegularHypergraph, J: CouplingVector, cap: int = 20) -> QubitLayout:
+def quantize(g: RegularHypergraph, J: CouplingVector, cap: int = DEFAULT_QUBIT_CAP) -> QubitLayout:
     """Forbidden-pattern layout on n*d qubits: one qubit per (edge, position).
 
     A local bit pattern q (bit set = spin -1) is energy-raising exactly when

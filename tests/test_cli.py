@@ -185,6 +185,16 @@ def test_exit_code_resource_cap(tmp_path, capsys, monkeypatch):
     assert record["budget"] == "enum_cap"
 
 
+def test_pspin_honours_spin_cap_override(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NLTSLAB_SPIN_CAP", "8")
+    code = run_cli(["pspin", "--n", 10, "--d", 2, "--p", 2, "--slack", 1,
+                    "--seeds", "1", "--out", tmp_path / "x"])
+    assert code == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "resource"
+    assert record["budget"] == "spin_cap"
+
+
 def test_exit_code_assertion(tmp_path, capsys):
     # a dense instance at tiny n almost surely breaks the gap at these nus
     code = run_cli(["cluster", "--n", 6, "--K", 3, "--m", 4, "--r", 2,

@@ -138,6 +138,111 @@ def test_q_gamma_tautology_is_identity():
 
 
 # ---------------------------------------------------------------------------
+# vector-pass kernels against literal oracles
+# ---------------------------------------------------------------------------
+
+def literal_violation_counts(layout, constraint_ids) -> np.ndarray:
+    """Read each constraint's local pattern bit by bit and look it up."""
+    z = np.arange(layout.dim)
+    viol = np.zeros(layout.dim, dtype=np.int64)
+    for j in constraint_ids:
+        c = layout.constraints[j]
+        local = np.zeros(layout.dim, dtype=np.int64)
+        for k, q in enumerate(c.qubits):
+            local |= ((z >> q) & 1) << k
+        viol += np.isin(local, c.forbidden)
+    return viol
+
+
+def index_projection(psi, variable) -> np.ndarray:
+    """(I - |CAT(i)><CAT(i)|) through explicit index arrays over the fiber."""
+    fiber = psi.layout.fibers[variable]
+    if not fiber:
+        return np.zeros_like(psi.amp)
+    mask = np.uint64(psi.layout.fiber_masks[variable])
+    idx = np.arange(psi.layout.dim, dtype=np.uint64)
+    z0 = idx[(idx & mask) == 0]
+    z1 = z0 | mask
+    out = psi.amp.copy()
+    s = (psi.amp[z0] + psi.amp[z1]) / 2.0
+    out[z0] -= s
+    out[z1] -= s
+    return out
+
+
+def _kernel_layouts():
+    from nltslab import pspin
+
+    L, C = ksat.Literal, ksat.Clause
+    # a tautology clause (no forbidden pattern), and variable 5 in no clause
+    sat = ksat.Formula(n=6, K=3, clauses=(
+        C((L(0, False), L(1, True), L(2, False))),
+        C((L(3, False), L(3, True), L(4, False))),
+        C((L(1, False), L(2, True), L(4, True))),
+        C((L(0, True), L(3, False), L(4, False))),
+    ))
+    g2 = pspin.generate_regular_hypergraph(6, 2, 2, seed=4)
+    g3 = pspin.generate_regular_hypergraph(6, 2, 3, seed=4)
+    mixed = ham.QubitLayout(
+        num_qubits=7,
+        num_variables=4,
+        constraints=(
+            ham.Constraint(qubits=(0, 5), variables=(0, 2), forbidden=(1, 2)),
+            ham.Constraint(qubits=(1, 2), variables=(1, 0), forbidden=(3,)),
+            ham.Constraint(qubits=(3, 4), variables=(2, 3), forbidden=(0,)),
+            # spans qubits 1..6, so with every constraint selected no inner split exists
+            ham.Constraint(qubits=(6, 1), variables=(1, 1), forbidden=(1, 2)),
+            # alone it sits on the high side of the split at qubit 3
+            ham.Constraint(qubits=(3,), variables=(2,), forbidden=(0,)),
+        ),
+        fibers=((0, 2), (1, 6), (3, 5), (4,)),
+    )
+    return {
+        "ksat-tautology": ham.build_layout(sat),
+        "pspin-p2": pspin.quantize(g2, pspin.generate_couplings(g2, 5)),
+        "pspin-p3": pspin.quantize(g3, pspin.generate_couplings(g3, 5)),
+        "no-constraints": ham.QubitLayout(num_qubits=3, num_variables=3, constraints=(),
+                                          fibers=((0, 2), (), (1,))),
+        "non-contiguous": mixed,
+        "demo": ham.build_layout(make_demo_formula()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_kernel_layouts()))
+def test_violation_counts_match_literal_oracle(name):
+    layout = _kernel_layouts()[name]
+    everything = range(len(layout.constraints))
+    selections = [None, (), *([j] for j in everything), *layout.incidence]
+    for ids in selections:
+        got = ham.violation_counts(layout, ids)
+        want = literal_violation_counts(layout, everything if ids is None else ids)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), ids
+    assert np.array_equal(layout.all_violations, literal_violation_counts(layout, everything))
+
+
+@pytest.mark.parametrize("name", sorted(_kernel_layouts()))
+def test_project_out_cat_matches_index_formula(name):
+    layout = _kernel_layouts()[name]
+    psi = _rand_state(layout, seed=layout.num_qubits)
+    for i in range(layout.num_variables):
+        got = ham.project_out_cat(psi, i).amp
+        assert np.array_equal(got, index_projection(psi, i)), i
+
+
+def test_consistent_strings_match_literal_oracle():
+    layout = _kernel_layouts()["non-contiguous"]
+    for S in (set(), {0}, {1, 3}, {0, 1, 2, 3}):
+        want = [
+            z for z in range(layout.dim)
+            if all((z & layout.fiber_masks[i]) in (0, layout.fiber_masks[i]) for i in S)
+        ]
+        assert ham.consistent_strings(layout, S).tolist() == want
+    with pytest.raises(ResourceLimitError):
+        ham.consistent_strings(layout, {0}, cap_log2=5)
+
+
+# ---------------------------------------------------------------------------
 # H_i action
 # ---------------------------------------------------------------------------
 

@@ -133,6 +133,106 @@ def test_packed_roundtrip():
 
 
 # ---------------------------------------------------------------------------
+# the split-table energy kernel against the per-edge oracle
+# ---------------------------------------------------------------------------
+
+def circulant_hypergraph(n, offset_families):
+    """Edges {i + a mod n : a in offsets} for every i and family: d = p * families."""
+    edges = tuple(
+        tuple((i + a) % n for a in offsets) for offsets in offset_families for i in range(n)
+    )
+    p = len(offset_families[0])
+    return pspin.RegularHypergraph(n=n, d=p * len(offset_families), p=p, hyperedges=edges)
+
+
+def whole_cube_energies(g, J) -> list[int]:
+    """sum_e J_e prod_{v in e} sigma_v over the whole cube, one edge at a time."""
+    z = np.arange(1 << g.n)
+    spins = 1 - 2 * ((z[:, None] >> np.arange(g.n)) & 1)
+    total = np.zeros(z.size, dtype=np.int64)
+    for e, j in zip(g.hyperedges, J.values):
+        total += j * np.prod(spins[:, list(e)], axis=1)
+    return total.tolist()
+
+
+KERNEL_CASES = {
+    # name: (n, offset families); m = n * families
+    "p2-m64": (16, [(0, 1), (0, 2), (0, 3), (0, 5)]),
+    "p3-odd-n": (11, [(0, 1, 3), (0, 2, 7)]),
+    "p2-m65-odd-n": (13, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6)]),
+    "p3-m105": (21, [(0, 1, 3), (0, 2, 7), (0, 4, 9), (0, 5, 11), (0, 6, 13)]),
+    "p4-m132-odd-n": (33, [(0, 1, 2, 3), (0, 2, 5, 9), (0, 3, 7, 12), (0, 4, 9, 15)]),
+    "p2-m145-odd-n": (29, [(0, k) for k in range(1, 6)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_energies_packed_matches_per_edge_oracle(case):
+    n, families = KERNEL_CASES[case]
+    g = circulant_hypergraph(n, families)
+    assert g.m == n * len(families)
+    rng = np.random.default_rng(g.m)
+    full = (1 << n) - 1
+    # unsorted, non-contiguous, duplicated, and both ends of the cube
+    zs = rng.integers(0, full, size=300, endpoint=True, dtype=np.uint64)
+    zs = np.concatenate([zs, zs[:40], np.asarray([0, full, 1, 1 << (n - 1)], dtype=np.uint64)])
+    couplings = [
+        tuple(int(v) for v in rng.integers(0, 2, size=g.m) * 2 - 1),
+        (1,) * g.m,
+        (-1,) * g.m,
+    ]
+    for values in couplings:
+        J = pspin.CouplingVector(values=values)
+        got = pspin._energies_packed(g, J, zs)
+        want = [naive_energy(g, J, pspin.packed_to_spins(int(z), n).tolist()) for z in zs]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert pspin._energies_packed(g, J, np.zeros(0, dtype=np.uint64)).shape == (0,)
+
+
+@pytest.mark.parametrize("n, families", [
+    (9, [(0, 1, 3)]), (10, [(0, 1), (0, 3)]), (9, [(0, 1, 2, 4)]), (8, [(0, 1, 2, 3), (0, 2, 3, 5)]),
+])
+def test_ground_state_and_near_ground_set_match_whole_cube(n, families):
+    g = circulant_hypergraph(n, families)
+    for seed in range(4):
+        J = pspin.generate_couplings(g, seed)
+        energies = whole_cube_energies(g, J)
+        emin = min(energies)
+        sigma, got = pspin.ground_state_bruteforce(g, J)
+        assert got == emin
+        # ties go to the lexicographically smallest packed state
+        assert pspin.spins_to_packed(sigma, n) == energies.index(emin)
+        for slack in (0, 1, 2, 4):
+            A = pspin.near_ground_set(g, J, slack)
+            want = [z for z, e in enumerate(energies) if e <= emin + slack]
+            assert A.members.tolist() == want
+            assert A.r == slack
+
+
+def test_ground_state_ties_across_scan_blocks():
+    """Two components with their own flip symmetry: the ground states tie across blocks.
+
+    Component A holds spin 16, so flipping A moves a minimizer between the
+    first two 2^16-blocks of the searched half; the smaller one must win.
+    """
+    comps = ([*range(8), 16], [*range(8, 16), 17])
+    edges = tuple(
+        (c[i], c[(i + k) % len(c)]) for c in comps for k in (1, 2) for i in range(len(c))
+    )
+    g = pspin.RegularHypergraph(n=18, d=4, p=2, hyperedges=edges)
+    for seed in range(3):
+        J = pspin.generate_couplings(g, seed)
+        energies = whole_cube_energies(g, J)
+        emin = min(energies)
+        best = energies.index(emin)
+        tie = best ^ sum(1 << v for v in comps[0])
+        assert energies[tie] == emin and tie >> 16 != best >> 16
+        sigma, got = pspin.ground_state_bruteforce(g, J)
+        assert (got, pspin.spins_to_packed(sigma, 18)) == (emin, best)
+
+
+# ---------------------------------------------------------------------------
 # ground states
 # ---------------------------------------------------------------------------
 
