@@ -1,7 +1,8 @@
 """Reproducible experiment runner.
 
 Every subcommand writes its data files plus a ``manifest.json`` listing each
-file with a content hash; identical configs and seeds give byte-identical
+file with a content hash and, under ``work``, per seed the kernels ``cluster``
+chose with their pair counts; identical configs and seeds give byte-identical
 data files (manifests may differ only in the wall-time field).
 
 Randomness flows from one 64-bit master seed: the stream for instance index
@@ -43,7 +44,12 @@ def stream_seed(master: int, index: int) -> int:
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParameterError(f"{name}={raw!r} is not an integer") from None
 
 
 def _caps() -> dict:
@@ -65,6 +71,7 @@ class _Run:
         self.config = config
         self.t0 = time.monotonic()
         self.files: dict[str, str] = {}
+        self.work: dict[int, dict] = {}  # per seed: kernels chosen and their work counts
         outdir.mkdir(parents=True, exist_ok=True)
 
     def path(self, name: str) -> Path:
@@ -84,6 +91,7 @@ class _Run:
             "config": self.config,
             "files": self.files,
             "version": __version__,
+            "work": self.work,
             "wall_time_s": time.monotonic() - self.t0,
         }
         self.path("manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -165,6 +173,7 @@ def cmd_cluster(args, run: _Run):
         f = _make_formula(args, seed)
         A = landscape.enumerate_sat(f, args.r, workers=args.workers, cap=caps["enum_cap"])
         P = landscape.cluster(A, args.nu1, args.nu2, cap=caps["pair_cap"])
+        run.work[seed] = P.work
         name = f"clusters_{seed}.csv"
         with open(run.path(name), "w", newline="") as fh:
             w = csv.writer(fh)

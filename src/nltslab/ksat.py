@@ -130,19 +130,6 @@ class Formula:
         )
 
 
-@dataclass(frozen=True)
-class DensityParams:
-    """Clause density m/n = alpha * 2^K * ln 2."""
-
-    alpha: float
-    K: int
-    n: int
-
-    @property
-    def m(self) -> int:
-        return clause_count(self.alpha, self.K, self.n)
-
-
 def clause_count(alpha: float, K: int, n: int) -> int:
     """m = round(alpha * 2^K * ln2 * n), round-to-nearest."""
     m = round(alpha * (2**K) * LN2 * n)
@@ -164,11 +151,6 @@ def generate_formula(n: int, m: int, K: int, seed: int) -> Formula:
         Clause(tuple(Literal(int(v) // 2, bool(int(v) & 1)) for v in row)) for row in raw
     )
     return Formula(n=n, K=K, clauses=clauses, seed=seed)
-
-
-def violating_assignment(clause: Clause) -> tuple[int, ...] | None:
-    """The unique falsifying local pattern v(C), or None for a tautology."""
-    return clause.violating_pattern
 
 
 def pack_assignment(bits: Sequence[int] | int, n: int) -> int:

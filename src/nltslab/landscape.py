@@ -2,9 +2,11 @@
 
 Assignments are enumerated as packed integers in blocks; each block is an
 independent work unit, so enumeration parallelizes over a process pool and
-merges deterministically (ascending order).  Every pair quantity (overlap
-histogram, OGP witness, cluster labels and certificates) comes from one
-kernel, _pair_tiles, which sweeps the pairs in popcounted tiles of a few MiB.
+merges deterministically (ascending order).  The overlap histogram and the
+OGP witness sweep every pair in popcounted tiles of a few MiB (_pair_tiles).
+Clustering reuses that histogram and then visits only the pairs that share
+one of t1 + 1 bit chunks (multi-index hashing) and the pairs inside each
+cluster, falling back to tiles when those are a large share of all pairs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import io
 import json
 import math
 import multiprocessing as mp
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -27,10 +29,17 @@ from .ksat import Formula, clauses_within
 DEFAULT_ENUM_CAP = 30
 #: Work-unit size for enumeration; blocks are independent.
 BLOCK_SIZE = 1 << 16
-#: Cap on solution-set size for the O(|A|^2) pair loops.
+#: Cap on solution-set size for the pair kernels: the histogram and the OGP
+#: witness sweep all |A|^2/2 pairs; cluster adds only its candidate and
+#: intra-cluster pairs, or at most one more sweep when those are dense.
 DEFAULT_PAIR_CAP = 1 << 20
 #: Pair tile shape: its widest temporary, 2^20 uint64 XOR words, is 8 MiB.
 _TILE_ROWS, _TILE_COLS = 256, 4096
+#: cluster visits only the candidate (or intra-cluster) pairs while they are
+#: at most this share of all pairs, and tiles above it: a visited pair costs
+#: 3-9x a tiled one, so below 1/8 buckets were never the slower kernel on the
+#: measured sets (see CHANGES.md).
+_BUCKET_SHARE = 1 / 8
 #: Budget for the union over variable subsets in enumerate_sat_eps:
 #: choose(n, excluded) * 2^n must stay below this.
 DEFAULT_EPS_BUDGET = 1 << 34
@@ -91,6 +100,7 @@ class ClusterPartition:
     nu2: float
     max_intra: int  # recomputed certificate, -1 when no intra pair exists
     min_inter: int  # recomputed certificate, -1 when fewer than 2 clusters
+    work: dict = field(default_factory=dict, compare=False)  # kernels chosen and their pair counts
 
     @property
     def num_clusters(self) -> int:
@@ -220,14 +230,19 @@ def _check_pair_cap(size: int, cap: int):
         )
 
 
-def _pair_tiles(A: SolutionSet):
+def _words(members: np.ndarray, n: int) -> np.ndarray:
+    """Members as uint32 words when n <= 32, else the uint64 members themselves."""
+    return members.astype(np.uint32) if n <= 32 else members
+
+
+def _pair_tiles(members: np.ndarray, n: int):
     """Uint8 tiles (i0, j0, d): d[a, b] is the distance of members i0 + a, j0 + b.
 
     Row blocks come in ascending order.  Each yields first its square (j0 == i0:
     both orders of its pairs, plus the zero diagonal), then all later members
-    in ascending column tiles.  Words are uint32 when n <= 32.
+    in ascending column tiles.
     """
-    words = A.members.astype(np.uint32) if A.n <= 32 else A.members
+    words = _words(members, n)
     for i0 in range(0, words.size, _TILE_ROWS):
         i1 = min(i0 + _TILE_ROWS, words.size)
         rows = words[i0:i1, None]
@@ -236,16 +251,14 @@ def _pair_tiles(A: SolutionSet):
             yield i0, j0, np.bitwise_count(rows ^ words[None, j0 : j0 + _TILE_COLS])
 
 
-def overlap_histogram(A: SolutionSet, cap: int = DEFAULT_PAIR_CAP) -> OverlapHistogram:
-    """Exact Hamming-distance histogram over all unordered member pairs.
+def _pair_counts(members: np.ndarray, n: int) -> np.ndarray:
+    """Int64 counts[d] of the unordered pairs of `members` at distance d, by tiles.
 
     A tile's bytes are counted two at a time, in uint16 bins folded back onto
     each byte, which halves the work of bincount.
     """
-    _check_pair_cap(len(A), cap)
-    n = A.n
     counts = np.zeros(n + 1, dtype=np.int64)
-    for i0, j0, d in _pair_tiles(A):
+    for i0, j0, d in _pair_tiles(members, n):
         flat = d.reshape(-1)
         odd = flat.size % 2
         both = np.bincount(flat[odd:].view(np.uint16), minlength=256 * (n + 1)).reshape(n + 1, 256)
@@ -255,11 +268,42 @@ def overlap_histogram(A: SolutionSet, cap: int = DEFAULT_PAIR_CAP) -> OverlapHis
             tile[0] -= d.shape[0]
             tile //= 2
         counts += tile
-    return OverlapHistogram(n=n, counts=counts)
+    return counts
+
+
+def overlap_histogram(A: SolutionSet, cap: int = DEFAULT_PAIR_CAP) -> OverlapHistogram:
+    """Exact Hamming-distance histogram over all unordered member pairs."""
+    _check_pair_cap(len(A), cap)
+    return OverlapHistogram(n=A.n, counts=_pair_counts(A.members, A.n))
 
 
 def _thresholds(n: int, nu1: float, nu2: float) -> tuple[int, int]:
     return math.floor(nu1 * n), math.ceil(nu2 * n)
+
+
+def _detect_ogp(A: SolutionSet, nu1: float, nu2: float, cap: int):
+    """detect_ogp's (holds, witness), plus the histogram counts it was decided on."""
+    if not 0.0 < nu1 < nu2 < 1.0:
+        raise ParameterError(f"need 0 < nu1 < nu2 < 1, got nu1={nu1}, nu2={nu2}")
+    _check_pair_cap(len(A), cap)
+    t1, t2 = _thresholds(A.n, nu1, nu2)
+    if len(A) <= 1:
+        return True, None, np.zeros(A.n + 1, dtype=np.int64)
+    counts = overlap_histogram(A, cap=cap).counts
+    if counts[t1 + 1 : t2].sum() == 0:
+        return True, None, counts
+    witness = None
+    for i0, j0, d in _pair_tiles(A.members, A.n):
+        if witness is not None and i0 > witness[0]:
+            break
+        gap = (d > t1) & (d < t2)
+        if gap.any():
+            a, b = divmod(int(gap.argmax()), d.shape[1])  # row order: a square's upper half first
+            pair = (i0 + a, j0 + b)
+            witness = pair if witness is None else min(witness, pair)
+    if witness is None:
+        raise AssertionError("histogram reported a gap violation but no witness found")
+    return False, tuple(int(A.members[k]) for k in witness), counts
 
 
 def detect_ogp(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_CAP):
@@ -270,27 +314,88 @@ def detect_ogp(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_C
     interval between the integer thresholds counts as a gap violation.  The
     witness is the gap pair (i, j), i < j, with the least (i, j) in member order.
     """
-    if not 0.0 < nu1 < nu2 < 1.0:
-        raise ParameterError(f"need 0 < nu1 < nu2 < 1, got nu1={nu1}, nu2={nu2}")
-    _check_pair_cap(len(A), cap)
-    t1, t2 = _thresholds(A.n, nu1, nu2)
-    if len(A) <= 1:
-        return True, None
-    hist = overlap_histogram(A, cap=cap)
-    if hist.counts[t1 + 1 : t2].sum() == 0:
-        return True, None
-    witness = None
-    for i0, j0, d in _pair_tiles(A):
-        if witness is not None and i0 > witness[0]:
-            break
-        gap = (d > t1) & (d < t2)
-        if gap.any():
-            a, b = divmod(int(gap.argmax()), d.shape[1])  # row order: a square's upper half first
-            pair = (i0 + a, j0 + b)
-            witness = pair if witness is None else min(witness, pair)
-    if witness is None:
-        raise AssertionError("histogram reported a gap violation but no witness found")
-    return False, tuple(int(A.members[k]) for k in witness)
+    holds, witness, _ = _detect_ogp(A, nu1, nu2, cap)
+    return holds, witness
+
+
+def _run_sizes(sorted_keys: np.ndarray) -> np.ndarray:
+    """Lengths of the runs of equal values in a sorted array."""
+    cuts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    return np.diff(np.concatenate(([0], cuts, [sorted_keys.size])))
+
+
+def _pairs_in_runs(sizes: np.ndarray) -> int:
+    return int((sizes * (sizes - 1) // 2).sum())
+
+
+def _run_pairs(sizes: np.ndarray):
+    """Batches (k, s): positions k and k + s lie in one run, for s = 1, 2, ...
+
+    The positions are those of an array cut into consecutive runs of these
+    sizes.  Every pair inside a run is yielded once, and the k of one batch are
+    distinct, so the k + s are too.  Arrays stay O(sum of sizes).
+    """
+    ends = np.cumsum(sizes)
+    left = np.repeat(ends, sizes) - np.arange(sizes.sum()) - 1  # later positions in the run
+    k = np.flatnonzero(left)
+    left = left[k]
+    s = 1
+    while k.size:
+        yield k, s
+        s += 1
+        keep = left >= s
+        k, left = k[keep], left[keep]
+
+
+def _chunk_keys(words: np.ndarray, n: int, t1: int):
+    """Per chunk of t1 + 1 chunks that tile the n bits, every word's bits in it.
+
+    Two words within distance t1 agree on at least one chunk (pigeonhole).
+    """
+    word = words.dtype.type
+    bounds = [c * n // (t1 + 1) for c in range(t1 + 2)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield (words >> word(lo)) & word((1 << (hi - lo)) - 1)
+
+
+def _bucket_candidates(words: np.ndarray, n: int, t1: int) -> int:
+    """Pairs _bucket_labels compares: per chunk, the pairs that share its bits."""
+    return sum(_pairs_in_runs(_run_sizes(np.sort(keys))) for keys in _chunk_keys(words, n, t1))
+
+
+def _choose(pairs: int, total: int) -> str:
+    """The kernel that does less work for `pairs` pairs in a set of `total` pairs."""
+    return "buckets" if pairs <= _BUCKET_SHARE * total else "tiles"
+
+
+def _bucket_labels(words: np.ndarray, n: int, t1: int) -> tuple[np.ndarray, int]:
+    """Least index within t1 of each member, from the pairs that share a chunk; and the close hits.
+
+    A stable sort keeps member order inside a run of equal keys, so of a pair
+    at sorted positions k < k + s the earlier member is order[k].
+    """
+    labels = np.arange(words.size)
+    hits = 0
+    for keys in _chunk_keys(words, n, t1):
+        order = np.argsort(keys, kind="stable")
+        sorted_words = words[order]
+        for k, s in _run_pairs(_run_sizes(keys[order])):
+            close = k[np.bitwise_count(sorted_words[k] ^ sorted_words[k + s]) <= t1]
+            later = order[close + s]  # distinct within one offset, so no ufunc.at
+            labels[later] = np.minimum(labels[later], order[close])
+            hits += close.size
+    return labels, hits
+
+
+def _tile_labels(members: np.ndarray, n: int, t1: int) -> np.ndarray:
+    """Least index within t1 of each member, from every pair tile."""
+    labels = np.arange(members.size)
+    for i0, j0, d in _pair_tiles(members, n):
+        close = d <= t1
+        hit = close.any(axis=0)
+        cols = j0 + np.flatnonzero(hit)
+        labels[cols] = np.minimum(labels[cols], i0 + close[:, hit].argmax(axis=0))
+    return labels
 
 
 def cluster(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_CAP) -> ClusterPartition:
@@ -298,41 +403,63 @@ def cluster(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_CAP)
 
     Requires the OGP to hold at (nu1, nu2) with nu1 < nu2/2; then the close
     relation is an equivalence, so each member's label is the index of the
-    first member within nu1*n of it, and clusters come in that order.  The
-    certificates max_intra and min_inter are recomputed from the labels.
+    first member within t1 = floor(nu1*n) of it, and clusters come in that
+    order.  After the OGP histogram, only pairs that can be close and pairs
+    inside a cluster are visited:
+
+    - labels come from the pairs that agree on one of t1 + 1 bit chunks
+      (multi-index hashing), or from every pair tile when those candidates
+      exceed _BUCKET_SHARE of all pairs;
+    - the intra-cluster histogram comes from the pairs inside each cluster, by
+      offsets in cluster order or by tiles under the same rule.  max_intra is
+      its largest distance and min_inter the least d at which the OGP
+      histogram holds more pairs than it.
+
+    `work` records both kernel choices, the candidate pairs priced, the close
+    pairs the label pass found (buckets count a pair once per chunk it shares)
+    and the intra-cluster pairs.
     """
     if not nu1 < nu2 / 2:
         raise ParameterError(f"clustering needs nu1 < nu2/2, got nu1={nu1}, nu2={nu2}")
-    ok, witness = detect_ogp(A, nu1, nu2, cap=cap)
+    ok, witness, counts = _detect_ogp(A, nu1, nu2, cap)
     if not ok:
         raise ContractError(
             f"OGP fails at (nu1={nu1}, nu2={nu2}); witness pair {witness}", witness=witness
         )
-    members = A.members
-    t1, t2 = _thresholds(A.n, nu1, nu2)
-    labels = np.arange(members.size)
-    for i0, j0, d in _pair_tiles(A):
-        close = d <= t1
-        hit = close.any(axis=0)
-        cols = j0 + np.flatnonzero(hit)
-        labels[cols] = np.minimum(labels[cols], i0 + close[:, hit].argmax(axis=0))
+    n, members = A.n, A.members
+    t1, t2 = _thresholds(n, nu1, nu2)
+    total = math.comb(members.size, 2)
+    words = _words(members, n)
+    candidates = _bucket_candidates(words, n, t1)
+    work = {"label_kernel": _choose(candidates, total), "candidate_pairs": candidates}
+    if work["label_kernel"] == "buckets":
+        labels, work["close_pairs"] = _bucket_labels(words, n, t1)
+    else:
+        labels, work["close_pairs"] = _tile_labels(members, n, t1), int(counts[: t1 + 1].sum())
     order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order])) + 1
-    clusters = tuple(np.split(members[order], starts)) if members.size else ()
-    # the zero diagonal of the squares counts as intra, n + 1 stands for no pair
-    intra, inter = 0, A.n + 1
-    for i0, j0, d in _pair_tiles(A):
-        same = labels[i0 : i0 + d.shape[0], None] == labels[None, j0 : j0 + d.shape[1]]
-        intra = max(intra, int(d.max(where=same, initial=0)))
-        inter = min(inter, int(d.min(where=~same, initial=A.n + 1)))
-    max_intra = intra if len(clusters) < members.size else -1
-    min_inter = inter if len(clusters) > 1 else -1
+    sizes = _run_sizes(labels[order])
+    clusters = tuple(np.split(members[order], np.cumsum(sizes)[:-1])) if members.size else ()
+    work["intra_pairs"] = _pairs_in_runs(sizes)
+    work["certificate_kernel"] = _choose(work["intra_pairs"], total)
+    intra = np.zeros(n + 1, dtype=np.int64)
+    if work["certificate_kernel"] == "buckets":
+        sorted_words = words[order]
+        for k, s in _run_pairs(sizes):
+            intra += np.bincount(np.bitwise_count(sorted_words[k] ^ sorted_words[k + s]), minlength=n + 1)
+    else:
+        for c in clusters:
+            if c.size > 1:
+                intra += _pair_counts(c, n)
+    max_intra = int(np.flatnonzero(intra)[-1]) if intra.any() else -1
+    inter = np.flatnonzero(counts > intra)
+    min_inter = int(inter[0]) if inter.size else -1
     if max_intra > t1:
         raise ContractError(f"intra-cluster distance {max_intra} exceeds floor(nu1*n)={t1}")
     if min_inter >= 0 and min_inter < t2:
         raise ContractError(f"inter-cluster distance {min_inter} below ceil(nu2*n)={t2}")
     return ClusterPartition(
-        n=A.n, clusters=clusters, nu1=nu1, nu2=nu2, max_intra=max_intra, min_inter=min_inter
+        n=n, clusters=clusters, nu1=nu1, nu2=nu2, max_intra=max_intra, min_inter=min_inter,
+        work=work,
     )
 
 

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import pytest
 
@@ -81,6 +83,25 @@ def test_cluster_small_instance(tmp_path, monkeypatch):
     record = json.loads((out / "ogp_5.json").read_text())
     assert record["count"] >= 0
     assert (out / "histogram_5.csv").exists()
+
+
+def test_cluster_manifest_records_the_pair_kernels(tmp_path):
+    out = tmp_path / "run"
+    code = run_cli(["cluster", "--n", 18, "--K", 3, "--m", 70, "--nu1", 0.12, "--nu2", 0.3,
+                    "--seeds", "7", "--out", out])
+    assert code == 0
+    with open(out / "clusters_7.csv", newline="") as fh:
+        labels = [int(row[1]) for row in list(csv.reader(fh))[2:]]
+    sizes = [labels.count(ell) for ell in set(labels)]
+    work = read_manifest(out)["work"]["7"]
+    assert set(work) == {"label_kernel", "candidate_pairs", "close_pairs", "intra_pairs",
+                         "certificate_kernel"}
+    assert {work["label_kernel"], work["certificate_kernel"]} <= {"buckets", "tiles"}
+    assert work["intra_pairs"] == sum(math.comb(s, 2) for s in sizes) > 0
+    assert work["candidate_pairs"] >= work["close_pairs"] >= work["intra_pairs"]
+    summary = json.loads((out / "cluster_summary_7.json").read_text())
+    assert set(summary) == {"seed", "num_clusters", "max_cluster_size", "max_cluster_fraction",
+                            "total_size", "max_intra", "min_inter"}
 
 
 def test_hamiltonian_subcommand(tmp_path):
@@ -193,6 +214,17 @@ def test_pspin_honours_spin_cap_override(tmp_path, capsys, monkeypatch):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "resource"
     assert record["budget"] == "spin_cap"
+
+
+@pytest.mark.parametrize("raw", ["2e6", "lots", "1.5"])
+def test_malformed_cap_override_is_a_validation_error(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("NLTSLAB_PAIR_CAP", raw)
+    code = run_cli(["ogp", "--n", 8, "--K", 3, "--m", 5, "--nu1", 0.1, "--nu2", 0.3,
+                    "--seeds", "1", "--out", tmp_path / "x"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation"
+    assert "NLTSLAB_PAIR_CAP" in record["message"] and repr(raw) in record["message"]
 
 
 def test_exit_code_assertion(tmp_path, capsys):

@@ -29,7 +29,6 @@ def test_single_variable_clause_space():
 def test_clause_count_formula():
     assert ksat.clause_count(0.8, 8, 100) == round(0.8 * 256 * LN2 * 100)
     assert ksat.clause_count(0.8, 8, 100) == 14196
-    assert ksat.DensityParams(alpha=0.8, K=8, n=100).m == 14196
 
 
 def test_generation_deterministic():
@@ -71,20 +70,20 @@ def test_violating_pattern_mixed_signs():
     # (x3 | ~x17 | ~x6 | ~x2) is falsified exactly at (0, 1, 1, 1)
     L, C = ksat.Literal, ksat.Clause
     c = C((L(3, False), L(17, True), L(6, True), L(2, True)))
-    assert ksat.violating_assignment(c) == (0, 1, 1, 1)
+    assert c.violating_pattern == (0, 1, 1, 1)
 
 
 def test_violating_pattern_simple_cases():
     L, C = ksat.Literal, ksat.Clause
-    assert ksat.violating_assignment(C((L(0, False),))) == (0,)
-    assert ksat.violating_assignment(C((L(0, True), L(1, True)))) == (1, 1)
+    assert C((L(0, False),)).violating_pattern == (0,)
+    assert C((L(0, True), L(1, True))).violating_pattern == (1, 1)
 
 
 def test_tautology_has_no_violating_pattern():
     L, C = ksat.Literal, ksat.Clause
     c = C((L(0, False), L(0, True)))
     assert c.is_tautology
-    assert ksat.violating_assignment(c) is None
+    assert c.violating_pattern is None
     f = ksat.Formula(n=1, K=2, clauses=(c,))
     assert ksat.count_violations(f, (0,)) == 0
     assert ksat.count_violations(f, (1,)) == 0

@@ -450,18 +450,18 @@ def _gap_pair(rng, n: int, members: list[int], late: bool) -> tuple[int, int]:
             return y, y ^ mask
 
 
-def _oracle(members: np.ndarray, n: int):
+def _oracle(members: np.ndarray, n: int, close: int = _CLOSE, far: int = _FAR):
     """Histogram, gap pairs in (i, j) order, components and certificates of the full matrix."""
     d = np.bitwise_count(members[:, None] ^ members[None, :]).astype(np.int64)
     upper = np.triu(np.ones(d.shape, dtype=bool), 1)
     hist = np.bincount(d[upper], minlength=n + 1)
-    gaps = np.argwhere(upper & (d > _CLOSE) & (d < _FAR))
+    gaps = np.argwhere(upper & (d > close) & (d < far))
     comp = np.full(members.size, -1)
-    for s in range(members.size):  # breadth-first closure of d <= _CLOSE
+    for s in range(members.size):  # breadth-first closure of d <= close
         frontier = [s] if comp[s] < 0 else []
         comp[frontier] = s
         while len(frontier):
-            frontier = np.flatnonzero((d[frontier] <= _CLOSE).any(axis=0) & (comp < 0))
+            frontier = np.flatnonzero((d[frontier] <= close).any(axis=0) & (comp < 0))
             comp[frontier] = s
     same = comp[:, None] == comp[None, :]
     max_intra = int(d[upper & same].max(initial=-1))
@@ -527,6 +527,159 @@ def test_pair_kernel_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert holds and sum(c.size for c in P.clusters) == len(A)
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# cluster's close-pair buckets and certificate kernels against brute force
+# ---------------------------------------------------------------------------
+
+def _chunk_agreements(members: list[int], n: int, t1: int) -> np.ndarray:
+    """agree[i, j]: how many of the t1 + 1 contiguous near-equal bit chunks i and j share."""
+    bounds = [c * n // (t1 + 1) for c in range(t1 + 2)]
+    agree = np.zeros((len(members), len(members)), dtype=np.int64)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        part = [(z >> lo) & ((1 << (hi - lo)) - 1) for z in members]
+        agree += np.equal.outer(part, part)
+    return agree
+
+
+def _brute_labels(members: list[int], n: int, t1: int):
+    """Least index within t1 of each member; candidates and close hits, counted per shared chunk."""
+    size = len(members)
+    d = np.array([[bin(a ^ b).count("1") for b in members] for a in members], dtype=np.int64).reshape(size, size)
+    agree = _chunk_agreements(members, n, t1)
+    upper = np.triu(np.ones((size, size), dtype=bool), 1)
+    assert (agree[upper & (d <= t1)] > 0).all()  # pigeonhole: close pairs share a chunk
+    labels = [min(i for i in range(j + 1) if d[i, j] <= t1) for j in range(size)]
+    return labels, int(agree[upper].sum()), int(agree[upper & (d <= t1)].sum())
+
+
+def _shared_chunk_set(rng, n: int, t1: int, size: int) -> list[int]:
+    """Members that all agree on their lowest chunk, so that chunk is one run of `size`."""
+    width = n // (t1 + 1)
+    return sorted({int(z) << width for z in rng.integers(0, 1 << (n - width), size=size, dtype=np.uint64)})
+
+
+@functools.cache
+def _kernel_cases():
+    rng = np.random.default_rng(7)
+    return {
+        "t1=0": (20, 0, sorted({int(z) for z in rng.integers(0, 1 << 20, size=300, dtype=np.uint64)})),
+        "26-bits-in-4-chunks": (26, 3, sorted(set(_balls(rng, 26, 200)))),
+        "n=64-top-bit": (64, 4, sorted(set(_balls(rng, 64, 200)) | {1 << 63, (1 << 63) | 1, (1 << 64) - 1})),
+        "one-shared-chunk": (40, 2, _shared_chunk_set(rng, 40, 2, 300)),
+        "empty": (12, 2, []),
+        "one": (12, 2, [5]),
+        "two-close": (12, 2, [5, 7]),
+        "two-far": (12, 2, [0, 0xFFF]),
+    }
+
+
+@pytest.mark.parametrize("case", ["t1=0", "26-bits-in-4-chunks", "n=64-top-bit", "one-shared-chunk",
+                                  "empty", "one", "two-close", "two-far"])
+def test_bucket_labels_match_brute_force(case):
+    n, t1, members = _kernel_cases()[case]
+    words = landscape._words(np.asarray(members, dtype=np.uint64), n)
+    labels, candidates, hits = _brute_labels(members, n, t1)
+    got, got_hits = landscape._bucket_labels(words, n, t1)
+    assert got.tolist() == labels
+    assert got_hits == hits
+    assert landscape._bucket_candidates(words, n, t1) == candidates
+    assert landscape._tile_labels(np.asarray(members, dtype=np.uint64), n, t1).tolist() == labels
+
+
+def _nus(n: int, t1: int, t2: int) -> tuple[float, float]:
+    return (t1 + 0.1) / n, (t2 - 0.1) / n
+
+
+# (n, t1, t2, members) on which the OGP holds at _nus(n, t1, t2)
+@functools.cache
+def _cluster_cases():
+    rng = np.random.default_rng(11)
+    sparse = sorted({int(z) for z in rng.integers(0, 1 << 20, size=400, dtype=np.uint64)})
+    sparse = [z for z in sparse if all(bin(z ^ y).count("1") >= 2 for y in sparse if y != z)]
+    shared = _shared_chunk_set(rng, 40, 2, 60)
+    return {
+        "t1=0-singletons": (20, 0, 2, sparse),
+        "26-bits-in-3-chunks": (26, _CLOSE, _FAR, sorted(set(_balls(rng, 26, 250)))),
+        "n=64-top-bit": (64, _CLOSE, _FAR, sorted(set(_balls(rng, 64, 250)) | {(1 << 64) - 1, (1 << 64) - 2})),
+        "one-shared-chunk": (40, 2, 5, sorted({z ^ f for z in shared[::7] for f in (0, 1 << 39)})),
+        "empty": (12, 2, 5, []),
+        "one": (12, 2, 5, [5]),
+        "two-close": (12, 2, 5, [5, 7]),
+        "two-far": (12, 2, 5, [0, 0xFFF]),
+    }
+
+
+@pytest.mark.parametrize("kernel", ["buckets", "tiles"])
+@pytest.mark.parametrize("case", ["t1=0-singletons", "26-bits-in-3-chunks", "n=64-top-bit",
+                                  "one-shared-chunk", "empty", "one", "two-close", "two-far"])
+def test_cluster_kernels_match_brute_force(monkeypatch, case, kernel):
+    n, t1, t2, members = _cluster_cases()[case]
+    A = _set(n, members)
+    _, gaps, clusters, max_intra, min_inter = _oracle(A.members, n, t1, t2)
+    assert gaps.size == 0
+    monkeypatch.setattr(landscape, "_choose", lambda pairs, total: kernel)
+    P = landscape.cluster(A, *_nus(n, t1, t2))
+    assert [c.tolist() for c in P.clusters] == [c.tolist() for c in clusters]
+    assert (P.max_intra, P.min_inter) == (max_intra, min_inter)
+    assert P.work["label_kernel"] == P.work["certificate_kernel"] == kernel
+    assert P.work["intra_pairs"] == sum(math.comb(c.size, 2) for c in clusters)
+    if case == "t1=0-singletons":
+        assert P.max_intra == -1 and len(P.clusters) == len(A)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("tile", [(37, 53), None], ids=["37x53", "default"])
+def test_cluster_kernels_agree_on_tile_oracle_sets(monkeypatch, n, tile):
+    if tile is not None:
+        monkeypatch.setattr(landscape, "_TILE_ROWS", tile[0])
+        monkeypatch.setattr(landscape, "_TILE_COLS", tile[1])
+    rng = np.random.default_rng(n)
+    base = _balls(rng, n, 800)
+    # plus one cluster wider than a tile: a centre and all its single flips
+    centre = next(c for c in map(int, rng.integers(0, 1 << n, size=100, dtype=np.uint64))
+                  if _far_from(c, base, _FAR + 1))
+    A = _set(n, set(base) | {centre ^ f for f in [0] + [1 << b for b in range(n)]})
+    _, _, clusters, max_intra, min_inter = _oracle(A.members, n)
+    words = landscape._words(A.members, n)
+    assert (landscape._bucket_labels(words, n, _CLOSE)[0] == landscape._tile_labels(A.members, n, _CLOSE)).all()
+    work = {}
+    for kernel in ("buckets", "tiles"):
+        monkeypatch.setattr(landscape, "_choose", lambda pairs, total: kernel)
+        P = landscape.cluster(A, *_gap_nus(n))
+        assert P.work["label_kernel"] == kernel
+        assert [c.tolist() for c in P.clusters] == [c.tolist() for c in clusters]
+        assert (P.max_intra, P.min_inter) == (max_intra, min_inter)
+        work[kernel] = P.work
+    buckets, tiles = work["buckets"], work["tiles"]
+    assert buckets["candidate_pairs"] == tiles["candidate_pairs"]
+    assert buckets["intra_pairs"] == tiles["intra_pairs"] == tiles["close_pairs"]
+    assert buckets["close_pairs"] >= buckets["intra_pairs"]
+
+
+def test_dense_set_takes_the_tile_path_within_memory_bound():
+    # four radius-2 balls whose centres lie 16 apart: every ball is one cluster
+    # of 301 members, and its pairs share chunks, so buckets price above the share
+    n, t1, t2 = 24, 4, 9
+    centres = [0, 0xFFFF00, 0x00FFFF, 0xFF00FF]
+    flips = [0] + [1 << i for i in range(n)] + [1 << i | 1 << j for i in range(n) for j in range(i)]
+    A = _set(n, {c ^ f for c in centres for f in flips})
+    total = math.comb(len(A), 2)
+    words = landscape._words(A.members, n)
+    assert landscape._bucket_candidates(words, n, t1) > landscape._BUCKET_SHARE * total
+    _, gaps, clusters, max_intra, min_inter = _oracle(A.members, n, t1, t2)
+    assert gaps.size == 0
+    tracemalloc.start()
+    try:
+        P = landscape.cluster(A, *_nus(n, t1, t2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.work["label_kernel"] == P.work["certificate_kernel"] == "tiles"
+    assert [c.tolist() for c in P.clusters] == [c.tolist() for c in clusters]
+    assert (P.max_intra, P.min_inter) == (max_intra, min_inter) == (4, 12)
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
