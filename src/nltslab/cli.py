@@ -1,9 +1,11 @@
 """Reproducible experiment runner.
 
 Every subcommand writes its data files plus a ``manifest.json`` listing each
-file with a content hash and, under ``work``, per seed the kernels ``cluster``
-chose with their pair counts; identical configs and seeds give byte-identical
-data files (manifests may differ only in the wall-time field).
+file with a content hash and, under ``work``, per seed the filter
+``enumerate`` ran with its assignments, table bytes and member count, or the
+kernels ``cluster`` chose with their pair counts; identical configs and seeds
+give byte-identical data files (manifests may differ only in the wall-time
+field).
 
 Randomness flows from one 64-bit master seed: the stream for instance index
 ``i`` is the first 8 bytes of blake2b("<master>:<i>").
@@ -136,6 +138,7 @@ def cmd_enumerate(args, run: _Run):
             A = landscape.enumerate_sat_eps(f, args.eps, args.r, workers=args.workers, cap=caps["enum_cap"])
         else:
             A = landscape.enumerate_sat(f, args.r, workers=args.workers, cap=caps["enum_cap"])
+        run.work[seed] = A.work
         name = f"members_{seed}.csv"
         landscape.members_to_csv(A, run.path(name))
         run.register(name)

@@ -2,8 +2,11 @@
 
 Assignments are enumerated as packed integers in blocks; each block is an
 independent work unit, so enumeration parallelizes over a process pool and
-merges deterministically (ascending order).  The overlap histogram and the
-OGP witness sweep every pair in popcounted tiles of a few MiB (_pair_tiles).
+merges deterministically (ascending order).  Satisfying assignments (r = 0)
+pass an early-exit clause filter; near-satisfying ones (r > 0) are counted
+64 clauses at a time from split tables over the low and high variables.  The
+overlap histogram and the OGP witness sweep every pair in popcounted tiles of
+a few MiB (_pair_tiles).
 Clustering reuses that histogram and then visits only the pairs that share
 one of t1 + 1 bit chunks (multi-index hashing) and the pairs inside each
 cluster, falling back to tiles when those are a large share of all pairs.
@@ -43,6 +46,10 @@ _BUCKET_SHARE = 1 / 8
 #: Budget for the union over variable subsets in enumerate_sat_eps:
 #: choose(n, excluded) * 2^n must stay below this.
 DEFAULT_EPS_BUDGET = 1 << 34
+#: Byte budget for the split clause tables of r > 0 enumeration, which cost
+#: (2^ceil(n/2) + 2^floor(n/2)) * 8 bytes per 64-clause word; clauses past
+#: the words that fit are counted on the survivors one by one.
+_TABLE_BUDGET = 1 << 23
 #: Member rows formatted per write in members_to_csv; bounds its buffers.
 _CSV_CHUNK_ROWS = 4096
 
@@ -64,6 +71,7 @@ class SolutionSet:
     formula: Formula | None = None
     restriction: frozenset[int] | None = None
     eps: float | None = None
+    work: dict = field(default_factory=dict, compare=False)  # filter run and its work counts
 
     def __post_init__(self):
         members = np.asarray(self.members, dtype=np.uint64)
@@ -107,17 +115,82 @@ class ClusterPartition:
         return len(self.clusters)
 
 
+def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split tables (lo, hi) of shapes (words, 2^L) and (words, 2^(n-L)), L = ceil(n/2).
+
+    Bit c of lo[w, a] is set when every literal of clause 64w + c on the low L
+    variables is false under low half a, or the clause has none there; hi is
+    the same over the high variables.  So lo[w, x mod 2^L] & hi[w, x >> L] is
+    the set of clauses of word w that x violates.  Each table ANDs, doubling
+    over its variables, the clauses that each variable's value leaves
+    unsatisfied.  Only the leading words that fit _TABLE_BUDGET are built, and
+    none when 2^L exceeds BLOCK_SIZE (n > 32), so that every block of
+    _scan_range holds whole high halves.
+    """
+    L = (n + 1) // 2
+    per_word = ((1 << L) + (1 << (n - L))) * 8
+    words = min(-(-masks.size // 64), _TABLE_BUDGET // per_word) if 1 << L <= BLOCK_SIZE else 0
+    m = min(masks.size, 64 * words)
+
+    def packed(bits: np.ndarray) -> np.ndarray:  # (rows, m) bools -> (rows, words) clause words
+        padded = np.zeros((bits.shape[0], 64 * words), dtype=bool)
+        padded[:, :m] = bits
+        return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+    var = np.arange(n, dtype=np.uint64)[:, None]
+    inside = (masks[None, :m] >> var) & 1 == 1
+    negated = (values[None, :m] >> var) & 1 == 1
+    unsat0, unsat1 = ~packed(inside & negated), ~packed(inside & ~negated)  # by x_v = 0, 1
+    valid = packed(np.ones((1, m), dtype=bool))[0]
+
+    def side(variables: range) -> np.ndarray:
+        out = np.empty((words, 1 << len(variables)), dtype=np.uint64)
+        out[:, 0] = valid
+        for k, v in enumerate(variables):
+            np.bitwise_and(out[:, : 1 << k], unsat1[v][:, None], out=out[:, 1 << k : 2 << k])
+            out[:, : 1 << k] &= unsat0[v][:, None]
+        return out
+
+    return side(range(L)), side(range(L, n))
+
+
+def _table_counts(tables, start: int, stop: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Assignments in [start, stop) violating at most r clauses of the tabled words, and their counts.
+
+    start and stop are multiples of 2^L.  Word 0 is ANDed over the whole run
+    of high halves at once; each later word is gathered for the survivors
+    only.  The count is the narrowest unsigned type holding r + 64.
+    """
+    lo, hi = tables
+    count = np.min_scalar_type(r + 64)
+    if not lo.shape[0]:
+        return np.arange(start, stop), np.zeros(stop - start, dtype=count)
+    L = lo.shape[1].bit_length() - 1
+    viol = np.bitwise_count(hi[0, start >> L : stop >> L, None] & lo[0]).ravel()
+    x = np.flatnonzero(viol <= r)
+    viol = viol[x].astype(count)
+    x += start
+    for w in range(1, lo.shape[0]):
+        viol += np.bitwise_count(lo[w, x & ((1 << L) - 1)] & hi[w, x >> L])
+        keep = viol <= r
+        x, viol = x[keep], viol[keep]
+    return x, viol
+
+
 def _scan_range(args) -> np.ndarray:
     """Packed assignments in [start, stop) violating at most r of the clauses.
 
-    Blocks of BLOCK_SIZE candidates are filtered clause by clause, and rows
-    whose running violation count exceeds r are dropped after every clause
-    (early exit).  Candidates and clause masks are uint32 words when they fit
-    in 32 bits, which always holds under DEFAULT_ENUM_CAP, and uint64 words
-    otherwise; the r > 0 counter is the narrowest unsigned type holding r + 1.
+    Blocks of BLOCK_SIZE candidates are filtered clause by clause.  For r = 0
+    a row is dropped at the first clause it violates (early exit).  For r > 0
+    the split tables (_clause_tables, None when r = 0) count 64 clauses at a
+    time and keep the rows with at most r (_table_counts); the clauses past
+    the tabled words add to that count on the survivors one by one, dropping
+    rows above r after every clause; start and stop are then multiples of 2^L.
+    Candidates and clause masks are uint32 words when they fit in 32 bits,
+    which always holds under DEFAULT_ENUM_CAP, and uint64 words otherwise.
     The result is cast to uint64 once per range.
     """
-    start, stop, masks, values, r = args
+    start, stop, masks, values, r, tables = args
     fits32 = stop <= 1 << 32 and not (masks >> np.uint64(32)).any()
     word = np.uint32 if fits32 else np.uint64
     masks, values = masks.astype(word), values.astype(word)
@@ -133,8 +206,10 @@ def _scan_range(args) -> np.ndarray:
                 if cand.size == 0:
                     break
         else:
-            viol = np.zeros(cand.size, dtype=np.min_scalar_type(r + 1))
-            for mask, val in zip(masks, values):
+            cand, viol = _table_counts(tables, lo, min(lo + BLOCK_SIZE, stop), r)
+            cand = cand.astype(word)
+            tabled = 64 * tables[0].shape[0]
+            for mask, val in zip(masks[tabled:], values[tabled:]):
                 viol += (cand & mask) == val
                 keep = viol <= r
                 if not keep.all():
@@ -171,22 +246,27 @@ def enumerate_sat(
         raise ParameterError("violation budget r must be nonnegative")
     S_frozen = frozenset(S) if S is not None else None
     masks, values = _restricted_clause_arrays(f, S_frozen)
+    tables = _clause_tables(f.n, masks, values) if 0 < r < masks.size else None
     total = 1 << f.n
     if workers <= 1 or total <= BLOCK_SIZE:
-        members = _scan_range((0, total, masks, values, r))
+        members = _scan_range((0, total, masks, values, r, tables))
     else:
         n_tasks = min(workers * 8, max(1, total // BLOCK_SIZE))
-        bounds = np.linspace(0, total, n_tasks + 1, dtype=np.int64)
+        L = (f.n + 1) // 2  # task bounds fall on whole high halves of the tables
+        bounds = np.linspace(0, total >> L, n_tasks + 1, dtype=np.int64) << L
         tasks = [
-            (int(a), int(b), masks, values, r)
+            (int(a), int(b), masks, values, r, tables)
             for a, b in zip(bounds[:-1], bounds[1:])
             if b > a
         ]
         ctx = mp.get_context("fork")
-        with ctx.Pool(workers) as pool:
+        with ctx.Pool(min(workers, len(tasks))) as pool:
             parts = pool.map(_scan_range, tasks)
         members = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
-    return SolutionSet(n=f.n, members=members, r=r, formula=f, restriction=S_frozen)
+    table_bytes = sum(t.nbytes for t in tables) if tables else 0
+    work = {"filter": "split_tables" if table_bytes else "early_exit", "assignments": total,
+            "table_bytes": table_bytes, "members": int(members.size)}
+    return SolutionSet(n=f.n, members=members, r=r, formula=f, restriction=S_frozen, work=work)
 
 
 def enumerate_sat_eps(
@@ -211,12 +291,16 @@ def enumerate_sat_eps(
 
     all_vars = range(f.n)
     union: np.ndarray | None = None
+    table_bytes = 0
     for excl in combinations(all_vars, excluded):
         S = frozenset(all_vars) - frozenset(excl)
-        part = enumerate_sat(f, r, S=S, workers=workers, cap=cap).members
-        union = part if union is None else np.union1d(union, part)
+        part = enumerate_sat(f, r, S=S, workers=workers, cap=cap)
+        table_bytes = max(table_bytes, part.work["table_bytes"])
+        union = part.members if union is None else np.union1d(union, part.members)
     assert union is not None
-    return SolutionSet(n=f.n, members=union, r=r, formula=f, eps=eps)
+    work = {"filter": "split_tables" if table_bytes else "early_exit", "assignments": n_subsets << f.n,
+            "table_bytes": table_bytes, "members": int(union.size)}
+    return SolutionSet(n=f.n, members=union, r=r, formula=f, eps=eps, work=work)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,20 @@ def test_cluster_manifest_records_the_pair_kernels(tmp_path):
                             "total_size", "max_intra", "min_inter"}
 
 
+@pytest.mark.parametrize("r, filt", [(0, "early_exit"), (1, "split_tables"), (40, "early_exit")])
+def test_enumerate_manifest_records_the_filter(tmp_path, r, filt):
+    out = tmp_path / "run"
+    assert run_cli(["enumerate", "--n", 10, "--K", 3, "--m", 40, "--r", r,
+                    "--seeds", "3", "--out", out]) == 0
+    summary = json.loads((out / "summary_3.json").read_text())
+    assert read_manifest(out)["work"]["3"] == {
+        "filter": filt, "assignments": 1024, "members": summary["count"],
+        "table_bytes": 2 * 32 * 8 if filt == "split_tables" else 0,
+    }
+    assert set(summary) == {"seed", "n", "m", "K", "r", "eps", "count", "log_count_per_n",
+                            "duplicates"}
+
+
 def test_hamiltonian_subcommand(tmp_path):
     out = tmp_path / "run"
     code = run_cli(["hamiltonian", "--n", 4, "--K", 2, "--m", 4,

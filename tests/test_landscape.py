@@ -2,7 +2,9 @@ import csv
 import functools
 import io
 import math
+import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -145,6 +147,17 @@ def test_eps_union_exact_size_equals_union_over_larger_sets(seed):
     assert got == full
 
 
+def test_enumerate_eps_records_its_work():
+    f = ksat.generate_formula(6, 20, 3, seed=4)
+    A = landscape.enumerate_sat_eps(f, eps=1 / 6, r=1)
+    union = set()
+    for v in range(6):
+        union |= set(naive_enumerate(f, 1, S=frozenset(range(6)) - {v}))
+    assert A.members.tolist() == sorted(union)
+    assert A.work == {"filter": "split_tables", "assignments": 6 << 6, "table_bytes": (8 + 8) * 8,
+                      "members": len(union)}
+
+
 def test_enumerate_eps_budget(demo_formula):
     with pytest.raises(ResourceLimitError):
         landscape.enumerate_sat_eps(demo_formula, eps=1 / 3, r=0, budget=1)
@@ -189,7 +202,7 @@ def test_scan_range_keeps_clause_bits_above_32():
     L = ksat.Literal
     f = ksat.Formula(n=41, K=2, clauses=(ksat.Clause((L(0, False), L(40, True))),))
     masks, values, _ = f.clause_arrays
-    got = landscape._scan_range((0, landscape.BLOCK_SIZE, masks, values, 0))
+    got = landscape._scan_range((0, landscape.BLOCK_SIZE, masks, values, 0, None))
     assert got.dtype == np.uint64
     assert got.tolist() == list(range(landscape.BLOCK_SIZE))
 
@@ -210,6 +223,146 @@ def test_enumerate_pool_without_clauses(workers):
     pooled = landscape.enumerate_sat(f, 0, workers=workers).members
     assert pooled.dtype == np.uint64
     assert pooled.tolist() == list(range(1 << 18))
+
+
+# ---------------------------------------------------------------------------
+# the split-table kernel of r > 0 enumeration against literal-by-literal oracles
+# ---------------------------------------------------------------------------
+
+def _kernel_formula(n: int, m: int, seed: int) -> ksat.Formula:
+    """m random 3-clauses plus a tautology and clauses that repeat a variable."""
+    L, C = ksat.Literal, ksat.Clause
+    extra = (
+        C((L(0, False), L(n - 1, True), L(0, True))),  # tautology
+        C((L(n - 1, True), L(n - 1, True), L(0, False))),
+        C((L(n // 2, False),) * 3),
+    )
+    f = ksat.generate_formula(n, m, 3, seed)
+    return ksat.Formula(n=n, K=3, clauses=f.clauses[: m // 2] + extra + f.clauses[m // 2 :])
+
+
+def _oracle_members(f: ksat.Formula, r: int, S=None) -> list[int]:
+    return np.flatnonzero(literal_violation_counts(f, S) <= r).tolist()
+
+
+def _per_word(n: int) -> int:
+    return ((1 << (n + 1) // 2) + (1 << n // 2)) * 8
+
+
+@pytest.mark.parametrize("n, m", [(1, 5), (4, 40), (7, 61), (6, 100), (9, 125), (8, 190), (10, 300)])
+def test_clause_tables_give_each_violated_clause(n, m):
+    # words 1, 2, 3 and 5; the low half takes the extra variable at odd n
+    f = _kernel_formula(n, m, seed=n * 1000 + m)
+    masks, values, idx = f.clause_arrays
+    lo, hi = landscape._clause_tables(n, masks, values)
+    L = (n + 1) // 2
+    assert lo.shape == (-(-masks.size // 64), 1 << L) and hi.shape == (lo.shape[0], 1 << (n - L))
+    x = np.arange(1 << n)
+    V = lo[:, x & ((1 << L) - 1)] & hi[:, x >> L]  # (words, 2^n)
+    for c, j in enumerate(idx):
+        violated = np.ones(x.size, dtype=bool)
+        for lit in f.clauses[j].literals:
+            violated &= (((x >> lit.var) & 1) == 1) == lit.negated
+        assert (((V[c // 64] >> np.uint64(c % 64)) & np.uint64(1)) == 1).tolist() == violated.tolist()
+    padding = np.uint64(~0 << (masks.size % 64) & (2**64 - 1)) if masks.size % 64 else np.uint64(0)
+    assert not (V[-1] & padding).any()
+
+
+@pytest.mark.parametrize("n, m, r", [
+    (1, 4, 1), (2, 9, 1), (5, 30, 2),  # one word
+    (8, 70, 1), (9, 120, 4),  # two words
+    (10, 150, 3), (11, 200, 9),  # three and four words
+])
+@pytest.mark.parametrize("restricted", [False, True])
+def test_split_table_enumeration_matches_literal_oracle(n, m, r, restricted):
+    f = _kernel_formula(n, m, seed=n * 100 + r)
+    S = frozenset(range(n)) - {n // 3} if restricted else None
+    A = landscape.enumerate_sat(f, r, S=S)
+    assert A.members.tolist() == _oracle_members(f, r, S)
+    live = landscape._restricted_clause_arrays(f, S)[0].size
+    assert A.work["filter"] == ("split_tables" if r < live else "early_exit")
+
+
+def test_split_tables_at_r_m_minus_one_and_beyond():
+    # 70 copies of (x0 | x1) span two words: only x0 = x1 = 0 violates all 70
+    L, C = ksat.Literal, ksat.Clause
+    f = ksat.Formula(n=5, K=2, clauses=(C((L(0, False), L(1, False))),) * 70)
+    every = list(range(32))
+    for r, expected in [(1, [z for z in every if z & 3]), (69, [z for z in every if z & 3]),
+                        (70, every), (75, every)]:
+        A = landscape.enumerate_sat(f, r)
+        assert A.members.tolist() == expected == _oracle_members(f, r)
+        assert A.work["filter"] == ("split_tables" if r < 70 else "early_exit")
+
+
+@pytest.mark.parametrize("budget_words, filt", [(0, "early_exit"), (1, "split_tables"), (2, "split_tables")])
+def test_clauses_past_the_table_budget_are_counted(monkeypatch, budget_words, filt):
+    # 510 unit clauses (8 words) at r = 255: the tail counter must hold 256
+    # as well, and the tables must stay within the budget
+    f = ksat.generate_formula(10, 510, 1, seed=1)
+    monkeypatch.setattr(landscape, "_TABLE_BUDGET", (budget_words + 1) * _per_word(10) - 1)
+    for r in (1, 255):
+        A = landscape.enumerate_sat(f, r)
+        assert A.members.tolist() == _oracle_members(f, r)
+        assert A.work["filter"] == filt
+        assert A.work["table_bytes"] == budget_words * _per_word(10) <= landscape._TABLE_BUDGET
+    g = _kernel_formula(9, 200, seed=3)
+    assert landscape.enumerate_sat(g, 3).members.tolist() == _oracle_members(g, 3)
+
+
+def test_split_tables_skip_cubes_whose_blocks_split_a_high_half():
+    masks, values, _ = ksat.generate_formula(34, 10, 3, seed=2).clause_arrays
+    lo, hi = landscape._clause_tables(34, masks, values)
+    assert lo.shape[0] == hi.shape[0] == 0
+
+
+_SPLIT_POOL = ksat.generate_formula(17, 150, 3, seed=21)
+
+
+@functools.lru_cache(maxsize=None)
+def _split_pool_counts(restricted: bool) -> np.ndarray:
+    S = frozenset(range(17)) - {4, 11} if restricted else None
+    return literal_violation_counts(_SPLIT_POOL, S).astype(np.uint8)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("restricted", [False, True])
+def test_split_table_pool_matches_oracle(monkeypatch, workers, restricted):
+    # n = 17 is odd, 150 clauses take three words; with a one-word budget the
+    # other two go through the counter loop inside every worker
+    S = frozenset(range(17)) - {4, 11} if restricted else None
+    oracle = np.flatnonzero(_split_pool_counts(restricted) <= 8).tolist()
+    assert 0 < len(oracle) < 1 << 17
+    assert landscape.enumerate_sat(_SPLIT_POOL, 8, S=S, workers=workers).members.tolist() == oracle
+    monkeypatch.setattr(landscape, "_TABLE_BUDGET", _per_word(17))
+    A = landscape.enumerate_sat(_SPLIT_POOL, 8, S=S, workers=workers)
+    assert A.members.tolist() == oracle
+    assert A.work["table_bytes"] == _per_word(17)
+
+
+def test_pool_is_sized_by_its_tasks(monkeypatch):
+    started = []
+
+    class Pool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    fake_mp = types.SimpleNamespace(get_context=lambda method: types.SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(landscape, "mp", fake_mp)
+    for n, workers, r in [(17, 512, 0), (17, 512, 2), (18, 3, 2)]:
+        f = ksat.generate_formula(n, 60, 3, seed=5)
+        got = landscape.enumerate_sat(f, r, workers=workers).members
+        assert got.tolist() == _oracle_members(f, r)
+    assert started == [2, 2, 3]  # n = 17 holds two blocks, so two tasks; n = 18 four
 
 
 # ---------------------------------------------------------------------------
@@ -417,20 +570,32 @@ def _far_from(z: int, members: list[int], t: int) -> bool:
     return not m.size or int(np.bitwise_count(m ^ np.uint64(z)).min()) >= t
 
 
+#: Rejected random draws in a row after which _balls and _gap_pair give up.
+_MAX_REJECTS = 10_000
+
+
 def _balls(rng, n: int, size: int) -> list[int]:
     """At least `size` members in balls of radius 1 around centres _FAR + 2 apart.
 
     Members of one ball lie within _CLOSE of each other and members of
     different balls at least _FAR apart, so the OGP holds at _gap_nus(n).
+    Raises RuntimeError after _MAX_REJECTS centres in a row that lie too close.
     """
     centres: list[int] = []
     members: list[int] = []
+    rejects = 0
     while len(members) < size:
         c = int(rng.integers(0, 1 << n, dtype=np.uint64))
         if _far_from(c, centres, _FAR + 2):
+            rejects = 0
             centres.append(c)
             flips = rng.choice(n, size=int(rng.integers(0, 24)), replace=False)
             members += [c] + [c ^ (1 << int(b)) for b in flips]
+        else:
+            rejects += 1
+            if rejects == _MAX_REJECTS:
+                raise RuntimeError(f"no centre {_FAR + 2} from {len(centres)} centres at n={n} "
+                                   f"after {rejects} rejected draws in a row")
     return members
 
 
@@ -439,8 +604,9 @@ def _gap_pair(rng, n: int, members: list[int], late: bool) -> tuple[int, int]:
 
     With `late` one flipped bit is bit n-1, so the partner sits in the upper
     half of the member order; otherwise the partner stays below 2^(n-6).
+    Raises RuntimeError after _MAX_REJECTS pairs that lie too close.
     """
-    while True:
+    for _ in range(_MAX_REJECTS):
         y = int(rng.integers(0, 1 << (n - 6), dtype=np.uint64))
         if late:
             mask = 1 << (n - 1) | sum(1 << int(b) for b in rng.choice(n - 1, 4, replace=False))
@@ -448,6 +614,19 @@ def _gap_pair(rng, n: int, members: list[int], late: bool) -> tuple[int, int]:
             mask = sum(1 << int(b) for b in rng.choice(n - 6, 5, replace=False))
         if _far_from(y, members, _FAR) and _far_from(y ^ mask, members, _FAR):
             return y, y ^ mask
+    raise RuntimeError(f"no gap pair {_FAR} from {len(members)} members at n={n} "
+                       f"after {_MAX_REJECTS} rejected draws in a row")
+
+
+def test_ball_helpers_give_up_on_impossible_requests():
+    # random centres 11 apart stall a 24-bit cube long before 1500 members,
+    # and no point below 2^6 lies 9 from the member 0
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="rejected draws"):
+        _balls(np.random.default_rng(0), 24, 1500)
+    with pytest.raises(RuntimeError, match="rejected draws"):
+        _gap_pair(np.random.default_rng(0), 12, [0], late=False)
+    assert time.monotonic() - t0 < 30
 
 
 def _oracle(members: np.ndarray, n: int, close: int = _CLOSE, far: int = _FAR):
