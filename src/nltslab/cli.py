@@ -99,9 +99,20 @@ class _Run:
         self.path("manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _int_list(flag: str, raw) -> list[int]:
+    """Comma-separated integers; a config file may hand over a bare int."""
+    values = []
+    for token in str(raw).split(","):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ParameterError(f"{flag} expects comma-separated integers, got {token!r} in {raw!r}") from None
+    return values
+
+
 def _seed_list(args) -> list[int]:
     if args.seeds:
-        return [int(s) for s in args.seeds.split(",")]
+        return _int_list("--seeds", args.seeds)
     return [stream_seed(args.master_seed, i) for i in range(args.instances)]
 
 
@@ -248,59 +259,37 @@ def cmd_pspin(args, run: _Run):
         run.write_json(f"pspin_{seed}.json", record)
 
 
+_SCAN_FIELDS = ["K", "window_found", "nu1", "nu2", "delta", "gamma", "lambda", "eta", "eps",
+                "c1", "c2", "c1_bits", "c2_bits", "delta_ok", "gamma_lambda_ok",
+                "amplification_ok", "tail_ok", "locality_ok", "azuma_ok", "feasible"]
+
+
+def _scan_csv_row(K, window, eps, p, report) -> dict:
+    """One scan.csv row; a K without a window fills only its first two columns."""
+    if window is None:
+        return {"K": K, "window_found": False}
+    ledger = {k: v for k, v in vars(report).items() if k != "margins"}  # c1, c2 and five flags
+    return {"K": K, "window_found": True, "nu1": p.nu1, "nu2": p.nu2, "delta": p.delta,
+            "gamma": p.gamma, "lambda": p.lam, "eta": p.eta, "eps": eps, **ledger,
+            "c1_bits": report.c1 / theory.LN2, "c2_bits": report.c2 / theory.LN2,
+            "azuma_ok": eps is not None, "feasible": report.all_ok and eps is not None}
+
+
 def cmd_theory_scan(args, run: _Run):
-    K_values = [int(k) for k in args.K_list.split(",")]
-    rows = []
-    for K in K_values:
-        window = theory.first_feasible_window(args.alpha, K, args.nu_step, args.s_step, theory.LN2 / 20.0)
-        if window is None:
-            rows.append({"K": K, "window_found": False})
-            continue
-        nu1, nu2 = window
-        for delta in (1e-4, 1e-3, 5e-3):
-            for gamma in (1e-2, 1e-4, 1e-6):
-                for lam in (0.05, 0.1, 0.2):
-                    for eta in (1e-4, 1e-6, 1e-8):
-                        eps = theory.derive_eps(eta, K)
-                        params = theory.RegimeParams(
-                            alpha=args.alpha, K=K, eps=eps if eps is not None else float("nan"),
-                            lam=lam, gamma=gamma, eta=eta, nu1=nu1, nu2=nu2, delta=delta,
-                        )
-                        report = theory.check_parameter_consistency(params)
-                        rows.append({
-                            "K": K, "window_found": True, "nu1": nu1, "nu2": nu2,
-                            "delta": delta, "gamma": gamma, "lambda": lam, "eta": eta,
-                            "eps": eps, "c1": report.c1, "c2": report.c2,
-                            "c1_bits": report.c1 / theory.LN2, "c2_bits": report.c2 / theory.LN2,
-                            "delta_ok": report.delta_ok,
-                            "gamma_lambda_ok": report.gamma_lambda_ok,
-                            "amplification_ok": report.amplification_ok,
-                            "tail_ok": report.tail_ok,
-                            "locality_ok": report.locality_ok,
-                            "azuma_ok": eps is not None,
-                            "feasible": report.all_ok and eps is not None,
-                        })
-    fields = ["K", "window_found", "nu1", "nu2", "delta", "gamma", "lambda", "eta", "eps",
-              "c1", "c2", "c1_bits", "c2_bits", "delta_ok", "gamma_lambda_ok",
-              "amplification_ok", "tail_ok", "locality_ok", "azuma_ok", "feasible"]
+    K_values = _int_list("--K-list", args.K_list)
+    rows = [_scan_csv_row(*row) for row in theory.scan_rows(args.alpha, K_values, args.nu_step, args.s_step)]
     with open(run.path("scan.csv"), "w", newline="") as fh:
         fh.write("# nltslab theory-scan v1\n")
-        w = csv.DictWriter(fh, fieldnames=fields)
+        w = csv.DictWriter(fh, fieldnames=_SCAN_FIELDS)
         w.writeheader()
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
     run.register("scan.csv")
     feasible = [r for r in rows if r.get("feasible")]
-    run.write_json(
-        "scan_summary.json",
-        {
-            "alpha": args.alpha,
-            "K_values": K_values,
-            "feasible_count": len(feasible),
-            "feasible_K": sorted({r["K"] for r in feasible}),
-            "windows": {str(r["K"]): [r["nu1"], r["nu2"]] for r in rows if r.get("window_found")},
-        },
-    )
+    run.write_json("scan_summary.json", {
+        "alpha": args.alpha, "K_values": K_values, "feasible_count": len(feasible),
+        "feasible_K": sorted({r["K"] for r in feasible}),
+        "windows": {str(r["K"]): [r["nu1"], r["nu2"]] for r in rows if r.get("window_found")},
+    })
 
 
 def cmd_depth_bound(args, run: _Run):
@@ -396,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--K-list", default="4,8,16,32,64")
-    p.add_argument("--nu-step", type=float, default=0.005)
-    p.add_argument("--s-step", type=float, default=0.005)
+    p.add_argument("--nu-step", type=float, default=theory.NU_STEP)
+    p.add_argument("--s-step", type=float, default=theory.S_STEP)
     p.set_defaults(func=cmd_theory_scan)
 
     p = sub.add_parser("depth-bound", help="circuit depth lower bound")

@@ -393,25 +393,9 @@ def basis_coefficient(psi: StateVector, w: BasisElement) -> complex:
     return complex(np.sum(coef * psi.amp[idx]) * scale)
 
 
-def _factor_choices(fiber_size: int):
-    for pat in range(0, 1 << fiber_size, 2):
-        for sign in (1, -1):
-            yield pat, sign
-
-
 def all_basis_elements(layout: QubitLayout, cap: int = BASIS_ENUM_CAP):
-    """Every basis element (2^(num qubits) of them); generator."""
-    if layout.num_qubits > cap:
-        raise ResourceLimitError(
-            f"full basis has 2^{layout.num_qubits} elements, over cap 2^{cap}",
-            budget_name="basis_cap",
-        )
-    active = layout.active_variables
-    choice_lists = [list(_factor_choices(len(layout.fibers[i]))) for i in active]
-    for combo in product(*choice_lists):
-        yield BasisElement(
-            patterns=tuple(c[0] for c in combo), signs=tuple(c[1] for c in combo)
-        )
+    """Every basis element (2^(num qubits) of them): W(S) with S empty; generator."""
+    return w_elements_cat_on(layout, (), cap)
 
 
 def w_elements_cat_on(layout: QubitLayout, S: Iterable[int], cap: int = BASIS_ENUM_CAP):
@@ -423,8 +407,10 @@ def w_elements_cat_on(layout: QubitLayout, S: Iterable[int], cap: int = BASIS_EN
         raise ResourceLimitError(
             f"W(S) has 2^{free_qubits} elements, over cap 2^{cap}", budget_name="basis_cap"
         )
+    # a free factor: any fiber pattern with first bit 0 (below its flip), either sign
     choice_lists = [
-        [(0, 1)] if i in S else list(_factor_choices(len(layout.fibers[i]))) for i in active
+        [(0, 1)] if i in S else list(product(range(0, 1 << len(layout.fibers[i]), 2), (1, -1)))
+        for i in active
     ]
     for combo in product(*choice_lists):
         yield BasisElement(
@@ -453,18 +439,12 @@ def near_ground_state(
     """
     S = frozenset(S)
     off_factors = dict(off_factors or {})
-    patterns, signs = [], []
+    factors = []
     for i in layout.active_variables:
-        if i in S:
-            patterns.append(0)
-            signs.append(1)
-        else:
-            if i not in off_factors:
-                raise ParameterError(f"missing local factor for variable {i} outside S")
-            pat, sign = off_factors[i]
-            patterns.append(pat)
-            signs.append(sign)
-    w = BasisElement(patterns=tuple(patterns), signs=tuple(signs))
+        if i not in S and i not in off_factors:
+            raise ParameterError(f"missing local factor for variable {i} outside S")
+        factors.append((0, 1) if i in S else off_factors[i])
+    w = BasisElement(patterns=tuple(c[0] for c in factors), signs=tuple(c[1] for c in factors))
     psi = apply_q_gamma(basis_element_vector(layout, w), gamma, sign=1).normalized()
     for i in S:
         if 0 <= i < layout.num_variables and layout.fibers[i]:

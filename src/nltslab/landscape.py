@@ -115,6 +115,18 @@ class ClusterPartition:
         return len(self.clusters)
 
 
+def _table_size(n: int, m: int) -> tuple[int, int]:
+    """(words, bytes per word) of the split tables for m clauses on n variables.
+
+    Only the leading 64-clause words that fit _TABLE_BUDGET are tabled, and
+    none when 2^ceil(n/2) exceeds BLOCK_SIZE (n > 32), so that every block of
+    _scan_range holds whole high halves.
+    """
+    L = (n + 1) // 2
+    per_word = ((1 << L) + (1 << (n - L))) * 8
+    return (min(-(-m // 64), _TABLE_BUDGET // per_word) if 1 << L <= BLOCK_SIZE else 0), per_word
+
+
 def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split tables (lo, hi) of shapes (words, 2^L) and (words, 2^(n-L)), L = ceil(n/2).
 
@@ -123,13 +135,10 @@ def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray) -> tuple[np.nd
     the same over the high variables.  So lo[w, x mod 2^L] & hi[w, x >> L] is
     the set of clauses of word w that x violates.  Each table ANDs, doubling
     over its variables, the clauses that each variable's value leaves
-    unsatisfied.  Only the leading words that fit _TABLE_BUDGET are built, and
-    none when 2^L exceeds BLOCK_SIZE (n > 32), so that every block of
-    _scan_range holds whole high halves.
+    unsatisfied.  Only the words _table_size admits are built.
     """
     L = (n + 1) // 2
-    per_word = ((1 << L) + (1 << (n - L))) * 8
-    words = min(-(-masks.size // 64), _TABLE_BUDGET // per_word) if 1 << L <= BLOCK_SIZE else 0
+    words = _table_size(n, masks.size)[0]
     m = min(masks.size, 64 * words)
 
     def packed(bits: np.ndarray) -> np.ndarray:  # (rows, m) bools -> (rows, words) clause words
@@ -182,15 +191,17 @@ def _scan_range(args) -> np.ndarray:
 
     Blocks of BLOCK_SIZE candidates are filtered clause by clause.  For r = 0
     a row is dropped at the first clause it violates (early exit).  For r > 0
-    the split tables (_clause_tables, None when r = 0) count 64 clauses at a
-    time and keep the rows with at most r (_table_counts); the clauses past
-    the tabled words add to that count on the survivors one by one, dropping
-    rows above r after every clause; start and stop are then multiples of 2^L.
+    the split tables of the n-variable cube, built here so that a pool task
+    carries only its clause lists, count 64 clauses at a time and keep the
+    rows with at most r (_table_counts); the clauses past the tabled words add
+    to that count on the survivors one by one, dropping rows above r after
+    every clause; start and stop are then multiples of 2^L.
     Candidates and clause masks are uint32 words when they fit in 32 bits,
     which always holds under DEFAULT_ENUM_CAP, and uint64 words otherwise.
     The result is cast to uint64 once per range.
     """
-    start, stop, masks, values, r, tables = args
+    start, stop, masks, values, r, n = args
+    tables = _clause_tables(n, masks, values) if 0 < r < masks.size else None
     fits32 = stop <= 1 << 32 and not (masks >> np.uint64(32)).any()
     word = np.uint32 if fits32 else np.uint64
     masks, values = masks.astype(word), values.astype(word)
@@ -246,16 +257,15 @@ def enumerate_sat(
         raise ParameterError("violation budget r must be nonnegative")
     S_frozen = frozenset(S) if S is not None else None
     masks, values = _restricted_clause_arrays(f, S_frozen)
-    tables = _clause_tables(f.n, masks, values) if 0 < r < masks.size else None
     total = 1 << f.n
     if workers <= 1 or total <= BLOCK_SIZE:
-        members = _scan_range((0, total, masks, values, r, tables))
+        members = _scan_range((0, total, masks, values, r, f.n))
     else:
         n_tasks = min(workers * 8, max(1, total // BLOCK_SIZE))
         L = (f.n + 1) // 2  # task bounds fall on whole high halves of the tables
         bounds = np.linspace(0, total >> L, n_tasks + 1, dtype=np.int64) << L
         tasks = [
-            (int(a), int(b), masks, values, r, tables)
+            (int(a), int(b), masks, values, r, f.n)
             for a, b in zip(bounds[:-1], bounds[1:])
             if b > a
         ]
@@ -263,7 +273,8 @@ def enumerate_sat(
         with ctx.Pool(min(workers, len(tasks))) as pool:
             parts = pool.map(_scan_range, tasks)
         members = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
-    table_bytes = sum(t.nbytes for t in tables) if tables else 0
+    words, per_word = _table_size(f.n, masks.size)
+    table_bytes = words * per_word if 0 < r < masks.size else 0
     work = {"filter": "split_tables" if table_bytes else "early_exit", "assignments": total,
             "table_bytes": table_bytes, "members": int(members.size)}
     return SolutionSet(n=f.n, members=members, r=r, formula=f, restriction=S_frozen, work=work)

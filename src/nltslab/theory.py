@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,6 +18,15 @@ import numpy as np
 from .errors import ParameterError
 
 LN2 = math.log(2.0)
+
+#: Defaults of the regime scan: nu and s grid steps, the margin below zero
+#: the window's rate exponent must clear, and the parameter-ledger grids.
+NU_STEP = S_STEP = 0.005
+SLACK = LN2 / 20.0
+GAMMA_GRID = (1e-2, 1e-4, 1e-6)
+LAMBDA_GRID = (0.05, 0.1, 0.2)
+ETA_GRID = (1e-4, 1e-6, 1e-8)
+DELTA_GRID = (1e-4, 1e-3, 5e-3)
 
 
 @dataclass(frozen=True)
@@ -180,7 +190,7 @@ def check_parameter_consistency(p: RegimeParams) -> ConsistencyReport:
     )
 
 
-def window_sup_rate(alpha: float, K: int, nu1: float, nu2: float, s_step: float = 0.005) -> float:
+def window_sup_rate(alpha: float, K: int, nu1: float, nu2: float, s_step: float = S_STEP) -> float:
     """Grid sup of C(alpha, s, K) over s in [1 - nu2, 1 - nu1]."""
     lo, hi = 1.0 - nu2, 1.0 - nu1
     grid = np.arange(lo, hi + s_step / 2, s_step)
@@ -201,48 +211,54 @@ def derive_eps(eta: float, K: int, max_halvings: int = 600) -> float | None:
     return None
 
 
-def scan_regime(
-    alpha: float,
-    K_values: Iterable[int],
-    nu_step: float = 0.005,
-    s_step: float = 0.005,
-    gamma_grid: Sequence[float] = (1e-2, 1e-4, 1e-6),
-    lambda_grid: Sequence[float] = (0.05, 0.1, 0.2),
-    eta_grid: Sequence[float] = (1e-4, 1e-6, 1e-8),
-    delta_grid: Sequence[float] = (1e-4, 1e-3, 5e-3),
-    slack: float = LN2 / 20.0,
-    max_results: int = 200,
-) -> list[RegimeParams]:
-    """Feasible (K, nu1, nu2, eps, lambda, gamma, eta, delta) tuples.
+def scan_rows(
+    alpha: float, K_values: Iterable[int], nu_step: float = NU_STEP, s_step: float = S_STEP,
+    gamma_grid: Sequence[float] = GAMMA_GRID, lambda_grid: Sequence[float] = LAMBDA_GRID,
+    eta_grid: Sequence[float] = ETA_GRID, delta_grid: Sequence[float] = DELTA_GRID,
+    slack: float = SLACK,
+):
+    """Every scan row (K, window, eps, params, report), feasible or not; generator.
 
-    A tuple is feasible when the rate exponent stays below -slack on the
-    [1-nu2, 1-nu1] window, the Azuma coverage event certifies at the derived
-    eps, and all parameter-ledger constraints hold.
+    A K whose rate exponent never drops below -slack on a grid window yields
+    (K, None, None, None, None).  Otherwise each (delta, gamma, lambda, eta)
+    grid point yields one row with window = (nu1, nu2), the derived eps (None
+    when no grid eps certifies the Azuma tail; params then carry nan) and the
+    parameter-ledger report.
     """
     if not 0.5 + 0.2 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (1/2 + 1/5, 1), got {alpha}")
-    results: list[RegimeParams] = []
     for K in K_values:
         window = first_feasible_window(alpha, K, nu_step, s_step, slack)
         if window is None:
+            yield K, None, None, None, None
             continue
         nu1, nu2 = window
-        for delta in delta_grid:
-            for gamma in gamma_grid:
-                for lam in lambda_grid:
-                    for eta in eta_grid:
-                        eps = derive_eps(eta, K)
-                        if eps is None:
-                            continue
-                        params = RegimeParams(
-                            alpha=alpha, K=K, eps=eps, lam=lam, gamma=gamma,
-                            eta=eta, nu1=nu1, nu2=nu2, delta=delta,
-                        )
-                        if check_parameter_consistency(params).all_ok:
-                            results.append(params)
-                            if len(results) >= max_results:
-                                return results
-    return results
+        for delta, gamma, lam, eta in product(delta_grid, gamma_grid, lambda_grid, eta_grid):
+            eps = derive_eps(eta, K)
+            params = RegimeParams(
+                alpha=alpha, K=K, eps=math.nan if eps is None else eps, lam=lam, gamma=gamma,
+                eta=eta, nu1=nu1, nu2=nu2, delta=delta,
+            )
+            yield K, window, eps, params, check_parameter_consistency(params)
+
+
+def scan_regime(
+    alpha: float, K_values: Iterable[int], nu_step: float = NU_STEP, s_step: float = S_STEP,
+    gamma_grid: Sequence[float] = GAMMA_GRID, lambda_grid: Sequence[float] = LAMBDA_GRID,
+    eta_grid: Sequence[float] = ETA_GRID, delta_grid: Sequence[float] = DELTA_GRID,
+    slack: float = SLACK, max_results: int = 200,
+) -> list[RegimeParams]:
+    """The first max_results feasible (K, nu1, nu2, eps, lambda, gamma, eta, delta) tuples.
+
+    A tuple is feasible when the rate exponent stays below -slack on the
+    [1-nu2, 1-nu1] window, the Azuma coverage event certifies at the derived
+    eps, and all parameter-ledger constraints hold.  The scan stops at the
+    max_results-th.
+    """
+    rows = scan_rows(alpha, K_values, nu_step, s_step, gamma_grid, lambda_grid, eta_grid,
+                     delta_grid, slack)
+    feasible = (params for _, _, eps, params, report in rows if eps is not None and report.all_ok)
+    return list(islice(feasible, max_results))
 
 
 def first_feasible_window(

@@ -1,10 +1,12 @@
 import csv
+import functools
+import io
 import json
 import math
 
 import pytest
 
-from nltslab import cli
+from nltslab import cli, theory
 
 
 def run_cli(args) -> int:
@@ -158,6 +160,94 @@ def test_theory_scan_subcommand(tmp_path):
         assert r["amplification_ok"] == r["locality_ok"] == "True"
 
 
+_SCAN_FIELDS = ["K", "window_found", "nu1", "nu2", "delta", "gamma", "lambda", "eta", "eps",
+                "c1", "c2", "c1_bits", "c2_bits", "delta_ok", "gamma_lambda_ok",
+                "amplification_ok", "tail_ok", "locality_ok", "azuma_ok", "feasible"]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_window(alpha, K):
+    return theory.first_feasible_window(alpha, K, 0.005, 0.005, math.log(2.0) / 20.0)
+
+
+def _oracle_scan(alpha, K_values):
+    """scan.csv and scan_summary.json bytes from an explicit loop nest over the default grids."""
+    rows = []
+    for K in K_values:
+        window = _oracle_window(alpha, K)
+        if window is None:
+            rows.append({"K": K, "window_found": False})
+            continue
+        nu1, nu2 = window
+        for delta in (1e-4, 1e-3, 5e-3):
+            for gamma in (1e-2, 1e-4, 1e-6):
+                for lam in (0.05, 0.1, 0.2):
+                    for eta in (1e-4, 1e-6, 1e-8):
+                        eps = theory.derive_eps(eta, K)
+                        params = theory.RegimeParams(
+                            alpha=alpha, K=K, eps=eps if eps is not None else float("nan"),
+                            lam=lam, gamma=gamma, eta=eta, nu1=nu1, nu2=nu2, delta=delta,
+                        )
+                        report = theory.check_parameter_consistency(params)
+                        rows.append({
+                            "K": K, "window_found": True, "nu1": nu1, "nu2": nu2,
+                            "delta": delta, "gamma": gamma, "lambda": lam, "eta": eta,
+                            "eps": eps, "c1": report.c1, "c2": report.c2,
+                            "c1_bits": report.c1 / math.log(2.0),
+                            "c2_bits": report.c2 / math.log(2.0),
+                            "delta_ok": report.delta_ok,
+                            "gamma_lambda_ok": report.gamma_lambda_ok,
+                            "amplification_ok": report.amplification_ok,
+                            "tail_ok": report.tail_ok,
+                            "locality_ok": report.locality_ok,
+                            "azuma_ok": eps is not None,
+                            "feasible": report.all_ok and eps is not None,
+                        })
+    buf = io.StringIO()
+    buf.write("# nltslab theory-scan v1\n")
+    w = csv.DictWriter(buf, fieldnames=_SCAN_FIELDS)
+    w.writeheader()
+    w.writerows(rows)
+    feasible = [r for r in rows if r.get("feasible")]
+    summary = {
+        "alpha": alpha, "K_values": list(K_values), "feasible_count": len(feasible),
+        "feasible_K": sorted({r["K"] for r in feasible}),
+        "windows": {str(r["K"]): [r["nu1"], r["nu2"]] for r in rows if r.get("window_found")},
+    }
+    return buf.getvalue(), json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+def _assert_scan_matches_oracle(out, alpha, K_values):
+    want_csv, want_summary = _oracle_scan(alpha, K_values)
+    got_csv = (out / "scan.csv").read_bytes().decode()
+    assert got_csv.splitlines() == want_csv.splitlines()  # row by row first, for a readable diff
+    assert got_csv == want_csv
+    assert (out / "scan_summary.json").read_text() == want_summary
+
+
+@pytest.mark.parametrize("K_list", ["8,64", "8,16,32,64", None])
+def test_theory_scan_rows_match_the_loop_nest_oracle(tmp_path, K_list):
+    # K = 8 has no window at alpha = 0.75 and K = 64 has one; None runs the default list
+    out = tmp_path / "run"
+    argv = ["theory-scan", "--alpha", 0.75, "--out", out]
+    assert run_cli(argv + (["--K-list", K_list] if K_list else [])) == 0
+    _assert_scan_matches_oracle(out, 0.75, [int(k) for k in (K_list or "4,8,16,32,64").split(",")])
+
+
+def test_theory_scan_writes_rows_without_a_certified_eps(tmp_path, monkeypatch):
+    derive_eps = theory.derive_eps
+    monkeypatch.setattr(theory, "derive_eps",
+                        lambda eta, K, **kw: None if eta == 1e-6 else derive_eps(eta, K, **kw))
+    out = tmp_path / "run"
+    assert run_cli(["theory-scan", "--alpha", 0.75, "--K-list", "8,64", "--out", out]) == 0
+    _assert_scan_matches_oracle(out, 0.75, [8, 64])
+    with open(out / "scan.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    uncertified = [r for r in rows if r["eta"] == "1e-06"]
+    assert len(uncertified) == 27
+    assert all(r["eps"] == "" and r["azuma_ok"] == r["feasible"] == "False" for r in uncertified)
+
+
 def test_depth_bound_subcommand(tmp_path):
     out = tmp_path / "run"
     code = run_cli(["depth-bound", "--d", 400000, "--n-bits", 1000000,
@@ -250,3 +340,38 @@ def test_exit_code_assertion(tmp_path, capsys):
     if code == 4:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "assertion"
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0, 1.2])
+def test_theory_scan_rejects_alpha_outside_the_regime(tmp_path, capsys, alpha):
+    out = tmp_path / "x"
+    code = run_cli(["theory-scan", "--alpha", alpha, "--K-list", "8,64", "--out", out])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation"
+    assert "alpha" in record["message"]
+    assert not (out / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag, token", [
+    (["gen", "--n", 5, "--K", 3, "--m", 4, "--seeds", "1,x"], "--seeds", "x"),
+    (["enumerate", "--n", 5, "--K", 3, "--m", 4, "--seeds", "1,,2"], "--seeds", ""),
+    (["theory-scan", "--alpha", 0.75, "--K-list", "8,x"], "--K-list", "x"),
+    (["theory-scan", "--alpha", 0.75, "--K-list", ""], "--K-list", ""),
+], ids=["gen-seeds", "enumerate-empty-seed", "K-list", "empty-K-list"])
+def test_malformed_integer_list_is_a_validation_error(tmp_path, capsys, argv, flag, token):
+    code = run_cli(argv + ["--out", tmp_path / "x"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation"
+    assert flag in record["message"] and repr(token) in record["message"]
+    assert not any((tmp_path / "x").glob("*.csv")) and not any((tmp_path / "x").glob("*.cnf"))
+
+
+def test_config_seed_list_of_one_seed(tmp_path):
+    # the config reader turns "5" into an int, which the seed list must accept
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[gen]\nseeds = 5\n")
+    out = tmp_path / "run"
+    assert run_cli(["gen", "--config", cfg, "--n", 6, "--K", 3, "--m", 4, "--out", out]) == 0
+    assert (out / "formula_5.cnf").exists()

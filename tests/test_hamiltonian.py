@@ -395,6 +395,19 @@ def test_w_elements_cat_on_counts(demo_layout):
     assert len(list(ham.w_elements_cat_on(demo_layout, {0, 1}))) == 4
 
 
+def test_basis_elements_come_in_product_order(demo_layout):
+    # the last active variable varies fastest, its sign fastest of all; W(S)
+    # is the subsequence of the full basis with the CAT factor on S
+    full = list(ham.all_basis_elements(demo_layout))
+    B = ham.BasisElement
+    assert full[:5] == [B((0, 0, 0), (1, 1, 1)), B((0, 0, 0), (1, 1, -1)), B((0, 0, 2), (1, 1, 1)),
+                        B((0, 0, 2), (1, 1, -1)), B((0, 0, 0), (1, -1, 1))]
+    assert demo_layout.active_variables == (0, 1, 2)
+    for S in ({0, 1}, {2}, set()):
+        cat_on_S = [w for w in full if all(w.is_cat_at(i) for i in S)]
+        assert list(ham.w_elements_cat_on(demo_layout, S)) == cat_on_S
+
+
 def test_w_elements_size_bound(demo_formula):
     """|W(S)| never exceeds 2^(n K eta) with eta from the exact search."""
     layout = ham.build_layout(demo_formula)

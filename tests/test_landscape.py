@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import math
+import pickle
 import time
 import tracemalloc
 import types
@@ -202,7 +203,7 @@ def test_scan_range_keeps_clause_bits_above_32():
     L = ksat.Literal
     f = ksat.Formula(n=41, K=2, clauses=(ksat.Clause((L(0, False), L(40, True))),))
     masks, values, _ = f.clause_arrays
-    got = landscape._scan_range((0, landscape.BLOCK_SIZE, masks, values, 0, None))
+    got = landscape._scan_range((0, landscape.BLOCK_SIZE, masks, values, 0, f.n))
     assert got.dtype == np.uint64
     assert got.tolist() == list(range(landscape.BLOCK_SIZE))
 
@@ -363,6 +364,35 @@ def test_pool_is_sized_by_its_tasks(monkeypatch):
         got = landscape.enumerate_sat(f, r, workers=workers).members
         assert got.tolist() == _oracle_members(f, r)
     assert started == [2, 2, 3]  # n = 17 holds two blocks, so two tasks; n = 18 four
+
+
+def test_pool_tasks_carry_the_clause_lists_not_the_tables(monkeypatch):
+    # n = 30 with 11 tabled words (5.5 MiB of tables): every task pickles to
+    # about the clause arrays, and the parent still reports the table bytes
+    pickled = []
+
+    class Pool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            pickled.extend(len(pickle.dumps(t)) for t in tasks)
+            return [np.empty(0, dtype=np.uint64) for _ in tasks]
+
+    fake_mp = types.SimpleNamespace(get_context=lambda method: types.SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(landscape, "mp", fake_mp)
+    f = ksat.generate_formula(30, 1024, 8, seed=1)
+    masks, values = landscape._restricted_clause_arrays(f, None)
+    A = landscape.enumerate_sat(f, 1, workers=4)
+    assert A.work["table_bytes"] == 11 * _per_word(30)
+    assert len(pickled) == 32
+    assert max(pickled) < masks.nbytes + values.nbytes + 1024
 
 
 # ---------------------------------------------------------------------------

@@ -262,3 +262,25 @@ def test_scan_large_K_nonempty():
         assert theory.check_parameter_consistency(p).all_ok
         value, ok = theory.azuma_tail(p.eta, p.eps, p.K)
         assert ok and value < 0.0
+
+
+def test_scan_rows_yield_every_grid_point():
+    rows = list(theory.scan_rows(0.75, [8, 64]))
+    assert rows[0] == (8, None, None, None, None)  # no window at K = 8
+    assert len(rows) == 1 + 3**4
+    assert {row[1] for row in rows[1:]} == {theory.first_feasible_window(0.75, 64, 0.005, 0.005, LN2 / 20)}
+    feasible = [p for _, _, eps, p, report in rows if eps is not None and report.all_ok]
+    assert 0 < len(feasible) < 3**4
+    assert theory.scan_regime(0.75, [8, 64]) == feasible
+    with pytest.raises(ParameterError):
+        next(theory.scan_rows(1.2, [8]))
+
+
+def test_scan_regime_stops_at_max_results(monkeypatch):
+    scanned = []
+    window = theory.first_feasible_window
+    monkeypatch.setattr(theory, "first_feasible_window",
+                        lambda alpha, K, *rest: scanned.append(K) or window(alpha, K, *rest))
+    got = theory.scan_regime(0.75, [64, 32], max_results=2)
+    assert scanned == [64]  # K = 32 is never scanned
+    assert got == theory.scan_regime(0.75, [64])[:2]
