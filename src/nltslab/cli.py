@@ -99,10 +99,10 @@ class _Run:
         self.path("manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _int_list(flag: str, raw) -> list[int]:
-    """Comma-separated integers; a config file may hand over a bare int."""
+def _int_list(flag: str, raw: str) -> list[int]:
+    """Comma-separated integers."""
     values = []
-    for token in str(raw).split(","):
+    for token in raw.split(","):
         try:
             values.append(int(token))
         except ValueError:
@@ -418,35 +418,43 @@ def _passed_dests(argv: list[str]) -> set[str]:
     return set(vars(parser.parse_args(argv)))
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
+def _subcommand_actions(parser: argparse.ArgumentParser, name: str) -> dict:
+    """The subcommand's actions by lowercased dest, the case configparser gives keys."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest.lower(): a for a in subparsers.choices[name]._actions
+            if not isinstance(a, argparse._HelpAction)}
+
+
+def _config_value(section: str, key: str, raw: str, action: argparse.Action):
+    """An INI value parsed as its flag would be; store_true flags take INI booleans."""
+    boolean = isinstance(action, argparse._StoreTrueAction)
+    try:
+        if boolean:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        return (action.type or str)(raw)
+    except (KeyError, ValueError):
+        kind = "a boolean" if boolean else f"of type {action.type.__name__}"
+        raise ParameterError(f"config [{section}] {key} = {raw!r} is not {kind}") from None
+
+
+def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser) -> None:
     """Fill values from the INI file for flags the user did not pass."""
     if not args.config:
         return
     cp = configparser.ConfigParser()
-    if not cp.read(args.config):
-        raise ParameterError(f"config file not found: {args.config}")
-    if not cp.has_section(args.subcommand):
-        return
+    try:
+        if not cp.read(args.config):
+            raise ParameterError(f"config file not found: {args.config}")
+        items = cp.items(args.subcommand) if cp.has_section(args.subcommand) else []
+    except configparser.Error as exc:  # no section header, a stray '%', ...
+        raise ParameterError(f"config file {args.config}: {exc}") from None
     passed = _passed_dests(argv)
-    for key, raw in cp.items(args.subcommand):
-        attr = key.replace("-", "_")
-        if attr in passed or not hasattr(args, attr):
+    actions = _subcommand_actions(parser, args.subcommand)
+    for key, raw in items:
+        action = actions.get(key.replace("-", "_"))
+        if action is None or action.dest in passed:
             continue
-        current = getattr(args, attr)
-        if isinstance(current, bool):
-            setattr(args, attr, cp.getboolean(args.subcommand, key))
-        elif isinstance(current, int):
-            setattr(args, attr, int(raw))
-        elif isinstance(current, float):
-            setattr(args, attr, float(raw))
-        else:
-            # default None: infer the narrowest numeric type that parses
-            for cast in (int, float, str):
-                try:
-                    setattr(args, attr, cast(raw))
-                    break
-                except ValueError:
-                    continue
+        setattr(args, action.dest, _config_value(args.subcommand, key, raw, action))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -454,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        _apply_config(args, argv, parser)
         config_echo = {k: v for k, v in vars(args).items() if k not in ("func",)}
         run = _Run(Path(args.out), args.subcommand, config_echo)
         args.func(args, run)

@@ -9,13 +9,14 @@ the dropped term.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 
 LN2 = math.log(2.0)
 
@@ -27,6 +28,9 @@ GAMMA_GRID = (1e-2, 1e-4, 1e-6)
 LAMBDA_GRID = (0.05, 0.1, 0.2)
 ETA_GRID = (1e-4, 1e-6, 1e-8)
 DELTA_GRID = (1e-4, 1e-3, 5e-3)
+#: Most rate-exponent evaluations one window search may make: about 2 s of
+#: scalar calls on a 2-CPU x86 host, 200 times what the default steps need.
+RATE_EVAL_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -190,12 +194,41 @@ def check_parameter_consistency(p: RegimeParams) -> ConsistencyReport:
     )
 
 
+def _grid_size(nu1: float, nu2: float, s_step: float) -> int:
+    """Points in the s grid of [1 - nu2, 1 - nu1], by np.arange's length rule."""
+    return math.ceil((1.0 - nu1 + s_step / 2 - (1.0 - nu2)) / s_step)
+
+
+def _window_rates(alpha: float, K: int, nu1: float, nu2: float, s_step: float) -> list[float]:
+    """C(alpha, s, K) on the s grid of [1 - nu2, 1 - nu1], clipped to [0, 1]."""
+    grid = np.clip(np.arange(1.0 - nu2, 1.0 - nu1 + s_step / 2, s_step), 0.0, 1.0)
+    return [rate_exponent(alpha, float(s), K) for s in grid]
+
+
 def window_sup_rate(alpha: float, K: int, nu1: float, nu2: float, s_step: float = S_STEP) -> float:
     """Grid sup of C(alpha, s, K) over s in [1 - nu2, 1 - nu1]."""
-    lo, hi = 1.0 - nu2, 1.0 - nu1
-    grid = np.arange(lo, hi + s_step / 2, s_step)
-    grid = np.clip(grid, 0.0, 1.0)
-    return max(rate_exponent(alpha, float(s), K) for s in grid)
+    return max(_window_rates(alpha, K, nu1, nu2, s_step))
+
+
+def _check_window_search(nu_step: float, s_step: float) -> None:
+    """Reject grid steps outside (0, 0.5), and window searches that would make
+    more than RATE_EVAL_BUDGET rate evaluations for a K without a window."""
+    for flag, step in (("--nu-step", nu_step), ("--s-step", s_step)):
+        if not 0.0 < step < 0.5:
+            raise ParameterError(f"{flag} must lie in (0, 0.5), got {step!r}")
+    nu_count = math.ceil((0.5 - nu_step) / nu_step)  # np.arange's length rule
+    # every nu2 but the first two and a last one cut at 0.5 costs one evaluation or more
+    if nu_count - 3 > RATE_EVAL_BUDGET:
+        needed = f"at least {nu_count - 3}"
+    else:
+        nus = _nu_grid(nu_step)
+        needed = sum(_grid_size(nus[0], nu2, s_step) for nu2 in nus if nus[0] < nu2 / 2.0)
+        if needed <= RATE_EVAL_BUDGET:
+            return
+    raise ResourceLimitError(
+        f"the window search at --nu-step {nu_step!r}, --s-step {s_step!r} needs {needed} "
+        f"rate evaluations per K, over budget {RATE_EVAL_BUDGET}", budget_name="rate_eval_budget",
+    )
 
 
 def derive_eps(eta: float, K: int, max_halvings: int = 600) -> float | None:
@@ -223,10 +256,13 @@ def scan_rows(
     (K, None, None, None, None).  Otherwise each (delta, gamma, lambda, eta)
     grid point yields one row with window = (nu1, nu2), the derived eps (None
     when no grid eps certifies the Azuma tail; params then carry nan) and the
-    parameter-ledger report.
+    parameter-ledger report.  Before any row, an alpha outside (0.7, 1) or a
+    step outside (0, 0.5) raises ParameterError, and a window search of more
+    than RATE_EVAL_BUDGET rate evaluations raises ResourceLimitError.
     """
     if not 0.5 + 0.2 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (1/2 + 1/5, 1), got {alpha}")
+    _check_window_search(nu_step, s_step)
     for K in K_values:
         window = first_feasible_window(alpha, K, nu_step, s_step, slack)
         if window is None:
@@ -261,17 +297,32 @@ def scan_regime(
     return list(islice(feasible, max_results))
 
 
+def _nu_grid(nu_step: float) -> list[float]:
+    """The nu grid of the window search: np.arange(nu_step, 0.5, nu_step) below 0.5."""
+    return [float(nu) for nu in np.arange(nu_step, 0.5, nu_step) if nu < 0.5]
+
+
 def first_feasible_window(
     alpha: float, K: int, nu_step: float, s_step: float, slack: float
 ) -> tuple[float, float] | None:
-    """Smallest (nu1, nu2) grid pair with nu1 < nu2/2 whose window sup is <= -slack."""
-    nu_values = np.arange(nu_step, 0.5, nu_step)
-    for nu2 in nu_values:
-        if nu2 >= 0.5:
-            break
-        for nu1 in nu_values:
-            if nu1 >= nu2 / 2.0:
-                break
-            if window_sup_rate(alpha, K, float(nu1), float(nu2), s_step) <= -slack:
-                return float(nu1), float(nu2)
+    """Smallest (nu1, nu2) grid pair with nu1 < nu2/2 whose window sup is <= -slack.
+
+    Pairs are tried nu2-major and nu1 ascending; the first one found is
+    returned.  For one nu2 the s grid of every window is
+    np.arange(1 - nu2, 1 - nu1 + s_step/2, s_step), whose points are
+    start + i*step whatever the stop, so each window is a prefix of the
+    window of the smallest nu1.  That grid is evaluated once, and its running
+    maximum is read at each window's last index.  A prefix maximum is exact,
+    so each sup, and hence the window found, is the same float that a
+    window-by-window search with window_sup_rate gives.
+    """
+    nus = _nu_grid(nu_step)
+    for nu2 in nus:
+        nu1s = nus[: bisect_left(nus, nu2 / 2.0)]  # every nu1 < nu2/2, ascending
+        if not nu1s:
+            continue
+        sups = list(accumulate(_window_rates(alpha, K, nus[0], nu2, s_step), max))
+        for nu1 in nu1s:
+            if sups[_grid_size(nu1, nu2, s_step) - 1] <= -slack:
+                return nu1, nu2
     return None

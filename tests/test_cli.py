@@ -248,6 +248,35 @@ def test_theory_scan_writes_rows_without_a_certified_eps(tmp_path, monkeypatch):
     assert all(r["eps"] == "" and r["azuma_ok"] == r["feasible"] == "False" for r in uncertified)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--nu-step", "0"), ("--s-step", "0"), ("--s-step", "-0.01"), ("--nu-step", "-0.01"),
+    ("--nu-step", "0.5"), ("--s-step", "nan"),
+])
+def test_theory_scan_rejects_steps_outside_the_grid_range(tmp_path, capsys, flag, value):
+    out = tmp_path / "x"
+    code = run_cli(["theory-scan", "--alpha", 0.75, "--K-list", "8,64", flag, value, "--out", out])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation"
+    assert flag in record["message"] and repr(float(value)) in record["message"]
+    assert not (out / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, needed", [
+    ("--s-step", "1e-9", "needs 24250000097 rate evaluations"),  # hours of scalar calls
+    ("--nu-step", "1e-7", "needs at least 4999996 rate evaluations"),  # a 4,999,999-point nu grid
+])
+def test_theory_scan_prices_the_window_search(tmp_path, capsys, flag, value, needed):
+    out = tmp_path / "x"
+    code = run_cli(["theory-scan", "--alpha", 0.75, "--K-list", "8", flag, value, "--out", out])
+    assert code == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "resource" and record["budget"] == "rate_eval_budget"
+    assert needed in record["message"]
+    assert f"over budget {theory.RATE_EVAL_BUDGET}" in record["message"]
+    assert not (out / "scan.csv").exists()
+
+
 def test_depth_bound_subcommand(tmp_path):
     out = tmp_path / "run"
     code = run_cli(["depth-bound", "--d", 400000, "--n-bits", 1000000,
@@ -369,9 +398,46 @@ def test_malformed_integer_list_is_a_validation_error(tmp_path, capsys, argv, fl
 
 
 def test_config_seed_list_of_one_seed(tmp_path):
-    # the config reader turns "5" into an int, which the seed list must accept
     cfg = tmp_path / "run.ini"
     cfg.write_text("[gen]\nseeds = 5\n")
     out = tmp_path / "run"
     assert run_cli(["gen", "--config", cfg, "--n", 6, "--K", 3, "--m", 4, "--out", out]) == 0
     assert (out / "formula_5.cnf").exists()
+
+
+def test_config_keys_match_flags_with_capitals(tmp_path):
+    # configparser lowercases keys, so "K-list" arrives as "k-list"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[theory-scan]\nK-list = 64\n")
+    out = tmp_path / "run"
+    assert run_cli(["theory-scan", "--config", cfg, "--alpha", 0.75, "--out", out]) == 0
+    assert json.loads((out / "scan_summary.json").read_text())["K_values"] == [64]
+    assert read_manifest(out)["config"]["K_list"] == "64"
+
+
+@pytest.mark.parametrize("section, key, raw, argv", [
+    ("gen", "m", "x", ["--n", 6, "--K", 3]),
+    ("enumerate", "r", "x", ["--n", 6, "--K", 3, "--m", 4]),
+    ("theory-scan", "nu-step", "fine", ["--alpha", 0.75]),
+    ("hamiltonian", "dump-state", "maybe", ["--n", 2, "--K", 2, "--m", 1]),
+])
+def test_bad_config_value_is_a_validation_error(tmp_path, capsys, section, key, raw, argv):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+    out = tmp_path / "x"
+    assert run_cli([section, "--config", cfg, *argv, "--seeds", "1", "--out", out]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation"
+    assert f"[{section}] {key} = {raw!r}" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[gen]\nseeds = 5%\n", "seeds = 5\n"], ids=["percent-sign", "no-section"])
+def test_unreadable_config_is_a_validation_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = tmp_path / "x"
+    assert run_cli(["gen", "--config", cfg, "--n", 6, "--K", 3, "--m", 4, "--out", out]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation" and str(cfg) in record["message"]
+    assert not out.exists()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nltslab import theory
-from nltslab.errors import ParameterError
+from nltslab.errors import ParameterError, ResourceLimitError
 
 LN2 = math.log(2.0)
 
@@ -284,3 +284,66 @@ def test_scan_regime_stops_at_max_results(monkeypatch):
     got = theory.scan_regime(0.75, [64, 32], max_results=2)
     assert scanned == [64]  # K = 32 is never scanned
     assert got == theory.scan_regime(0.75, [64])[:2]
+
+
+# ---------------------------------------------------------------------------
+# regime-window search
+# ---------------------------------------------------------------------------
+
+def _oracle_window(alpha, K, nu_step, s_step, slack):
+    """Window by window, as the search first ran: (first feasible window, its grid sup)."""
+    nu_values = np.arange(nu_step, 0.5, nu_step)
+    for nu2 in nu_values:
+        if nu2 >= 0.5:
+            break
+        for nu1 in nu_values:
+            if nu1 >= nu2 / 2.0:
+                break
+            lo, hi = 1.0 - float(nu2), 1.0 - float(nu1)
+            grid = np.clip(np.arange(lo, hi + s_step / 2, s_step), 0.0, 1.0)
+            sup = max(theory.rate_exponent(alpha, float(s), K) for s in grid)
+            if sup <= -slack:
+                return (float(nu1), float(nu2)), sup
+    return None, None
+
+
+# the default steps, equal coarser ones, a finer s grid, a finer nu grid, and 1/38, whose nu
+# arange ends at 0.5 itself
+@pytest.mark.parametrize("nu_step, s_step", [
+    (0.005, 0.005), (0.01, 0.01), (0.02, 0.007), (0.01, 0.02), (1 / 38, 0.004),
+])
+def test_first_feasible_window_matches_the_loop_nest_oracle(nu_step, s_step):
+    found = missing = 0
+    for alpha in (0.71, 0.75, 0.85, 0.95, 0.99):
+        for K in (3, 8, 16, 32, 64, 128):
+            want, sup = _oracle_window(alpha, K, nu_step, s_step, LN2 / 20)
+            got = theory.first_feasible_window(alpha, K, nu_step, s_step, LN2 / 20)
+            assert got == want, (alpha, K)
+            if got is None:
+                missing += 1
+                continue
+            found += 1
+            assert all(type(nu) is float for nu in got)
+            assert theory.window_sup_rate(alpha, K, *got, s_step) == sup, (alpha, K)
+    assert found and missing  # both outcomes are compared
+    assert np.arange(1 / 38, 0.5, 1 / 38)[-1] == 0.5  # the nu2 >= 0.5 guard is reached
+
+
+# K = 8 has no window at alpha = 0.75, so the search evaluates every nu2's grid; at 1/38 the
+# nu2 = 0.5 grid would add 119 more calls
+@pytest.mark.parametrize("nu_step, s_step, calls", [(0.005, 0.005, 4947), (1 / 38, 0.004, 1016)])
+def test_window_search_evaluates_each_nu2_grid_once(monkeypatch, nu_step, s_step, calls):
+    seen = []
+    rate = theory.rate_exponent
+    monkeypatch.setattr(theory, "rate_exponent", lambda *args: seen.append(args) or rate(*args))
+    assert theory.first_feasible_window(0.75, 8, nu_step, s_step, LN2 / 20) is None
+    assert len(seen) == calls  # window by window, the default steps made 122,497
+
+
+@pytest.mark.parametrize("nu_step, s_step, calls", [(0.005, 0.005, 4947), (1 / 38, 0.004, 1016)])
+def test_window_search_budget_counts_the_evaluations(monkeypatch, nu_step, s_step, calls):
+    monkeypatch.setattr(theory, "RATE_EVAL_BUDGET", calls)
+    assert next(theory.scan_rows(0.75, [8], nu_step, s_step)) == (8, None, None, None, None)
+    monkeypatch.setattr(theory, "RATE_EVAL_BUDGET", calls - 1)
+    with pytest.raises(ResourceLimitError, match=f"needs {calls} rate evaluations per K, over budget {calls - 1}"):
+        next(theory.scan_rows(0.75, [8], nu_step, s_step))
