@@ -2,10 +2,12 @@
 
 Every subcommand writes its data files plus a ``manifest.json`` listing each
 file with a content hash and, under ``work``, per seed the filter
-``enumerate`` ran with its assignments, table bytes and member count, or the
-kernels ``cluster`` chose with their pair counts; identical configs and seeds
-give byte-identical data files (manifests may differ only in the wall-time
-field).
+``enumerate`` ran with its assignments, table bytes and member count, the
+kernels ``cluster`` chose with their pair counts, or the qubits, dense
+amplitudes, active variables, ``energy`` vector passes and support of the
+state ``hamiltonian`` and ``pspin --quantize`` build; identical configs and
+seeds give byte-identical data files (manifests may differ only in the
+wall-time field).
 
 Randomness flows from one 64-bit master seed: the stream for instance index
 ``i`` is the first 8 bytes of blake2b("<master>:<i>").
@@ -201,12 +203,22 @@ def cmd_cluster(args, run: _Run):
                        {"seed": seed, **landscape.cluster_stats(P)})
 
 
+def _quantum_work(psi: hamiltonian.StateVector) -> dict:
+    """Size of the dense state and the work ``energy`` does on it."""
+    layout = psi.layout
+    active = len(layout.active_variables)
+    return {"qubits": layout.num_qubits, "amplitudes": layout.dim, "active_variables": active,
+            "energy_vector_passes": hamiltonian.ENERGY_PASSES_PER_VARIABLE * active,
+            "support": int(np.count_nonzero(psi.amp))}
+
+
 def cmd_hamiltonian(args, run: _Run):
     caps = _caps()
     for seed in _seed_list(args):
         f = _make_formula(args, seed)
         layout = hamiltonian.build_layout(f, cap=caps["qubit_cap"])
         psi = hamiltonian.ground_state(layout, args.gamma)
+        run.work[seed] = _quantum_work(psi)
         dist = hamiltonian.measurement_distribution(psi)
         name = f"measurement_{seed}.csv"
         with open(run.path(name), "w", newline="") as fh:
@@ -254,6 +266,7 @@ def cmd_pspin(args, run: _Run):
         if args.quantize:
             layout = pspin.quantize(g, J, cap=caps["qubit_cap"])
             psi = hamiltonian.ground_state(layout, args.gamma)
+            run.work[seed] = _quantum_work(psi)
             record["quantized_qubits"] = layout.num_qubits
             record["quantized_energy"] = hamiltonian.energy(psi, args.gamma)
         run.write_json(f"pspin_{seed}.json", record)
@@ -408,20 +421,48 @@ def _suppress_defaults(parser: argparse.ArgumentParser) -> None:
                 _suppress_defaults(sub)
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _relax_required(parser: argparse.ArgumentParser) -> dict[str, list[argparse.Action]]:
+    """Make every subcommand flag optional; return the required ones per subcommand.
+
+    argparse checks required flags before ``--config`` is read, so the check
+    is left to ``_require`` once the file has filled in its values.
+    """
+    required = {}
+    for name, sub in _subparsers(parser).items():
+        sub.usage = sub.format_usage().removeprefix("usage: ").rstrip()  # still marks them required
+        required[name] = [a for a in sub._actions if a.required]
+        for action in required[name]:
+            action.required = False
+    return required
+
+
+def _require(args: argparse.Namespace, parser: argparse.ArgumentParser, required: dict) -> None:
+    """Exit 2 naming every required flag that neither argv nor the config set."""
+    missing = ["/".join(a.option_strings) for a in required[args.subcommand]
+               if getattr(args, a.dest) is None]
+    if missing:
+        _subparsers(parser)[args.subcommand].error(
+            "the following arguments are required: " + ", ".join(missing))
+
+
 def _passed_dests(argv: list[str]) -> set[str]:
     """Destinations argv sets, under every spelling argparse accepts (--master too).
 
     A second parse with every default suppressed keeps only what argv set.
     """
     parser = build_parser()
+    _relax_required(parser)
     _suppress_defaults(parser)
     return set(vars(parser.parse_args(argv)))
 
 
 def _subcommand_actions(parser: argparse.ArgumentParser, name: str) -> dict:
     """The subcommand's actions by lowercased dest, the case configparser gives keys."""
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest.lower(): a for a in subparsers.choices[name]._actions
+    return {a.dest.lower(): a for a in _subparsers(parser)[name]._actions
             if not isinstance(a, argparse._HelpAction)}
 
 
@@ -460,9 +501,11 @@ def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.Ar
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    required = _relax_required(parser)
     try:
         args = parser.parse_args(argv)
         _apply_config(args, argv, parser)
+        _require(args, parser, required)
         config_echo = {k: v for k, v in vars(args).items() if k not in ("func",)}
         run = _Run(Path(args.out), args.subcommand, config_echo)
         args.func(args, run)

@@ -8,7 +8,9 @@ a K-SAT clause forbids its single violating pattern v(C) (none for a
 tautology), a quantized p-spin hyperedge forbids the 2^(p-1) energy-raising
 sign patterns.  All Q operators are diagonal, so everything is applied
 matrix-free; per-amplitude violation counts are accumulated as integers and
-exponentiated once.
+exponentiated once.  Each vector pass (``violation_counts``,
+``apply_q_gamma``, ``project_out_cat``) returns one fresh array and builds no
+other state-sized complex temporary.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError, ResourceLimitError
 from .ksat import Formula
+from .landscape import _bit_rows
 
 DEFAULT_QUBIT_CAP = 20
 #: Full-basis enumeration is exponential in qubit count; cap it separately.
@@ -33,6 +36,9 @@ BASIS_ENUM_CAP = 16
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 #: gamma below this underflows double precision at large violation counts.
 MIN_GAMMA = 0.1
+#: vector passes per active variable in ``energy``: two ``violation_counts``,
+#: two ``apply_q_gamma`` and one ``project_out_cat``
+ENERGY_PASSES_PER_VARIABLE = 5
 
 
 @dataclass(frozen=True)
@@ -251,7 +257,11 @@ def apply_q_gamma(
         viol = violation_counts(psi.layout, constraint_ids)
     vmax = int(viol.max()) if viol.size else 0
     powers = gamma ** (sign * np.arange(vmax + 1, dtype=np.float64))
-    return StateVector(psi.layout, psi.amp * powers[viol])
+    # gathering complex factors (p + 0j) and scaling in place gives the bits of
+    # psi.amp * powers[viol]: one product per component is exactly +-0
+    out = powers.astype(np.complex128)[viol]
+    out *= psi.amp
+    return StateVector(psi.layout, out)
 
 
 def project_out_cat(psi: StateVector, variable: int) -> StateVector:
@@ -267,7 +277,8 @@ def project_out_cat(psi: StateVector, variable: int) -> StateVector:
         z0[nq - 1 - q], z1[nq - 1 - q] = 0, 1
     out = psi.amp.copy()
     amp, view, z0, z1 = psi.amp.reshape((2,) * nq), out.reshape((2,) * nq), tuple(z0), tuple(z1)
-    s = (amp[z0] + amp[z1]) / 2.0
+    s = np.add(amp[z0], amp[z1])
+    s /= 2.0
     view[z0] -= s
     view[z1] -= s
     return StateVector(psi.layout, out)
@@ -287,9 +298,13 @@ def apply_h_i(psi: StateVector, variable: int, gamma: float) -> StateVector:
 
 
 def energy(psi: StateVector, gamma: float) -> float:
-    """Sum_i <psi|H_i|psi> (real part; each term is PSD)."""
+    """Sum_i <psi|H_i|psi> (real part; each term is PSD).
+
+    A variable with an empty fiber has H_i = 0 and is skipped; every other
+    term takes ``ENERGY_PASSES_PER_VARIABLE`` vector passes.
+    """
     total = 0.0
-    for i in range(psi.layout.num_variables):
+    for i in psi.layout.active_variables:
         total += float(np.real(np.vdot(psi.amp, apply_h_i(psi, i, gamma).amp)))
     return total
 
@@ -312,16 +327,14 @@ def measurement_distribution(psi: StateVector, norm_tol: float = 1e-12) -> dict[
     nrm = psi.norm()
     if abs(nrm - 1.0) > norm_tol:
         raise ContractError(f"state norm {nrm} deviates from 1 beyond {norm_tol}")
-    probs = np.abs(psi.amp) ** 2
+    probs = np.abs(psi.amp)
+    np.square(probs, out=probs)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-10:
         raise ContractError(f"probabilities sum to {total}")
-    nq = psi.layout.num_qubits
-    out = {}
-    for z in np.nonzero(probs)[0]:
-        bits = "".join(str((int(z) >> q) & 1) for q in range(nq))
-        out[bits] = float(probs[z])
-    return out
+    z = np.flatnonzero(probs)
+    keys = _bit_rows(z, psi.layout.num_qubits).astype(str).tolist()
+    return dict(zip(keys, probs[z].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +559,7 @@ def check_probability_bound(
 def save_state(psi: StateVector, path: str | Path, gamma: float | None = None) -> None:
     """Binary little-endian complex doubles plus a JSON header sidecar."""
     path = Path(path)
-    path.write_bytes(psi.amp.astype("<c16").tobytes())
+    path.write_bytes(np.ascontiguousarray(psi.amp, dtype="<c16"))
     header = {
         "num_qubits": psi.layout.num_qubits,
         "layout_hash": psi.layout.content_hash(),

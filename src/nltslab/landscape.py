@@ -56,6 +56,8 @@ _CSV_CHUNK_ROWS = 4096
 
 def _bit_rows(members: np.ndarray, n: int) -> np.ndarray:
     """Packed words as ASCII bit rows of dtype S{n}: bit i of a word is character i."""
+    if n == 0:
+        return np.zeros(len(members), dtype="S1")  # empty rows
     octets = np.ascontiguousarray(members, dtype="<u8").view(np.uint8).reshape(-1, 8)
     bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :n] + np.uint8(ord("0"))
     return bits.view(f"S{n}").reshape(-1)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from nltslab import cli, theory
+from nltslab import cli, hamiltonian, ksat, theory
 
 
 def run_cli(args) -> int:
@@ -129,6 +129,32 @@ def test_hamiltonian_subcommand(tmp_path):
     assert record["qubits"] == 8
     assert record["energy"] <= 1e-10
     assert (out / "state_3.bin").exists()
+
+
+def test_quantum_manifest_records_the_state_and_its_energy_passes(tmp_path):
+    out = tmp_path / "ham"
+    assert run_cli(["hamiltonian", "--n", 4, "--K", 2, "--m", 4, "--seeds", "3", "--out", out]) == 0
+    active = len(hamiltonian.build_layout(ksat.generate_formula(4, 4, 2, 3)).active_variables)
+    record = json.loads((out / "hamiltonian_3.json").read_text())
+    assert set(record) == {"seed", "qubits", "gamma", "energy", "support"}
+    assert read_manifest(out)["work"]["3"] == {
+        "qubits": 8, "amplitudes": 256, "active_variables": active,
+        "energy_vector_passes": 5 * active, "support": 2**active,
+    }
+    assert record["support"] == 2**active
+
+    out = tmp_path / "pspin"
+    assert run_cli(["pspin", "--n", 8, "--d", 2, "--p", 2, "--quantize", "--seeds", "4", "--out", out]) == 0
+    record = json.loads((out / "pspin_4.json").read_text())
+    assert set(record) == {"seed", "n", "d", "p", "m", "couplings", "ground_energy",
+                           "ground_energy_per_spin", "ground_state", "quantized_qubits",
+                           "quantized_energy"}
+    assert read_manifest(out)["work"]["4"] == {
+        "qubits": 16, "amplitudes": 2**16, "active_variables": 8,
+        "energy_vector_passes": 40, "support": 2**8,
+    }
+    assert run_cli(["pspin", "--n", 8, "--d", 2, "--p", 2, "--seeds", "4", "--out", tmp_path / "plain"]) == 0
+    assert read_manifest(tmp_path / "plain")["work"] == {}
 
 
 def test_pspin_subcommand(tmp_path):
@@ -314,6 +340,46 @@ def test_config_loses_to_every_flag_spelling(tmp_path, flag):
     assert code == 0
     assert read_manifest(out)["config"]["master_seed"] == 5
     assert (out / f"formula_{cli.stream_seed(5, 0)}.cnf").exists()
+
+
+@pytest.mark.parametrize("section, ini, flags, rest", [
+    ("gen", "n = 6\nK = 3\nm = 4\n", ["--n", 6, "--K", 3, "--m", 4], ["--seeds", "3"]),
+    ("ogp", "nu1 = 0.1\nnu2 = 0.3\n", ["--nu1", 0.1, "--nu2", 0.3],
+     ["--n", 8, "--K", 3, "--m", 6, "--seeds", "3"]),
+    ("theory-scan", "alpha = 0.75\n", ["--alpha", 0.75], ["--K-list", "8"]),
+], ids=["gen", "ogp", "theory-scan"])
+def test_config_supplies_required_flags(tmp_path, section, ini, flags, rest):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{ini}")
+    assert run_cli([section, "--config", cfg, *rest, "--out", tmp_path / "ini"]) == 0
+    assert run_cli([section, *flags, *rest, "--out", tmp_path / "flags"]) == 0
+    assert_identical_data_files(tmp_path / "ini", tmp_path / "flags")
+
+
+@pytest.mark.parametrize("section, ini, argv, missing", [
+    ("gen", "m = 4\n", [], "--n, --K"),
+    ("gen", "n = 6\nm = 4\n", [], "--K"),
+    ("ogp", "nu1 = 0.1\n", ["--n", 8, "--K", 3, "--m", 6], "--nu2"),
+    ("theory-scan", "K-list = 8\n", [], "--alpha"),
+], ids=["gen-both", "gen-K", "ogp-nu2", "theory-scan-alpha"])
+def test_required_flag_missing_from_argv_and_config_exits_2(tmp_path, capsys, section, ini, argv, missing):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{ini}")
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([section, "--config", cfg, *argv, "--out", out])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().endswith(f"the following arguments are required: {missing}")
+    assert not out.exists()
+
+
+def test_required_flags_still_required_without_config(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["gen", "--m", 4, "--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--n N --K K" in err  # the usage line still marks them required
+    assert err.strip().endswith("the following arguments are required: --n, --K")
 
 
 def test_stream_seed_stable():

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -230,6 +232,129 @@ def test_project_out_cat_matches_index_formula(name):
         assert np.array_equal(got, index_projection(psi, i)), i
 
 
+def _signed_zero_state(layout, seed) -> ham.StateVector:
+    """Random complex amplitudes; about a third of the parts are +0 or -0.
+
+    The first entries run through every pairing of {+0, -0, x, -x} for the
+    real and the imaginary part, so each sign of zero meets each other part.
+    """
+    rng = np.random.default_rng(seed)
+    parts = rng.normal(size=(2, layout.dim))
+    zeros = rng.random((2, layout.dim)) < 0.35
+    parts[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    head = np.array([(re, im) for re in (0.0, -0.0, 0.7, -0.7) for im in (0.0, -0.0, 1.3, -1.3)])
+    k = min(len(head), layout.dim)
+    parts[:, :k] = head[:k].T
+    amp = np.empty(layout.dim, dtype=np.complex128)
+    amp.real, amp.imag = parts
+    return ham.StateVector(layout, amp)
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def plain_q_gamma(psi, gamma, sign, constraint_ids) -> np.ndarray:
+    """A float64 factor per amplitude, promoted into one complex product."""
+    layout = psi.layout
+    viol = layout.all_violations if constraint_ids is None else ham.violation_counts(layout, constraint_ids)
+    powers = gamma ** (sign * np.arange(int(viol.max()) + 1, dtype=np.float64))
+    return psi.amp * powers[viol]
+
+
+def plain_projection(psi, variable) -> np.ndarray:
+    """The fiber mean on the strided views, out of place."""
+    fiber = psi.layout.fibers[variable]
+    if not fiber:
+        return np.zeros_like(psi.amp)
+    nq = psi.layout.num_qubits
+    z0, z1 = [slice(None)] * nq, [slice(None)] * nq
+    for q in fiber:
+        z0[nq - 1 - q], z1[nq - 1 - q] = 0, 1
+    out = psi.amp.copy()
+    amp, view, z0, z1 = psi.amp.reshape((2,) * nq), out.reshape((2,) * nq), tuple(z0), tuple(z1)
+    s = (amp[z0] + amp[z1]) / 2.0
+    view[z0] -= s
+    view[z1] -= s
+    return out
+
+
+def plain_h_i(psi, variable, gamma) -> np.ndarray:
+    layout = psi.layout
+    if not layout.fibers[variable]:
+        return np.zeros_like(psi.amp)
+    ids = layout.incidence[variable]
+    out = ham.StateVector(layout, plain_q_gamma(psi, gamma, -1, ids))
+    out = ham.StateVector(layout, plain_projection(out, variable))
+    return plain_q_gamma(out, gamma, -1, ids)
+
+
+def plain_energy(psi, gamma) -> float:
+    total = 0.0
+    for i in range(psi.layout.num_variables):
+        total += float(np.real(np.vdot(psi.amp, plain_h_i(psi, i, gamma))))
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(_kernel_layouts()))
+def test_vector_passes_match_plain_formulas_bit_for_bit(name):
+    layout = _kernel_layouts()[name]
+    psi = _signed_zero_state(layout, seed=layout.num_qubits)
+    assert np.signbit(psi.amp.real[psi.amp.real == 0]).any()
+    selections = [None, (), *layout.incidence]
+    for gamma in (ham.MIN_GAMMA, 0.5, 1.0):
+        for sign in (1, -1):
+            for ids in selections:
+                got = ham.apply_q_gamma(psi, gamma, sign, ids).amp
+                assert np.array_equal(_bits(got), _bits(plain_q_gamma(psi, gamma, sign, ids))), (gamma, sign, ids)
+        for i in range(layout.num_variables):
+            got = ham.apply_h_i(psi, i, gamma).amp
+            assert np.array_equal(_bits(got), _bits(plain_h_i(psi, i, gamma))), (gamma, i)
+        assert _bits(ham.energy(psi, gamma)) == _bits(plain_energy(psi, gamma)), gamma
+    for i in range(layout.num_variables):
+        got = ham.project_out_cat(psi, i).amp
+        assert np.array_equal(_bits(got), _bits(plain_projection(psi, i))), i
+
+
+def test_energy_makes_five_passes_per_active_variable(monkeypatch):
+    layout = _kernel_layouts()["ksat-tautology"]
+    psi = _rand_state(layout, seed=2)
+    calls = Counter()
+    for name in ("violation_counts", "apply_q_gamma", "project_out_cat"):
+        def counted(*args, _fn=getattr(ham, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ham, name, counted)
+    active = len(layout.active_variables)
+    assert active == layout.num_variables - 1  # variable 5 has an empty fiber
+    ham.energy(psi, 0.5)
+    assert calls == {"violation_counts": 2 * active, "apply_q_gamma": 2 * active,
+                     "project_out_cat": active}
+    assert sum(calls.values()) == ham.ENERGY_PASSES_PER_VARIABLE * active
+    calls.clear()
+    ham.apply_h_i(psi, 5, 0.5)
+    assert not calls
+
+
+def test_energy_peak_memory_is_two_and_a_half_states():
+    # 18 qubits with fibers of 1 to 3 qubits; a pass holds its input, its
+    # output and, in apply_q_gamma, an int64 count per amplitude (half a state)
+    f = ksat.generate_formula(9, 9, 2, seed=3)
+    layout = ham.build_layout(f)
+    psi = ham.ground_state(layout, 0.5)
+    assert layout.num_qubits == 18 and min(len(x) for x in layout.fibers if x) == 1
+    state = layout.dim * 16
+    tracemalloc.start()
+    try:
+        ham.energy(psi, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rest is numpy's iterator buffers on the strided fiber views (256 KiB)
+    # and the split tables
+    assert peak <= 2.5 * state + 2**19
+
+
 def test_consistent_strings_match_literal_oracle():
     layout = _kernel_layouts()["non-contiguous"]
     for S in (set(), {0}, {1, 3}, {0, 1, 2, 3}):
@@ -331,6 +456,29 @@ def test_measurement_distribution_point_mass(demo_layout):
     amp[37] = 1.0
     dist = ham.measurement_distribution(ham.StateVector(demo_layout, amp))
     assert dist == {"101001": 1.0}
+
+
+def per_bit_distribution(psi) -> dict[str, float]:
+    probs = np.abs(psi.amp) ** 2
+    nq = psi.layout.num_qubits
+    return {"".join(str((int(z) >> q) & 1) for q in range(nq)): float(probs[z])
+            for z in np.nonzero(probs)[0]}
+
+
+@pytest.mark.parametrize("nq", [0, 1, 8, 20])
+def test_measurement_distribution_matches_per_bit_oracle(nq):
+    layout = ham.QubitLayout(num_qubits=nq, num_variables=nq, constraints=(),
+                             fibers=tuple((q,) for q in range(nq)))
+    rng = np.random.default_rng(nq)
+    amp = np.zeros(layout.dim, dtype=np.complex128)
+    support = rng.choice(layout.dim, size=min(layout.dim, 3000), replace=False)
+    amp[support] = rng.normal(size=support.size) + 1j * rng.normal(size=support.size)
+    amp[support[: support.size // 4]] = 0.0
+    psi = ham.StateVector(layout, amp).normalized()
+    dist = ham.measurement_distribution(psi)
+    want = per_bit_distribution(psi)
+    assert list(dist.items()) == list(want.items())
+    assert all(type(p) is float for p in dist.values())
 
 
 def test_measurement_distribution_norm_check(demo_layout):
@@ -506,6 +654,17 @@ def test_state_roundtrip(tmp_path, demo_formula):
     ham.save_state(psi, path, gamma=0.5)
     back = ham.load_state(path, layout)
     assert np.array_equal(back.amp, psi.amp)
+
+
+def test_state_dump_bytes_are_little_endian_doubles(tmp_path):
+    layout = _kernel_layouts()["non-contiguous"]
+    strided = _signed_zero_state(layout, seed=1).amp.repeat(2)[::2]  # a non-contiguous amp
+    for psi in (_rand_state(layout, seed=4), ham.StateVector(layout, strided)):
+        path = tmp_path / "state.bin"
+        ham.save_state(psi, path, gamma=0.5)
+        assert path.read_bytes() == psi.amp.astype("<c16").tobytes()
+        back = ham.load_state(path, layout)
+        assert np.array_equal(_bits(back.amp), _bits(psi.amp))
 
 
 def test_state_layout_mismatch(tmp_path, demo_formula):
