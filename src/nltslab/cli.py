@@ -12,6 +12,9 @@ wall-time field).
 Randomness flows from one 64-bit master seed: the stream for instance index
 ``i`` is the first 8 bytes of blake2b("<master>:<i>").
 
+``--config`` names an INI file whose section for the subcommand acts as flags
+placed before argv's own, so argv wins and argparse parses everything once.
+
 Exit codes: 0 success, 2 validation, 3 resource-cap breach, 4 internal
 assertion.  Caps can be overridden with NLTSLAB_ENUM_CAP, NLTSLAB_QUBIT_CAP,
 NLTSLAB_PAIR_CAP, NLTSLAB_SPIN_CAP and NLTSLAB_ETA_BUDGET.
@@ -148,7 +151,7 @@ def cmd_enumerate(args, run: _Run):
     for seed in _seed_list(args):
         f = _make_formula(args, seed)
         if args.eps is not None:
-            A = landscape.enumerate_sat_eps(f, args.eps, args.r, workers=args.workers, cap=caps["enum_cap"])
+            A = landscape.enumerate_sat_eps(f, args.eps, args.r, cap=caps["enum_cap"])
         else:
             A = landscape.enumerate_sat(f, args.r, workers=args.workers, cap=caps["enum_cap"])
         run.work[seed] = A.work
@@ -413,59 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _suppress_defaults(parser: argparse.ArgumentParser) -> None:
-    for action in parser._actions:
-        action.default = argparse.SUPPRESS
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                _suppress_defaults(sub)
-
-
-def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-
-
-def _relax_required(parser: argparse.ArgumentParser) -> dict[str, list[argparse.Action]]:
-    """Make every subcommand flag optional; return the required ones per subcommand.
-
-    argparse checks required flags before ``--config`` is read, so the check
-    is left to ``_require`` once the file has filled in its values.
-    """
-    required = {}
-    for name, sub in _subparsers(parser).items():
-        sub.usage = sub.format_usage().removeprefix("usage: ").rstrip()  # still marks them required
-        required[name] = [a for a in sub._actions if a.required]
-        for action in required[name]:
-            action.required = False
-    return required
-
-
-def _require(args: argparse.Namespace, parser: argparse.ArgumentParser, required: dict) -> None:
-    """Exit 2 naming every required flag that neither argv nor the config set."""
-    missing = ["/".join(a.option_strings) for a in required[args.subcommand]
-               if getattr(args, a.dest) is None]
-    if missing:
-        _subparsers(parser)[args.subcommand].error(
-            "the following arguments are required: " + ", ".join(missing))
-
-
-def _passed_dests(argv: list[str]) -> set[str]:
-    """Destinations argv sets, under every spelling argparse accepts (--master too).
-
-    A second parse with every default suppressed keeps only what argv set.
-    """
-    parser = build_parser()
-    _relax_required(parser)
-    _suppress_defaults(parser)
-    return set(vars(parser.parse_args(argv)))
-
-
-def _subcommand_actions(parser: argparse.ArgumentParser, name: str) -> dict:
-    """The subcommand's actions by lowercased dest, the case configparser gives keys."""
-    return {a.dest.lower(): a for a in _subparsers(parser)[name]._actions
-            if not isinstance(a, argparse._HelpAction)}
-
-
 def _config_value(section: str, key: str, raw: str, action: argparse.Action):
     """An INI value parsed as its flag would be; store_true flags take INI booleans."""
     boolean = isinstance(action, argparse._StoreTrueAction)
@@ -478,34 +428,50 @@ def _config_value(section: str, key: str, raw: str, action: argparse.Action):
         raise ParameterError(f"config [{section}] {key} = {raw!r} is not {kind}") from None
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser) -> None:
-    """Fill values from the INI file for flags the user did not pass."""
-    if not args.config:
-        return
+def _config_flags(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """The ``--config`` file's section for argv's subcommand, as flags to place before argv's own.
+
+    argparse keeps a flag's last value, so argv wins under any spelling; a
+    store_true key adds its flag when true and nothing when false.
+    """
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)  # knows only --config
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # a --config with no value, which the main parse reports
+        return []
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    if not path or argv[0] not in subcommands:
+        return []
+    section = argv[0]
     cp = configparser.ConfigParser()
     try:
-        if not cp.read(args.config):
-            raise ParameterError(f"config file not found: {args.config}")
-        items = cp.items(args.subcommand) if cp.has_section(args.subcommand) else []
+        if not cp.read(path):
+            raise ParameterError(f"config file not found: {path}")
+        items = cp.items(section) if cp.has_section(section) else []
     except configparser.Error as exc:  # no section header, a stray '%', ...
-        raise ParameterError(f"config file {args.config}: {exc}") from None
-    passed = _passed_dests(argv)
-    actions = _subcommand_actions(parser, args.subcommand)
+        raise ParameterError(f"config file {path}: {exc}") from None
+    # configparser lowercases keys, so "K-list" arrives as "k-list"
+    actions = {a.dest.lower(): a for a in subcommands[section]._actions
+               if not isinstance(a, argparse._HelpAction)}
+    flags = []
     for key, raw in items:
         action = actions.get(key.replace("-", "_"))
-        if action is None or action.dest in passed:
+        if action is None:
             continue
-        setattr(args, action.dest, _config_value(args.subcommand, key, raw, action))
+        value = _config_value(section, key, raw, action)
+        if not isinstance(action, argparse._StoreTrueAction):
+            flags.append(f"{action.option_strings[0]}={raw}")
+        elif value:
+            flags.append(action.option_strings[0])
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    required = _relax_required(parser)
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args, argv, parser)
-        _require(args, parser, required)
+        args = parser.parse_args(argv[:1] + _config_flags(argv, parser) + argv[1:])
         config_echo = {k: v for k, v in vars(args).items() if k not in ("func",)}
         run = _Run(Path(args.out), args.subcommand, config_echo)
         args.func(args, run)

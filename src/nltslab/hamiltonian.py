@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import ksat
 from .errors import ContractError, ParameterError, ResourceLimitError
 from .ksat import Formula
 from .landscape import _bit_rows
@@ -224,10 +225,7 @@ def violation_counts(layout: QubitLayout, constraint_ids: Iterable[int] | None =
 
 def cat_state(layout: QubitLayout) -> StateVector:
     """Tensor product of (|0..0> + |1..1>)/sqrt(2) over every nonempty fiber."""
-    active = layout.active_variables
-    amp = np.zeros(layout.dim, dtype=np.complex128)
-    amp[_subset_xors([layout.fiber_masks[i] for i in active])] = INV_SQRT2 ** len(active)
-    return StateVector(layout, amp)
+    return basis_element_vector(layout, cat_basis_element(layout))
 
 
 def _check_gamma(gamma: float, sign: int):
@@ -507,8 +505,6 @@ def check_probability_bound(
     """Verify |<psi|z>|^2 <= gamma^(2r) (2/gamma)^(3K eta n) / |Sbar(0)| on Sbar(r),
     and the gamma^(r + eta n) |<phi|z>| <= |<psi|z>| <= gamma^r |<phi|z>| sandwich.
     """
-    from . import ksat
-
     layout = psi.layout
     S = frozenset(S)
     excluded = f.n - len(S)

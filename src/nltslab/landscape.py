@@ -20,6 +20,7 @@ import json
 import math
 import multiprocessing as mp
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
@@ -286,11 +287,14 @@ def enumerate_sat_eps(
     f: Formula,
     eps: float,
     r: int,
-    workers: int = 1,
     cap: int = DEFAULT_ENUM_CAP,
     budget: int = DEFAULT_EPS_BUDGET,
 ) -> SolutionSet:
-    """Union over all S of size n - ceil(eps*n) of enumerate_sat(f, r, S)."""
+    """Union over all S of size n - ceil(eps*n) of enumerate_sat(f, r, S).
+
+    Runs in this process: merging the parts costs more than scanning them, so
+    a pool gains nothing, and a pool per S costs C(n, ceil(eps*n)) start-ups.
+    """
     if not 0.0 <= eps < 1.0:
         raise ParameterError("eps must be in [0, 1)")
     excluded = math.ceil(eps * f.n)
@@ -300,14 +304,12 @@ def enumerate_sat_eps(
             f"enumerate_sat_eps needs {n_subsets} x 2^{f.n} work, over budget {budget}",
             budget_name="eps_budget",
         )
-    from itertools import combinations
-
     all_vars = range(f.n)
     union: np.ndarray | None = None
     table_bytes = 0
     for excl in combinations(all_vars, excluded):
         S = frozenset(all_vars) - frozenset(excl)
-        part = enumerate_sat(f, r, S=S, workers=workers, cap=cap)
+        part = enumerate_sat(f, r, S=S, cap=cap)
         table_bytes = max(table_bytes, part.work["table_bytes"])
         union = part.members if union is None else np.union1d(union, part.members)
     assert union is not None

@@ -3,10 +3,17 @@ import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nltslab import cli, hamiltonian, ksat, theory
+from conftest import literal_violation_counts
+from nltslab import cli, hamiltonian, ksat, landscape, theory
 
 
 def run_cli(args) -> int:
@@ -118,6 +125,26 @@ def test_enumerate_manifest_records_the_filter(tmp_path, r, filt):
     }
     assert set(summary) == {"seed", "n", "m", "K", "r", "eps", "count", "log_count_per_n",
                             "duplicates"}
+
+
+def test_enumerate_eps_members_do_not_depend_on_workers(tmp_path, monkeypatch):
+    # n = 17 holds two blocks per cube, and eps = 0.05 keeps 17 variable sets:
+    # a pool per set would start 17 pools for each run with --workers > 1
+    started = []
+    monkeypatch.setattr(landscape, "mp", types.SimpleNamespace(get_context=started.append))
+    f = ksat.generate_formula(17, 60, 3, 5)
+    kept = [frozenset(range(17)) - {v} for v in range(17)]
+    oracle = functools.reduce(np.union1d, [np.flatnonzero(literal_violation_counts(f, S) <= 1)
+                                           for S in kept])
+    for workers in (1, 2, 3):
+        assert run_cli(["enumerate", "--n", 17, "--K", 3, "--m", 60, "--r", 1, "--eps", 0.05,
+                        "--workers", workers, "--seeds", "5", "--out", tmp_path / str(workers)]) == 0
+    assert_identical_data_files(tmp_path / "1", tmp_path / "2")
+    assert_identical_data_files(tmp_path / "1", tmp_path / "3")
+    with open(tmp_path / "1" / "members_5.csv", newline="") as fh:
+        members = [int(row[0]) for row in list(csv.reader(fh))[2:]]
+    assert members == oracle.tolist()
+    assert started == []
 
 
 def test_hamiltonian_subcommand(tmp_path):
@@ -380,6 +407,91 @@ def test_required_flags_still_required_without_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--n N --K K" in err  # the usage line still marks them required
     assert err.strip().endswith("the following arguments are required: --n, --K")
+
+
+_GEN_USAGE = """\
+usage: nltslab gen [-h] [--config CONFIG] [--out OUT]
+                   [--master-seed MASTER_SEED] [--seeds SEEDS]
+                   [--instances INSTANCES] [--workers WORKERS] --n N --K K
+                   [--m M] [--alpha ALPHA]
+"""
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--n", 6, "--K", 3, "--m", 4, "--config"], "argument --config: expected one argument"),
+    (["--out", "--config", "{cfg}"], "argument --out: expected one argument"),
+    (["--config", "{cfg}"], "the following arguments are required: --n, --K"),
+    (["--conf", "{cfg}", "--n", 6], "the following arguments are required: --K"),
+], ids=["trailing-config", "out-before-config", "required-from-neither", "abbreviated-config"])
+def test_parse_errors_come_from_the_subcommand_parser(tmp_path, capsys, monkeypatch, argv, error):
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the terminal width
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[gen]\nm = 4\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["gen", *(str(a).format(cfg=cfg) for a in argv), "--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == _GEN_USAGE + f"nltslab gen: error: {error}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("spelling", [["--config={cfg}"], ["--conf", "{cfg}"], ["--c={cfg}"]],
+                         ids=["equals", "abbreviated", "abbreviated-equals"])
+def test_config_is_found_under_every_spelling(tmp_path, spelling):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[gen]\nn = 6\nK = 3\nm = 4\nseeds = 5\n")
+    out = tmp_path / "run"
+    assert run_cli(["gen", *(s.format(cfg=cfg) for s in spelling), "--out", out]) == 0
+    assert read_manifest(out)["config"]["config"] == str(cfg)
+    assert (out / "formula_5.cnf").exists()
+
+
+def test_config_keys_help_and_config_are_ignored(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[gen]\nhelp = true\nconfig = nowhere.ini\nn = 6\nK = 3\nm = 4\n")
+    out = tmp_path / "run"
+    assert run_cli(["gen", "--config", cfg, "--seeds", "5", "--out", out]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert read_manifest(out)["config"]["config"] == str(cfg)
+    assert (out / "formula_5.cnf").exists()
+
+
+@pytest.mark.parametrize("ini, argv, dumped", [
+    ("false", [], False), ("no", ["--dump-state"], True), ("on", [], True), ("1", ["--dump"], True),
+], ids=["false", "false-then-flag", "true", "true-and-flag"])
+def test_config_store_true_keys(tmp_path, ini, argv, dumped):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[hamiltonian]\ndump-state = {ini}\n")
+    out = tmp_path / "run"
+    assert run_cli(["hamiltonian", "--config", cfg, "--n", 2, "--K", 2, "--m", 1, *argv,
+                    "--seeds", "1", "--out", out]) == 0
+    assert read_manifest(out)["config"]["dump_state"] is dumped
+    assert (out / "state_1.bin").exists() is dumped
+
+
+def test_bad_config_value_is_refused_even_when_a_flag_overrides_it(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[gen]\nm = x\n")
+    out = tmp_path / "x"
+    assert run_cli(["gen", "--config", cfg, "--n", 6, "--K", 3, "--m", 4, "--out", out]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation" and "[gen] m = 'x'" in record["message"]
+    assert not out.exists()
+
+
+def test_entry_point_reads_config_from_sys_argv(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[gen]\nn = 6\nK = 3\nm = 4\nmaster-seed = 7\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nltslab.cli", "gen", "--config", str(cfg), "--master", "5",
+         "--out", str(tmp_path / "ini")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert run_cli(["gen", "--n", 6, "--K", 3, "--m", 4, "--master-seed", 5,
+                    "--out", tmp_path / "flags"]) == 0
+    assert_identical_data_files(tmp_path / "ini", tmp_path / "flags")
+    assert (tmp_path / "ini" / f"formula_{cli.stream_seed(5, 0)}.cnf").exists()
 
 
 def test_stream_seed_stable():
