@@ -9,11 +9,15 @@ state ``hamiltonian`` and ``pspin --quantize`` build; identical configs and
 seeds give byte-identical data files (manifests may differ only in the
 wall-time field).
 
+Each subcommand takes ``--config``, ``--out`` and only the flags it reads:
+all but theory-scan and depth-bound take the seed flags, and the three that
+enumerate (enumerate, ogp, cluster) take ``--r`` and ``--workers``.
 Randomness flows from one 64-bit master seed: the stream for instance index
 ``i`` is the first 8 bytes of blake2b("<master>:<i>").
 
 ``--config`` names an INI file whose section for the subcommand acts as flags
-placed before argv's own, so argv wins and argparse parses everything once.
+placed before argv's own, so argv wins and argparse parses everything once;
+a key that names no flag of the subcommand is ignored.
 
 Exit codes: 0 success, 2 validation, 3 resource-cap breach, 4 internal
 assertion.  Caps can be overridden with NLTSLAB_ENUM_CAP, NLTSLAB_QUBIT_CAP,
@@ -92,6 +96,15 @@ class _Run:
         self.path(name).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
         self.register(name)
 
+    def write_csv(self, name: str, head: list, columns: list[str], rows) -> None:
+        """A CSV of a head row (format tag and size), a column row, then rows."""
+        with open(self.path(name), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(head)
+            w.writerow(columns)
+            w.writerows(rows)
+        self.register(name)
+
     def finish(self) -> None:
         manifest = {
             "subcommand": self.subcommand,
@@ -129,8 +142,9 @@ def _resolve_m(args) -> int:
     raise ParameterError("specify either --m or --alpha")
 
 
-def _make_formula(args, seed: int) -> ksat.Formula:
-    return ksat.generate_formula(args.n, _resolve_m(args), args.K, seed)
+def _formulas(args):
+    for seed in _seed_list(args):
+        yield seed, ksat.generate_formula(args.n, _resolve_m(args), args.K, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +152,7 @@ def _make_formula(args, seed: int) -> ksat.Formula:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args, run: _Run):
-    for seed in _seed_list(args):
-        f = _make_formula(args, seed)
+    for seed, f in _formulas(args):
         name = f"formula_{seed}.cnf"
         ksat.save_formula(f, run.path(name), alpha=args.alpha)
         run.register(name)
@@ -148,8 +161,7 @@ def cmd_gen(args, run: _Run):
 
 def cmd_enumerate(args, run: _Run):
     caps = _caps()
-    for seed in _seed_list(args):
-        f = _make_formula(args, seed)
+    for seed, f in _formulas(args):
         if args.eps is not None:
             A = landscape.enumerate_sat_eps(f, args.eps, args.r, cap=caps["enum_cap"])
         else:
@@ -171,8 +183,7 @@ def cmd_enumerate(args, run: _Run):
 
 def cmd_ogp(args, run: _Run):
     caps = _caps()
-    for seed in _seed_list(args):
-        f = _make_formula(args, seed)
+    for seed, f in _formulas(args):
         A = landscape.enumerate_sat(f, args.r, workers=args.workers, cap=caps["enum_cap"])
         hist = landscape.overlap_histogram(A, cap=caps["pair_cap"])
         name = f"histogram_{seed}.csv"
@@ -188,20 +199,12 @@ def cmd_ogp(args, run: _Run):
 
 def cmd_cluster(args, run: _Run):
     caps = _caps()
-    for seed in _seed_list(args):
-        f = _make_formula(args, seed)
+    for seed, f in _formulas(args):
         A = landscape.enumerate_sat(f, args.r, workers=args.workers, cap=caps["enum_cap"])
         P = landscape.cluster(A, args.nu1, args.nu2, cap=caps["pair_cap"])
         run.work[seed] = P.work
-        name = f"clusters_{seed}.csv"
-        with open(run.path(name), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["# nltslab clusters v1", f"n={A.n}"])
-            w.writerow(["packed", "cluster"])
-            for ell, members in enumerate(P.clusters):
-                for z in members:
-                    w.writerow([int(z), ell])
-        run.register(name)
+        run.write_csv(f"clusters_{seed}.csv", ["# nltslab clusters v1", f"n={A.n}"], ["packed", "cluster"],
+                      ([int(z), ell] for ell, members in enumerate(P.clusters) for z in members))
         run.write_json(f"cluster_summary_{seed}.json",
                        {"seed": seed, **landscape.cluster_stats(P)})
 
@@ -217,20 +220,13 @@ def _quantum_work(psi: hamiltonian.StateVector) -> dict:
 
 def cmd_hamiltonian(args, run: _Run):
     caps = _caps()
-    for seed in _seed_list(args):
-        f = _make_formula(args, seed)
+    for seed, f in _formulas(args):
         layout = hamiltonian.build_layout(f, cap=caps["qubit_cap"])
         psi = hamiltonian.ground_state(layout, args.gamma)
         run.work[seed] = _quantum_work(psi)
         dist = hamiltonian.measurement_distribution(psi)
-        name = f"measurement_{seed}.csv"
-        with open(run.path(name), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["# nltslab measurement v1", f"qubits={layout.num_qubits}"])
-            w.writerow(["bits", "probability"])
-            for bits in sorted(dist):
-                w.writerow([bits, repr(dist[bits])])
-        run.register(name)
+        run.write_csv(f"measurement_{seed}.csv", ["# nltslab measurement v1", f"qubits={layout.num_qubits}"],
+                      ["bits", "probability"], ([bits, repr(dist[bits])] for bits in sorted(dist)))
         if args.dump_state:
             sname = f"state_{seed}.bin"
             hamiltonian.save_state(psi, run.path(sname), gamma=args.gamma)
@@ -320,8 +316,7 @@ def cmd_depth_bound(args, run: _Run):
         fh.write("# nltslab depth-bound v1\n")
         w = csv.DictWriter(fh, fieldnames=["d", "n_bits", "mu", "depth_bound", "vacuous"])
         w.writeheader()
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
     run.register("depth_bound.csv")
     run.write_json("depth_bound.json",
                    {"d": args.d, "n_bits": args.n_bits, "mu": args.mu,
@@ -332,13 +327,17 @@ def cmd_depth_bound(args, run: _Run):
 # Argument handling
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
+def _subcommand(sub, name: str, help: str, func, seeded: bool = True) -> argparse.ArgumentParser:
+    """A subcommand's parser with --config and --out, and the seed flags if it draws randomness."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--config", help="INI config file; flags override its values")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--master-seed", type=int, default=1, help="64-bit master seed")
-    p.add_argument("--seeds", help="comma-separated explicit seed list (overrides master seed)")
-    p.add_argument("--instances", type=int, default=1, help="instances derived from the master seed")
-    p.add_argument("--workers", type=int, default=1)
+    if seeded:
+        p.add_argument("--master-seed", type=int, default=1, help="64-bit master seed")
+        p.add_argument("--seeds", help="comma-separated explicit seed list (overrides master seed)")
+        p.add_argument("--instances", type=int, default=1, help="instances derived from the master seed")
+    p.set_defaults(func=func)
+    return p
 
 
 def _add_formula_args(p: argparse.ArgumentParser):
@@ -348,70 +347,57 @@ def _add_formula_args(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=float)
 
 
+def _add_enumeration_args(p: argparse.ArgumentParser):
+    _add_formula_args(p)
+    p.add_argument("--r", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nltslab")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("gen", help="generate random formulas (DIMACS + sidecar)")
-    _add_common(p)
+    p = _subcommand(sub, "gen", "generate random formulas (DIMACS + sidecar)", cmd_gen)
     _add_formula_args(p)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("enumerate", help="exhaustively enumerate near-satisfying assignments")
-    _add_common(p)
-    _add_formula_args(p)
-    p.add_argument("--r", type=int, default=0)
+    p = _subcommand(sub, "enumerate", "exhaustively enumerate near-satisfying assignments", cmd_enumerate)
+    _add_enumeration_args(p)
     p.add_argument("--eps", type=float)
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("ogp", help="overlap histogram and gap detection")
-    _add_common(p)
-    _add_formula_args(p)
-    p.add_argument("--r", type=int, default=0)
+    p = _subcommand(sub, "ogp", "overlap histogram and gap detection", cmd_ogp)
+    _add_enumeration_args(p)
     p.add_argument("--nu1", type=float, required=True)
     p.add_argument("--nu2", type=float, required=True)
-    p.set_defaults(func=cmd_ogp)
 
-    p = sub.add_parser("cluster", help="unique (nu1, nu2)-clustering with certificates")
-    _add_common(p)
-    _add_formula_args(p)
-    p.add_argument("--r", type=int, default=0)
+    p = _subcommand(sub, "cluster", "unique (nu1, nu2)-clustering with certificates", cmd_cluster)
+    _add_enumeration_args(p)
     p.add_argument("--nu1", type=float, required=True)
     p.add_argument("--nu2", type=float, required=True)
-    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("hamiltonian", help="ground state and measurement distribution")
-    _add_common(p)
+    p = _subcommand(sub, "hamiltonian", "ground state and measurement distribution", cmd_hamiltonian)
     _add_formula_args(p)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--dump-state", action="store_true")
-    p.set_defaults(func=cmd_hamiltonian)
 
-    p = sub.add_parser("pspin", help="p-spin model on a random regular hypergraph")
-    _add_common(p)
+    p = _subcommand(sub, "pspin", "p-spin model on a random regular hypergraph", cmd_pspin)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--slack", type=int)
     p.add_argument("--quantize", action="store_true")
     p.add_argument("--gamma", type=float, default=0.5)
-    p.set_defaults(func=cmd_pspin)
 
-    p = sub.add_parser("theory-scan", help="parameter feasibility scan")
-    _add_common(p)
+    p = _subcommand(sub, "theory-scan", "parameter feasibility scan", cmd_theory_scan, seeded=False)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--K-list", default="4,8,16,32,64")
     p.add_argument("--nu-step", type=float, default=theory.NU_STEP)
     p.add_argument("--s-step", type=float, default=theory.S_STEP)
-    p.set_defaults(func=cmd_theory_scan)
 
-    p = sub.add_parser("depth-bound", help="circuit depth lower bound")
-    _add_common(p)
+    p = _subcommand(sub, "depth-bound", "circuit depth lower bound", cmd_depth_bound, seeded=False)
     p.add_argument("--d", type=float, required=True, help="separation distance in bits")
     p.add_argument("--n-bits", type=int, required=True)
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--natural-log", action="store_true", help="use a natural outer log")
-    p.set_defaults(func=cmd_depth_bound)
 
     return parser
 

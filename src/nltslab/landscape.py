@@ -71,9 +71,6 @@ class SolutionSet:
     n: int
     members: np.ndarray  # uint64, ascending
     r: int
-    formula: Formula | None = None
-    restriction: frozenset[int] | None = None
-    eps: float | None = None
     work: dict = field(default_factory=dict, compare=False)  # filter run and its work counts
 
     def __post_init__(self):
@@ -258,8 +255,7 @@ def enumerate_sat(
         )
     if r < 0:
         raise ParameterError("violation budget r must be nonnegative")
-    S_frozen = frozenset(S) if S is not None else None
-    masks, values = _restricted_clause_arrays(f, S_frozen)
+    masks, values = _restricted_clause_arrays(f, S)
     total = 1 << f.n
     if workers <= 1 or total <= BLOCK_SIZE:
         members = _scan_range((0, total, masks, values, r, f.n))
@@ -272,15 +268,27 @@ def enumerate_sat(
             for a, b in zip(bounds[:-1], bounds[1:])
             if b > a
         ]
-        ctx = mp.get_context("fork")
-        with ctx.Pool(min(workers, len(tasks))) as pool:
+        with mp.Pool(min(workers, len(tasks))) as pool:
             parts = pool.map(_scan_range, tasks)
         members = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
     words, per_word = _table_size(f.n, masks.size)
     table_bytes = words * per_word if 0 < r < masks.size else 0
     work = {"filter": "split_tables" if table_bytes else "early_exit", "assignments": total,
             "table_bytes": table_bytes, "members": int(members.size)}
-    return SolutionSet(n=f.n, members=members, r=r, formula=f, restriction=S_frozen, work=work)
+    return SolutionSet(n=f.n, members=members, r=r, work=work)
+
+
+def _merge(union: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
+    """Sorted distinct members of union and parts, which it empties before sorting.
+
+    np.unique is many times slower on these runs and sorts a second copy.
+    """
+    merged = np.concatenate([union, *parts])
+    parts.clear()
+    merged.sort()
+    keep = np.ones(merged.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
 
 
 def enumerate_sat_eps(
@@ -290,10 +298,10 @@ def enumerate_sat_eps(
     cap: int = DEFAULT_ENUM_CAP,
     budget: int = DEFAULT_EPS_BUDGET,
 ) -> SolutionSet:
-    """Union over all S of size n - ceil(eps*n) of enumerate_sat(f, r, S).
+    """Union over all S of size n - ceil(eps*n) of enumerate_sat(f, r, S), in this process.
 
-    Runs in this process: merging the parts costs more than scanning them, so
-    a pool gains nothing, and a pool per S costs C(n, ceil(eps*n)) start-ups.
+    Parts wait until they hold as many members as the union, then one sort
+    merges them all, so they never hold more than the union plus one part.
     """
     if not 0.0 <= eps < 1.0:
         raise ParameterError("eps must be in [0, 1)")
@@ -304,18 +312,22 @@ def enumerate_sat_eps(
             f"enumerate_sat_eps needs {n_subsets} x 2^{f.n} work, over budget {budget}",
             budget_name="eps_budget",
         )
-    all_vars = range(f.n)
-    union: np.ndarray | None = None
+    union = np.empty(0, dtype=np.uint64)
+    parts: list[np.ndarray] = []
+    pending = 0
     table_bytes = 0
-    for excl in combinations(all_vars, excluded):
-        S = frozenset(all_vars) - frozenset(excl)
-        part = enumerate_sat(f, r, S=S, cap=cap)
+    for excl in combinations(range(f.n), excluded):
+        part = enumerate_sat(f, r, S=set(range(f.n)).difference(excl), cap=cap)
         table_bytes = max(table_bytes, part.work["table_bytes"])
-        union = part.members if union is None else np.union1d(union, part.members)
-    assert union is not None
+        parts.append(part.members)
+        pending += part.members.size
+        if pending >= union.size:
+            union, pending = _merge(union, parts), 0
+    if parts:
+        union = _merge(union, parts)
     work = {"filter": "split_tables" if table_bytes else "early_exit", "assignments": n_subsets << f.n,
             "table_bytes": table_bytes, "members": int(union.size)}
-    return SolutionSet(n=f.n, members=union, r=r, formula=f, eps=eps, work=work)
+    return SolutionSet(n=f.n, members=union, r=r, work=work)
 
 
 # ---------------------------------------------------------------------------

@@ -412,8 +412,7 @@ def test_required_flags_still_required_without_config(tmp_path, capsys):
 _GEN_USAGE = """\
 usage: nltslab gen [-h] [--config CONFIG] [--out OUT]
                    [--master-seed MASTER_SEED] [--seeds SEEDS]
-                   [--instances INSTANCES] [--workers WORKERS] --n N --K K
-                   [--m M] [--alpha ALPHA]
+                   [--instances INSTANCES] --n N --K K [--m M] [--alpha ALPHA]
 """
 
 
@@ -591,6 +590,34 @@ def test_config_keys_match_flags_with_capitals(tmp_path):
     assert run_cli(["theory-scan", "--config", cfg, "--alpha", 0.75, "--out", out]) == 0
     assert json.loads((out / "scan_summary.json").read_text())["K_values"] == [64]
     assert read_manifest(out)["config"]["K_list"] == "64"
+
+
+_SEED_AND_WORKER_FLAGS = [("--master-seed", 3), ("--seeds", "3"), ("--instances", 3), ("--workers", 2)]
+
+
+@pytest.mark.parametrize("section, argv, flag, value", [
+    ("gen", ["--n", 5, "--K", 3, "--m", 4], "--workers", 2),
+    ("hamiltonian", ["--n", 2, "--K", 2, "--m", 1], "--workers", 2),
+    ("pspin", ["--n", 8, "--d", 2, "--p", 2], "--workers", 2),
+    *(("theory-scan", ["--alpha", 0.75, "--K-list", "8"], *fv) for fv in _SEED_AND_WORKER_FLAGS),
+    *(("depth-bound", ["--d", 10, "--n-bits", 100, "--mu", 0.3], *fv) for fv in _SEED_AND_WORKER_FLAGS),
+])
+def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, section, argv, flag, value):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([section, *argv, flag, value, "--out", out])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"nltslab: error: unrecognized arguments: {flag} {value}\n")
+    assert not out.exists()
+
+
+def test_config_keys_of_flags_a_subcommand_does_not_read_are_ignored(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[theory-scan]\nK-list = 8\nworkers = 2\nseeds = 3\n")
+    assert run_cli(["theory-scan", "--config", cfg, "--alpha", 0.75, "--out", tmp_path / "ini"]) == 0
+    assert run_cli(["theory-scan", "--alpha", 0.75, "--K-list", "8", "--out", tmp_path / "flags"]) == 0
+    assert_identical_data_files(tmp_path / "ini", tmp_path / "flags")
+    assert not {"workers", "seeds"} & set(read_manifest(tmp_path / "ini")["config"])
 
 
 @pytest.mark.parametrize("section, key, raw, argv", [

@@ -2,10 +2,15 @@ import csv
 import functools
 import io
 import math
+import os
 import pickle
+import subprocess
+import sys
 import time
 import tracemalloc
 import types
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +169,66 @@ def test_enumerate_eps_budget(demo_formula):
         landscape.enumerate_sat_eps(demo_formula, eps=1 / 3, r=0, budget=1)
 
 
+def _eps_oracle(f: ksat.Formula, eps: float, r: int) -> tuple[list[int], dict]:
+    """The union of counts <= r over every excluded set, and the work enumerate_sat_eps reports."""
+    excluded = math.ceil(eps * f.n)
+    union = np.zeros(1 << f.n, dtype=bool)
+    table_bytes = 0
+    for excl in combinations(range(f.n), excluded):
+        S = frozenset(range(f.n)) - set(excl)
+        union |= literal_violation_counts(f, S) <= r
+        table_bytes = max(table_bytes, landscape.enumerate_sat(f, r, S=S).work["table_bytes"])
+    members = np.flatnonzero(union).tolist()
+    work = {"filter": "split_tables" if table_bytes else "early_exit",
+            "assignments": math.comb(f.n, excluded) << f.n, "table_bytes": table_bytes,
+            "members": len(members)}
+    return members, work
+
+
+@pytest.mark.parametrize("n, m, eps, r", [
+    (10, 70, 0.2, 1),  # 73 clauses: the split tables span two words
+    (9, 40, 0.25, 2),
+    (8, 30, 0.0, 1),  # one set, the whole formula
+    (6, 3, 0.2, 6),  # r >= m: the whole cube
+    (12, 24, 0.25, 0),  # 220 sets, merged several times
+])
+def test_enumerate_eps_matches_the_union_oracle(monkeypatch, n, m, eps, r):
+    # _kernel_formula adds a tautology and clauses that repeat a variable
+    f = _kernel_formula(n, m, seed=n * 10 + r)
+    merges, merge = [], landscape._merge
+
+    def counted(union, parts):
+        merges.append(len(parts))
+        return merge(union, parts)
+
+    monkeypatch.setattr(landscape, "_merge", counted)
+    A = landscape.enumerate_sat_eps(f, eps, r)
+    members, work = _eps_oracle(f, eps, r)
+    assert A.members.tolist() == members
+    assert A.work == work
+    assert 1 <= len(merges) <= sum(merges) == math.comb(n, math.ceil(eps * n))
+    if n == 12:
+        assert len(merges) >= 3 and max(merges) > 1
+
+
+def test_enumerate_eps_merge_memory_is_bounded_by_the_union():
+    # 2002 parts of up to the whole cube: the pending parts are merged before
+    # they outgrow the union, so the peak is a few copies of the union plus
+    # one scan (measured at 4.8 union copies beyond the scan)
+    f = ksat.generate_formula(14, 30, 3, seed=7)
+    landscape.enumerate_sat_eps(f, 0.3, 0)  # warm up numpy's allocations
+    tracemalloc.start()
+    try:
+        landscape.enumerate_sat(f, 0, S=range(13))
+        scan = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        A = landscape.enumerate_sat_eps(f, 0.3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * A.members.nbytes + scan
+
+
 # Process-pool enumeration.  At n=18 the cube is 4 blocks, so any worker
 # count splits it on block boundaries; at n=21, 3 workers ask for 24 tasks
 # over 32 blocks, so the task bounds fall inside blocks.
@@ -216,6 +281,26 @@ def test_violation_counter_holds_r_plus_one():
     assert counts.min() <= 255 < counts.max()
     got = landscape.enumerate_sat(f, 255).members
     assert got.tolist() == np.flatnonzero(counts <= 255).tolist()
+
+
+def test_pool_runs_under_the_spawn_start_method():
+    # the pool takes the default start method; under spawn no task may need fork
+    code = """
+import multiprocessing, os
+from nltslab import ksat, landscape
+
+def no_fork():
+    raise RuntimeError("os.fork called")
+
+multiprocessing.set_start_method("spawn")
+os.fork = no_fork
+f = ksat.generate_formula(18, 50, 3, seed=11)
+pooled = landscape.enumerate_sat(f, 1, workers=2).members
+assert pooled.tolist() == landscape.enumerate_sat(f, 1).members.tolist()
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(landscape.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -357,7 +442,7 @@ def test_pool_is_sized_by_its_tasks(monkeypatch):
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    fake_mp = types.SimpleNamespace(get_context=lambda method: types.SimpleNamespace(Pool=Pool))
+    fake_mp = types.SimpleNamespace(Pool=Pool)
     monkeypatch.setattr(landscape, "mp", fake_mp)
     for n, workers, r in [(17, 512, 0), (17, 512, 2), (18, 3, 2)]:
         f = ksat.generate_formula(n, 60, 3, seed=5)
@@ -385,7 +470,7 @@ def test_pool_tasks_carry_the_clause_lists_not_the_tables(monkeypatch):
             pickled.extend(len(pickle.dumps(t)) for t in tasks)
             return [np.empty(0, dtype=np.uint64) for _ in tasks]
 
-    fake_mp = types.SimpleNamespace(get_context=lambda method: types.SimpleNamespace(Pool=Pool))
+    fake_mp = types.SimpleNamespace(Pool=Pool)
     monkeypatch.setattr(landscape, "mp", fake_mp)
     f = ksat.generate_formula(30, 1024, 8, seed=1)
     masks, values = landscape._restricted_clause_arrays(f, None)
