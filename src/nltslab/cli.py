@@ -12,6 +12,7 @@ wall-time field).
 Each subcommand takes ``--config``, ``--out`` and only the flags it reads:
 all but theory-scan and depth-bound take the seed flags, and the three that
 enumerate (enumerate, ogp, cluster) take ``--r`` and ``--workers``.
+``pspin --gamma`` is refused without ``--quantize``, which alone uses 0.5.
 Randomness flows from one 64-bit master seed: the stream for instance index
 ``i`` is the first 8 bytes of blake2b("<master>:<i>").
 
@@ -21,7 +22,7 @@ a key that names no flag of the subcommand is ignored.
 
 Exit codes: 0 success, 2 validation, 3 resource-cap breach, 4 internal
 assertion.  Caps can be overridden with NLTSLAB_ENUM_CAP, NLTSLAB_QUBIT_CAP,
-NLTSLAB_PAIR_CAP, NLTSLAB_SPIN_CAP and NLTSLAB_ETA_BUDGET.
+NLTSLAB_PAIR_CAP and NLTSLAB_SPIN_CAP.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ def _caps() -> dict:
         "qubit_cap": _env_int("NLTSLAB_QUBIT_CAP", hamiltonian.DEFAULT_QUBIT_CAP),
         "pair_cap": _env_int("NLTSLAB_PAIR_CAP", landscape.DEFAULT_PAIR_CAP),
         "spin_cap": _env_int("NLTSLAB_SPIN_CAP", pspin.DEFAULT_SPIN_CAP),
-        "eta_budget": _env_int("NLTSLAB_ETA_BUDGET", ksat.DEFAULT_ETA_BUDGET),
     }
 
 
@@ -241,6 +241,9 @@ def cmd_hamiltonian(args, run: _Run):
 
 
 def cmd_pspin(args, run: _Run):
+    if args.gamma is not None and not args.quantize:
+        raise ParameterError("pspin --gamma is read only with --quantize")
+    gamma = 0.5 if args.gamma is None else args.gamma
     caps = _caps()
     for seed in _seed_list(args):
         g = pspin.generate_regular_hypergraph(args.n, args.d, args.p, seed)
@@ -264,10 +267,10 @@ def cmd_pspin(args, run: _Run):
             record["near_ground_count"] = len(A)
         if args.quantize:
             layout = pspin.quantize(g, J, cap=caps["qubit_cap"])
-            psi = hamiltonian.ground_state(layout, args.gamma)
+            psi = hamiltonian.ground_state(layout, gamma)
             run.work[seed] = _quantum_work(psi)
             record["quantized_qubits"] = layout.num_qubits
-            record["quantized_energy"] = hamiltonian.energy(psi, args.gamma)
+            record["quantized_energy"] = hamiltonian.energy(psi, gamma)
         run.write_json(f"pspin_{seed}.json", record)
 
 
@@ -385,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--slack", type=int)
     p.add_argument("--quantize", action="store_true")
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--gamma", type=float, help="Q(gamma) of the quantized state (needs --quantize; default 0.5)")
 
     p = _subcommand(sub, "theory-scan", "parameter feasibility scan", cmd_theory_scan, seeded=False)
     p.add_argument("--alpha", type=float, required=True)

@@ -10,7 +10,8 @@ sign patterns.  All Q operators are diagonal, so everything is applied
 matrix-free; per-amplitude violation counts are accumulated as integers and
 exponentiated once.  Each vector pass (``violation_counts``,
 ``apply_q_gamma``, ``project_out_cat``) returns one fresh array and builds no
-other state-sized complex temporary.
+other state-sized complex temporary; nothing state-sized is cached on a
+layout, so violation counts are recomputed for each pass that needs them.
 """
 
 from __future__ import annotations
@@ -104,10 +105,6 @@ class QubitLayout:
     def dim(self) -> int:
         return 1 << self.num_qubits
 
-    @cached_property
-    def all_violations(self) -> np.ndarray:
-        return violation_counts(self)
-
     def content_hash(self) -> str:
         payload = json.dumps(
             {
@@ -142,9 +139,6 @@ class StateVector:
         if nrm == 0.0:
             raise ParameterError("cannot normalize the zero vector")
         return StateVector(self.layout, self.amp / nrm)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amp.copy())
 
 
 def layout_from_blocks(
@@ -245,14 +239,14 @@ def apply_q_gamma(
     sign: int = 1,
     constraint_ids: Iterable[int] | None = None,
 ) -> StateVector:
-    """Diagonal map: amplitude of z scaled by gamma^(sign * violations_J(z))."""
+    """Diagonal map: amplitude of z scaled by gamma^(sign * violations_J(z)).
+
+    J is ``constraint_ids``, every constraint when None.
+    """
     if sign not in (1, -1):
         raise ParameterError("sign must be +1 or -1")
     _check_gamma(gamma, sign)
-    if constraint_ids is None:
-        viol = psi.layout.all_violations
-    else:
-        viol = violation_counts(psi.layout, constraint_ids)
+    viol = violation_counts(psi.layout, constraint_ids)
     vmax = int(viol.max()) if viol.size else 0
     powers = gamma ** (sign * np.arange(vmax + 1, dtype=np.float64))
     # gathering complex factors (p + 0j) and scaling in place gives the bits of
@@ -429,9 +423,9 @@ def w_elements_cat_on(layout: QubitLayout, S: Iterable[int], cap: int = BASIS_EN
         )
 
 
-def expand_in_basis(psi: StateVector, elements: Iterable[BasisElement] | None = None):
-    """Coefficients <w|psi> over the given elements (full basis by default)."""
-    elems = list(elements) if elements is not None else list(all_basis_elements(psi.layout))
+def expand_in_basis(psi: StateVector):
+    """Coefficients <w|psi> over the full basis."""
+    elems = list(all_basis_elements(psi.layout))
     coeffs = np.array([basis_coefficient(psi, w) for w in elems], dtype=np.complex128)
     return elems, coeffs
 

@@ -218,11 +218,11 @@ def eta_exact_excluded(f: Formula, excluded: int, budget: int = DEFAULT_ETA_BUDG
     return best / f.n
 
 
-def eta_exact(f: Formula, eps: float, budget: int = DEFAULT_ETA_BUDGET) -> float:
+def eta_exact(f: Formula, eps: float) -> float:
     """eta for subsets of size exactly n - ceil(eps * n)."""
     if not 0.0 <= eps < 1.0:
         raise ParameterError("eps must be in [0, 1)")
-    return eta_exact_excluded(f, math.ceil(eps * f.n), budget=budget)
+    return eta_exact_excluded(f, math.ceil(eps * f.n))
 
 
 def repeated_variable_stats(f: Formula) -> dict:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import multiprocessing as mp
 from dataclasses import dataclass, field
@@ -618,7 +617,3 @@ def histogram_to_csv(h: OverlapHistogram, path: str | Path) -> None:
         w.writerow(["distance", "pairs"])
         for d, c in enumerate(h.counts):
             w.writerow([d, int(c)])
-
-
-def summary_to_json(obj: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .errors import ParameterError, ResourceLimitError
 
 LN2 = math.log(2.0)
 
-#: Defaults of the regime scan: nu and s grid steps, the margin below zero
-#: the window's rate exponent must clear, and the parameter-ledger grids.
+#: The regime scan's default nu and s grid steps, the margin below zero the
+#: window's rate exponent must clear, and the parameter-ledger grids.
 NU_STEP = S_STEP = 0.005
 SLACK = LN2 / 20.0
 GAMMA_GRID = (1e-2, 1e-4, 1e-6)
@@ -231,10 +231,10 @@ def _check_window_search(nu_step: float, s_step: float) -> None:
     )
 
 
-def derive_eps(eta: float, K: int, max_halvings: int = 600) -> float | None:
+def derive_eps(eta: float, K: int) -> float | None:
     """Largest geometric-grid eps making the Azuma tail strictly negative."""
     eps = min(eta / (4.0 * K * 2.0**K), 0.25)
-    for _ in range(max_halvings):
+    for _ in range(600):
         if eps <= 0.0 or eps < 5e-300:
             return None
         value, in_regime = azuma_tail(eta, eps, K)
@@ -244,32 +244,28 @@ def derive_eps(eta: float, K: int, max_halvings: int = 600) -> float | None:
     return None
 
 
-def scan_rows(
-    alpha: float, K_values: Iterable[int], nu_step: float = NU_STEP, s_step: float = S_STEP,
-    gamma_grid: Sequence[float] = GAMMA_GRID, lambda_grid: Sequence[float] = LAMBDA_GRID,
-    eta_grid: Sequence[float] = ETA_GRID, delta_grid: Sequence[float] = DELTA_GRID,
-    slack: float = SLACK,
-):
+def scan_rows(alpha: float, K_values: Iterable[int], nu_step: float = NU_STEP, s_step: float = S_STEP):
     """Every scan row (K, window, eps, params, report), feasible or not; generator.
 
-    A K whose rate exponent never drops below -slack on a grid window yields
-    (K, None, None, None, None).  Otherwise each (delta, gamma, lambda, eta)
-    grid point yields one row with window = (nu1, nu2), the derived eps (None
-    when no grid eps certifies the Azuma tail; params then carry nan) and the
-    parameter-ledger report.  Before any row, an alpha outside (0.7, 1) or a
-    step outside (0, 0.5) raises ParameterError, and a window search of more
-    than RATE_EVAL_BUDGET rate evaluations raises ResourceLimitError.
+    A K whose rate exponent never drops below -SLACK on a grid window yields
+    (K, None, None, None, None).  Otherwise each point of the module grids
+    DELTA_GRID x GAMMA_GRID x LAMBDA_GRID x ETA_GRID yields one row with
+    window = (nu1, nu2), the derived eps (None when no grid eps certifies the
+    Azuma tail; params then carry nan) and the parameter-ledger report.
+    Before any row, an alpha outside (0.7, 1) or a step outside (0, 0.5)
+    raises ParameterError, and a window search of more than RATE_EVAL_BUDGET
+    rate evaluations raises ResourceLimitError.
     """
     if not 0.5 + 0.2 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (1/2 + 1/5, 1), got {alpha}")
     _check_window_search(nu_step, s_step)
     for K in K_values:
-        window = first_feasible_window(alpha, K, nu_step, s_step, slack)
+        window = first_feasible_window(alpha, K, nu_step, s_step, SLACK)
         if window is None:
             yield K, None, None, None, None
             continue
         nu1, nu2 = window
-        for delta, gamma, lam, eta in product(delta_grid, gamma_grid, lambda_grid, eta_grid):
+        for delta, gamma, lam, eta in product(DELTA_GRID, GAMMA_GRID, LAMBDA_GRID, ETA_GRID):
             eps = derive_eps(eta, K)
             params = RegimeParams(
                 alpha=alpha, K=K, eps=math.nan if eps is None else eps, lam=lam, gamma=gamma,
@@ -278,21 +274,15 @@ def scan_rows(
             yield K, window, eps, params, check_parameter_consistency(params)
 
 
-def scan_regime(
-    alpha: float, K_values: Iterable[int], nu_step: float = NU_STEP, s_step: float = S_STEP,
-    gamma_grid: Sequence[float] = GAMMA_GRID, lambda_grid: Sequence[float] = LAMBDA_GRID,
-    eta_grid: Sequence[float] = ETA_GRID, delta_grid: Sequence[float] = DELTA_GRID,
-    slack: float = SLACK, max_results: int = 200,
-) -> list[RegimeParams]:
+def scan_regime(alpha: float, K_values: Iterable[int], max_results: int = 200) -> list[RegimeParams]:
     """The first max_results feasible (K, nu1, nu2, eps, lambda, gamma, eta, delta) tuples.
 
-    A tuple is feasible when the rate exponent stays below -slack on the
-    [1-nu2, 1-nu1] window, the Azuma coverage event certifies at the derived
-    eps, and all parameter-ledger constraints hold.  The scan stops at the
-    max_results-th.
+    The scan runs scan_rows on the module grids and steps.  A tuple is
+    feasible when the rate exponent stays below -SLACK on the [1-nu2, 1-nu1]
+    window, the Azuma coverage event certifies at the derived eps, and all
+    parameter-ledger constraints hold.  The scan stops at the max_results-th.
     """
-    rows = scan_rows(alpha, K_values, nu_step, s_step, gamma_grid, lambda_grid, eta_grid,
-                     delta_grid, slack)
+    rows = scan_rows(alpha, K_values)
     feasible = (params for _, _, eps, params, report in rows if eps is not None and report.all_ok)
     return list(islice(feasible, max_results))
 

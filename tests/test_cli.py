@@ -195,6 +195,26 @@ def test_pspin_subcommand(tmp_path):
     assert record["ground_energy"] <= 0
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_pspin_gamma_without_quantize_is_refused(tmp_path, capsys, source):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[pspin]\ngamma = 0.9\n")
+    extra = ["--gamma", 0.9] if source == "flag" else ["--config", cfg]
+    out = tmp_path / "x"
+    assert run_cli(["pspin", "--n", 8, "--d", 2, "--p", 2, "--slack", 2, *extra,
+                    "--seeds", "4", "--out", out]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation" and "--quantize" in record["message"]
+    assert not list(out.glob("*"))
+
+
+def test_pspin_quantize_alone_uses_gamma_one_half(tmp_path):
+    argv = ["pspin", "--n", 8, "--d", 2, "--p", 2, "--quantize", "--seeds", "4"]
+    assert run_cli([*argv, "--out", tmp_path / "default"]) == 0
+    assert run_cli([*argv, "--gamma", 0.5, "--out", tmp_path / "half"]) == 0
+    assert_identical_data_files(tmp_path / "default", tmp_path / "half")
+
+
 def test_theory_scan_subcommand(tmp_path):
     out = tmp_path / "run"
     code = run_cli(["theory-scan", "--alpha", 0.75, "--K-list", "8,64", "--out", out])
@@ -524,6 +544,14 @@ def test_pspin_honours_spin_cap_override(tmp_path, capsys, monkeypatch):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "resource"
     assert record["budget"] == "spin_cap"
+
+
+def test_eta_budget_variable_is_not_read(tmp_path, monkeypatch):
+    monkeypatch.setenv("NLTSLAB_ETA_BUDGET", "x")
+    assert run_cli(["enumerate", "--n", 6, "--K", 3, "--m", 4, "--seeds", "1",
+                    "--out", tmp_path / "enum"]) == 0
+    assert run_cli(["hamiltonian", "--n", 2, "--K", 2, "--m", 1, "--seeds", "1",
+                    "--out", tmp_path / "ham"]) == 0
 
 
 @pytest.mark.parametrize("raw", ["2e6", "lots", "1.5"])

@@ -104,7 +104,7 @@ def test_cat_small(demo_layout):
 def test_q_gamma_scales_by_violations(demo_layout):
     psi = _rand_state(demo_layout)
     out = ham.apply_q_gamma(psi, 0.5)
-    viol = demo_layout.all_violations
+    viol = ham.violation_counts(demo_layout)
     assert np.allclose(out.amp, psi.amp * 0.5**viol)
     # unviolated strings untouched, single violation halved
     z_clean = int(np.nonzero(viol == 0)[0][0])
@@ -220,7 +220,6 @@ def test_violation_counts_match_literal_oracle(name):
         want = literal_violation_counts(layout, everything if ids is None else ids)
         assert got.dtype == np.int64
         assert np.array_equal(got, want), ids
-    assert np.array_equal(layout.all_violations, literal_violation_counts(layout, everything))
 
 
 @pytest.mark.parametrize("name", sorted(_kernel_layouts()))
@@ -257,7 +256,7 @@ def _bits(a) -> np.ndarray:
 def plain_q_gamma(psi, gamma, sign, constraint_ids) -> np.ndarray:
     """A float64 factor per amplitude, promoted into one complex product."""
     layout = psi.layout
-    viol = layout.all_violations if constraint_ids is None else ham.violation_counts(layout, constraint_ids)
+    viol = ham.violation_counts(layout, constraint_ids)
     powers = gamma ** (sign * np.arange(int(viol.max()) + 1, dtype=np.float64))
     return psi.amp * powers[viol]
 
@@ -355,6 +354,24 @@ def test_energy_peak_memory_is_two_and_a_half_states():
     assert peak <= 2.5 * state + 2**19
 
 
+def test_ground_state_leaves_nothing_state_sized_on_its_layout():
+    f = ksat.generate_formula(9, 9, 2, seed=3)
+    layout = ham.build_layout(f)
+    assert layout.num_qubits == 18
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        psi = ham.ground_state(layout, 0.5)
+        again = ham.ground_state(layout, 0.5)
+        assert np.array_equal(_bits(psi.amp), _bits(again.amp))
+        del psi, again
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # a violation count cached per amplitude would hold 2 MiB
+    assert held <= 2**16
+
+
 def test_consistent_strings_match_literal_oracle():
     layout = _kernel_layouts()["non-contiguous"]
     for S in (set(), {0}, {1, 3}, {0, 1, 2, 3}):
@@ -436,11 +453,11 @@ def test_measurement_distribution_small(demo_formula):
     psi = ham.ground_state(demo_formula, gamma)
     dist = ham.measurement_distribution(psi)
     Z = 4 + 2 * gamma**2 + 2 * gamma**4
-    layout = psi.layout
+    counts = ham.violation_counts(psi.layout)
     assert len(dist) == 8
     for bits, p in dist.items():
         z = sum(int(b) << q for q, b in enumerate(bits))
-        viol = int(layout.all_violations[z])
+        viol = int(counts[z])
         assert p == pytest.approx(gamma ** (2 * viol) / Z, abs=1e-14)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
