@@ -21,8 +21,12 @@ placed before argv's own, so argv wins and argparse parses everything once;
 a key that names no flag of the subcommand is ignored.
 
 Exit codes: 0 success, 2 validation, 3 resource-cap breach, 4 internal
-assertion.  Caps can be overridden with NLTSLAB_ENUM_CAP, NLTSLAB_QUBIT_CAP,
-NLTSLAB_PAIR_CAP and NLTSLAB_SPIN_CAP.
+assertion.  Each error prints one JSON record on stderr with ``error`` and
+``message``; a resource record adds ``budget``, ``requested`` and ``allowed``
+(``requested`` is null for a draw that ran out of tries).  ``--out`` is made
+at the first file written, so a refused run leaves none.  Caps can be
+overridden with NLTSLAB_ENUM_CAP, NLTSLAB_QUBIT_CAP, NLTSLAB_PAIR_CAP and
+NLTSLAB_SPIN_CAP.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def _caps() -> dict:
 
 
 class _Run:
-    """Collects output files and emits the manifest."""
+    """Collects output files and emits the manifest; the directory is made at the first write."""
 
     def __init__(self, outdir: Path, subcommand: str, config: dict):
         self.outdir = outdir
@@ -83,9 +87,9 @@ class _Run:
         self.t0 = time.monotonic()
         self.files: dict[str, str] = {}
         self.work: dict[int, dict] = {}  # per seed: kernels chosen and their work counts
-        outdir.mkdir(parents=True, exist_ok=True)
 
     def path(self, name: str) -> Path:
+        self.outdir.mkdir(parents=True, exist_ok=True)
         return self.outdir / name
 
     def register(self, name: str) -> None:
@@ -248,10 +252,12 @@ def cmd_pspin(args, run: _Run):
     for seed in _seed_list(args):
         g = pspin.generate_regular_hypergraph(args.n, args.d, args.p, seed)
         J = pspin.generate_couplings(g, stream_seed(seed, 1))
+        # both caps are checked before the cube scan and before any file is written
+        layout = pspin.quantize(g, J, cap=caps["qubit_cap"]) if args.quantize else None
+        sigma, emin = pspin.ground_state_bruteforce(g, J, cap=caps["spin_cap"])
         gname = f"hypergraph_{seed}.json"
         pspin.save_hypergraph(g, run.path(gname))
         run.register(gname)
-        sigma, emin = pspin.ground_state_bruteforce(g, J, cap=caps["spin_cap"])
         record = {
             "seed": seed, "n": g.n, "d": g.d, "p": g.p, "m": g.m,
             "couplings": list(J.values),
@@ -265,8 +271,7 @@ def cmd_pspin(args, run: _Run):
             landscape.members_to_csv(A, run.path(name))
             run.register(name)
             record["near_ground_count"] = len(A)
-        if args.quantize:
-            layout = pspin.quantize(g, J, cap=caps["qubit_cap"])
+        if layout is not None:
             psi = hamiltonian.ground_state(layout, gamma)
             run.work[seed] = _quantum_work(psi)
             record["quantized_qubits"] = layout.num_qubits
@@ -323,7 +328,8 @@ def cmd_depth_bound(args, run: _Run):
     run.register("depth_bound.csv")
     run.write_json("depth_bound.json",
                    {"d": args.d, "n_bits": args.n_bits, "mu": args.mu,
-                    "outer_base2": not args.natural_log, "depth_bound": base})
+                    "outer_base2": not args.natural_log,
+                    "depth_bound": base if math.isfinite(base) else None})  # -inf at d = 0
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error("validation", exc)
         return EXIT_VALIDATION
     except ResourceLimitError as exc:
-        _emit_error("resource", exc, budget=exc.budget_name)
+        _emit_error("resource", exc, budget=exc.budget_name, requested=exc.requested, allowed=exc.allowed)
         return EXIT_RESOURCE
     except (ContractError, AssertionError) as exc:
         _emit_error("assertion", exc)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto distinct exit codes (validation 2, resource 3,
-internal assertion 4).
+internal assertion 4).  Every refusal of a budget is built by ``check_budget``
+or ``ResourceLimitError`` from the budget's name, requested and allowed amounts.
 """
 
 
@@ -10,11 +11,20 @@ class ParameterError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured enumeration / qubit / retry budget would be exceeded."""
+    """A budget would be exceeded; ``requested`` is None for work not priced up front."""
 
-    def __init__(self, message: str, budget_name: str | None = None):
+    def __init__(self, budget_name: str, requested: int | None, allowed: int, message: str):
         super().__init__(message)
         self.budget_name = budget_name
+        self.requested = requested
+        self.allowed = allowed
+
+
+def check_budget(budget_name: str, requested: int, allowed: int, what: str, unit: str) -> None:
+    """Raise ResourceLimitError when ``requested`` exceeds ``allowed``."""
+    if requested > allowed:
+        raise ResourceLimitError(budget_name, requested, allowed,
+                                 f"{what} needs {requested} {unit}, over budget {allowed}")
 
 
 class ContractError(RuntimeError):

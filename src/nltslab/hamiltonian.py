@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import ksat
-from .errors import ContractError, ParameterError, ResourceLimitError
+from .errors import ContractError, ParameterError, check_budget
 from .ksat import Formula
 from .landscape import _bit_rows
 
@@ -161,8 +161,7 @@ def layout_from_blocks(
                 raise ParameterError("block variable index out of range")
             fibers[v].append(qubits[slot])
         constraints.append(Constraint(qubits=qubits, variables=tuple(variables), forbidden=tuple(forbidden)))
-    if q > cap:
-        raise ResourceLimitError(f"{q} qubits exceed cap {cap}", budget_name="qubit_cap")
+    check_budget("qubit_cap", q, cap, "the layout", "qubits")
     return QubitLayout(
         num_qubits=q,
         num_variables=num_variables,
@@ -408,10 +407,7 @@ def w_elements_cat_on(layout: QubitLayout, S: Iterable[int], cap: int = BASIS_EN
     S = frozenset(S)
     active = layout.active_variables
     free_qubits = sum(len(layout.fibers[i]) for i in active if i not in S)
-    if free_qubits > cap:
-        raise ResourceLimitError(
-            f"W(S) has 2^{free_qubits} elements, over cap 2^{cap}", budget_name="basis_cap"
-        )
+    check_budget("basis_cap", free_qubits, cap, "W(S)", "free qubits (log2 of its elements)")
     # a free factor: any fiber pattern with first bit 0 (below its flip), either sign
     choice_lists = [
         [(0, 1)] if i in S else list(product(range(0, 1 << len(layout.fibers[i]), 2), (1, -1)))
@@ -482,10 +478,7 @@ def consistent_strings(layout: QubitLayout, S: Iterable[int], cap_log2: int = 22
     flips = []
     for i in layout.active_variables:
         flips += [layout.fiber_masks[i]] if i in S else [1 << q for q in layout.fibers[i]]
-    if len(flips) > cap_log2:
-        raise ResourceLimitError(
-            f"consistent-string set exceeds 2^{cap_log2}", budget_name="sbar_cap"
-        )
+    check_budget("sbar_cap", len(flips), cap_log2, "the consistent-string set", "flips (log2 of its size)")
     return np.sort(_subset_xors(flips))
 
 

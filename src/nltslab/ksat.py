@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError, check_budget
 
 LN2 = math.log(2.0)
 
@@ -132,6 +132,8 @@ class Formula:
 
 def clause_count(alpha: float, K: int, n: int) -> int:
     """m = round(alpha * 2^K * ln2 * n), round-to-nearest."""
+    if not math.isfinite(alpha):
+        raise ParameterError(f"alpha must be finite, got {alpha}")
     m = round(alpha * (2**K) * LN2 * n)
     if m < 0:
         raise ParameterError("derived clause count is negative")
@@ -201,11 +203,7 @@ def eta_exact_excluded(f: Formula, excluded: int, budget: int = DEFAULT_ETA_BUDG
     if excluded == 0 or f.m == 0:
         return 0.0
     n_subsets = math.comb(f.n, excluded)
-    if n_subsets > budget:
-        raise ResourceLimitError(
-            f"eta_exact would enumerate {n_subsets} subsets, over budget {budget}",
-            budget_name="eta_budget",
-        )
+    check_budget("eta_budget", n_subsets, budget, "eta_exact", "excluded sets")
     clause_masks = [
         sum(1 << v for v in c.variable_set) for c in f.clauses
     ]

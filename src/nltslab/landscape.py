@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, ResourceLimitError
+from .errors import ContractError, ParameterError, check_budget
 from .ksat import Formula, clauses_within
 
 #: Hard cap on variable count for exhaustive enumeration (2^n assignments).
@@ -248,10 +248,7 @@ def enumerate_sat(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> SolutionSet:
     """All assignments violating at most r clauses of C(S) (all clauses if S is None)."""
-    if f.n > cap:
-        raise ResourceLimitError(
-            f"n={f.n} exceeds enumeration cap {cap}", budget_name="enum_cap"
-        )
+    check_budget("enum_cap", f.n, cap, "enumeration", "variables")
     if r < 0:
         raise ParameterError("violation budget r must be nonnegative")
     masks, values = _restricted_clause_arrays(f, S)
@@ -306,11 +303,8 @@ def enumerate_sat_eps(
         raise ParameterError("eps must be in [0, 1)")
     excluded = math.ceil(eps * f.n)
     n_subsets = math.comb(f.n, excluded)
-    if n_subsets * (1 << f.n) > budget:
-        raise ResourceLimitError(
-            f"enumerate_sat_eps needs {n_subsets} x 2^{f.n} work, over budget {budget}",
-            budget_name="eps_budget",
-        )
+    check_budget("eps_budget", n_subsets << f.n, budget, f"enumerate_sat_eps over {n_subsets} kept sets",
+                 "assignments")
     union = np.empty(0, dtype=np.uint64)
     parts: list[np.ndarray] = []
     pending = 0
@@ -332,13 +326,6 @@ def enumerate_sat_eps(
 # ---------------------------------------------------------------------------
 # Pairwise geometry
 # ---------------------------------------------------------------------------
-
-def _check_pair_cap(size: int, cap: int):
-    if size > cap:
-        raise ResourceLimitError(
-            f"|A|={size} exceeds pair-loop cap {cap}", budget_name="pair_cap"
-        )
-
 
 def _words(members: np.ndarray, n: int) -> np.ndarray:
     """Members as uint32 words when n <= 32, else the uint64 members themselves."""
@@ -383,7 +370,7 @@ def _pair_counts(members: np.ndarray, n: int) -> np.ndarray:
 
 def overlap_histogram(A: SolutionSet, cap: int = DEFAULT_PAIR_CAP) -> OverlapHistogram:
     """Exact Hamming-distance histogram over all unordered member pairs."""
-    _check_pair_cap(len(A), cap)
+    check_budget("pair_cap", len(A), cap, "the pair loop", "members")
     return OverlapHistogram(n=A.n, counts=_pair_counts(A.members, A.n))
 
 
@@ -395,7 +382,7 @@ def _detect_ogp(A: SolutionSet, nu1: float, nu2: float, cap: int):
     """detect_ogp's (holds, witness), plus the histogram counts it was decided on."""
     if not 0.0 < nu1 < nu2 < 1.0:
         raise ParameterError(f"need 0 < nu1 < nu2 < 1, got nu1={nu1}, nu2={nu2}")
-    _check_pair_cap(len(A), cap)
+    check_budget("pair_cap", len(A), cap, "the pair loop", "members")
     t1, t2 = _thresholds(A.n, nu1, nu2)
     if len(A) <= 1:
         return True, None, np.zeros(A.n + 1, dtype=np.int64)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError, ResourceLimitError, check_budget
 from .hamiltonian import DEFAULT_QUBIT_CAP, QubitLayout, _subset_xors, layout_from_blocks
 from .landscape import BLOCK_SIZE, SolutionSet
 
@@ -73,9 +73,8 @@ def generate_regular_hypergraph(
         if (np.diff(np.sort(groups, axis=1), axis=1) != 0).all():
             edges = tuple(tuple(int(v) for v in g) for g in groups)
             return RegularHypergraph(n=n, d=d, p=p, hyperedges=edges, seed=seed)
-    raise ResourceLimitError(
-        f"no simple pairing found in {retry_budget} tries", budget_name="retry_budget"
-    )
+    raise ResourceLimitError("retry_budget", None, retry_budget,
+                             f"no simple pairing found in {retry_budget} tries")
 
 
 def generate_couplings(g: RegularHypergraph, seed: int) -> CouplingVector:
@@ -152,8 +151,7 @@ def ground_state_bruteforce(
     For even p the global flip symmetry halves the search space; the
     lexicographically smallest minimizer always lies in the searched half.
     """
-    if g.n > cap:
-        raise ResourceLimitError(f"n={g.n} exceeds spin cap {cap}", budget_name="spin_cap")
+    check_budget("spin_cap", g.n, cap, "the spin cube scan", "spins")
     if len(J.values) != g.m:
         raise ParameterError("coupling vector length differs from edge count")
     search = 1 << (g.n - 1) if g.p % 2 == 0 and g.n >= 1 else 1 << g.n

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError, ResourceLimitError, check_budget
 
 LN2 = math.log(2.0)
 
@@ -138,8 +138,8 @@ def depth_lower_bound(
     """
     if not 0.0 < mu < 1.0:
         raise ParameterError(f"mu must lie in (0, 1), got {mu}")
-    if d < 0 or n_bits < 1:
-        raise ParameterError("need d >= 0 and n_bits >= 1")
+    if not 0.0 <= d < math.inf or n_bits < 1:
+        raise ParameterError(f"need a finite d >= 0 and n_bits >= 1, got d={d}, n_bits={n_bits}")
     arg = d * d / (400.0 * n_bits * math.log(1.0 / mu))
     if arg <= 0.0:
         return -math.inf
@@ -216,19 +216,16 @@ def _check_window_search(nu_step: float, s_step: float) -> None:
     for flag, step in (("--nu-step", nu_step), ("--s-step", s_step)):
         if not 0.0 < step < 0.5:
             raise ParameterError(f"{flag} must lie in (0, 0.5), got {step!r}")
+    what = f"the window search at --nu-step {nu_step!r}, --s-step {s_step!r}"
     nu_count = math.ceil((0.5 - nu_step) / nu_step)  # np.arange's length rule
     # every nu2 but the first two and a last one cut at 0.5 costs one evaluation or more
     if nu_count - 3 > RATE_EVAL_BUDGET:
-        needed = f"at least {nu_count - 3}"
-    else:
-        nus = _nu_grid(nu_step)
-        needed = sum(_grid_size(nus[0], nu2, s_step) for nu2 in nus if nus[0] < nu2 / 2.0)
-        if needed <= RATE_EVAL_BUDGET:
-            return
-    raise ResourceLimitError(
-        f"the window search at --nu-step {nu_step!r}, --s-step {s_step!r} needs {needed} "
-        f"rate evaluations per K, over budget {RATE_EVAL_BUDGET}", budget_name="rate_eval_budget",
-    )
+        raise ResourceLimitError("rate_eval_budget", nu_count - 3, RATE_EVAL_BUDGET,
+                                 f"{what} needs at least {nu_count - 3} rate evaluations per K, "
+                                 f"over budget {RATE_EVAL_BUDGET}")
+    nus = _nu_grid(nu_step)
+    needed = sum(_grid_size(nus[0], nu2, s_step) for nu2 in nus if nus[0] < nu2 / 2.0)
+    check_budget("rate_eval_budget", needed, RATE_EVAL_BUDGET, what, "rate evaluations per K")
 
 
 def derive_eps(eta: float, K: int) -> float | None:

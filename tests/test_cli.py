@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import literal_violation_counts
-from nltslab import cli, hamiltonian, ksat, landscape, theory
+from nltslab import cli, hamiltonian, ksat, landscape, pspin, theory
 
 
 def run_cli(args) -> int:
@@ -674,3 +674,84 @@ def test_unreadable_config_is_a_validation_error(tmp_path, capsys, text):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "validation" and str(cfg) in record["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, env, budget, requested, allowed", [
+    (["enumerate", "--n", 10, "--K", 3, "--m", 5, "--seeds", 1], {"NLTSLAB_ENUM_CAP": "5"}, "enum_cap", 10, 5),
+    (["enumerate", "--n", 30, "--K", 3, "--m", 10, "--eps", 0.5, "--seeds", 1], {}, "eps_budget",
+     math.comb(30, 15) << 30, landscape.DEFAULT_EPS_BUDGET),
+    (["ogp", "--n", 8, "--K", 3, "--m", 0, "--nu1", 0.1, "--nu2", 0.3, "--seeds", 1], {"NLTSLAB_PAIR_CAP": "1"},
+     "pair_cap", 256, 1),
+    (["pspin", "--n", 12, "--d", 2, "--p", 2, "--quantize", "--seeds", 1], {}, "qubit_cap", 24,
+     hamiltonian.DEFAULT_QUBIT_CAP),
+    (["pspin", "--n", 32, "--d", 2, "--p", 2, "--seeds", 1], {}, "spin_cap", 32, pspin.DEFAULT_SPIN_CAP),
+    (["pspin", "--n", 1, "--d", 2, "--p", 2, "--seeds", 1], {}, "retry_budget", None, pspin.DEFAULT_RETRY_BUDGET),
+    (["theory-scan", "--alpha", 0.75, "--K-list", "8", "--s-step", "1e-9"], {}, "rate_eval_budget", 24250000097,
+     theory.RATE_EVAL_BUDGET),
+], ids=["enum_cap", "eps_budget", "pair_cap", "qubit_cap", "spin_cap", "retry_budget", "rate_eval_budget"])
+def test_resource_record_carries_the_amounts_and_leaves_no_output(
+        tmp_path, capsys, monkeypatch, argv, env, budget, requested, allowed):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "x"
+    assert run_cli([*argv, "--out", out]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "resource"
+    assert (record["budget"], record["requested"], record["allowed"]) == (budget, requested, allowed)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", 10, "--K", 3, "--seeds", "1"],
+    ["pspin", "--n", 8, "--d", 2, "--p", 2, "--gamma", 0.9, "--seeds", "1"],
+    ["gen", "--n", 10, "--K", 3, "--alpha", "nan", "--seeds", "1"],
+    ["gen", "--n", 10, "--K", 3, "--alpha", "inf", "--seeds", "1"],
+    ["depth-bound", "--d", "nan", "--n-bits", 10, "--mu", 0.4],
+    ["depth-bound", "--d", "inf", "--n-bits", 10, "--mu", 0.4],
+], ids=["no-m-or-alpha", "gamma-without-quantize", "alpha-nan", "alpha-inf", "d-nan", "d-inf"])
+def test_validation_error_leaves_no_output(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert run_cli([*argv, "--out", out]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "validation"
+    assert not out.exists()
+
+
+def test_depth_bound_at_zero_distance_writes_null(tmp_path):
+    out = tmp_path / "x"
+    assert run_cli(["depth-bound", "--d", 0, "--n-bits", 10, "--mu", 0.4, "--out", out]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    record = json.loads((out / "depth_bound.json").read_text(), parse_constant=refuse)
+    assert record["depth_bound"] is None
+    rows = list(csv.DictReader((out / "depth_bound.csv").read_text().splitlines()[1:]))
+    assert [r["depth_bound"] for r in rows] == ["-inf"] * 5
+    assert all(r["vacuous"] == "True" for r in rows)
+
+
+def _clause_count_of(cnf: Path) -> int:
+    header = next(line for line in cnf.read_text().splitlines() if line.startswith("p cnf"))
+    return int(header.split()[3])
+
+
+def test_gen_alpha_sets_the_clause_count(tmp_path):
+    out = tmp_path / "x"
+    assert run_cli(["gen", "--n", 10, "--K", 3, "--alpha", 0.9, "--seeds", "5", "--out", out]) == 0
+    assert _clause_count_of(out / "formula_5.cnf") == ksat.clause_count(0.9, 3, 10)
+    sidecar = json.loads((out / "formula_5.cnf.json").read_text())
+    assert sidecar["alpha"] == 0.9 and sidecar["m"] == ksat.clause_count(0.9, 3, 10)
+
+
+def test_m_wins_over_alpha(tmp_path):
+    out = tmp_path / "x"
+    assert run_cli(["gen", "--n", 10, "--K", 3, "--m", 7, "--alpha", 0.9, "--seeds", "5", "--out", out]) == 0
+    assert ksat.clause_count(0.9, 3, 10) != 7
+    assert _clause_count_of(out / "formula_5.cnf") == 7
+
+
+def test_enumerate_alpha_reports_its_clause_count(tmp_path):
+    out = tmp_path / "x"
+    assert run_cli(["enumerate", "--n", 8, "--K", 3, "--alpha", 0.9, "--seeds", "5", "--out", out]) == 0
+    summary = json.loads((out / "summary_5.json").read_text())
+    assert summary["m"] == ksat.clause_count(0.9, 3, 8)
