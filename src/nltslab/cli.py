@@ -3,11 +3,11 @@
 Every subcommand writes its data files plus a ``manifest.json`` listing each
 file with a content hash and, under ``work``, per seed the filter
 ``enumerate`` ran with its assignments, table bytes and member count, the
-kernels ``cluster`` chose with their pair counts, or the qubits, dense
-amplitudes, active variables, ``energy`` vector passes and support of the
-state ``hamiltonian`` and ``pspin --quantize`` build; identical configs and
-seeds give byte-identical data files (manifests may differ only in the
-wall-time field).
+histogram kernel ``ogp`` ran with its priced work, the kernels ``cluster``
+chose with their pair counts, or the qubits, dense amplitudes, active
+variables, ``energy`` vector passes and support of the state ``hamiltonian``
+and ``pspin --quantize`` build; identical configs and seeds give
+byte-identical data files (manifests may differ only in the wall-time field).
 
 Each subcommand takes ``--config``, ``--out`` and only the flags it reads:
 all but theory-scan and depth-bound take the seed flags, and the three that
@@ -158,7 +158,7 @@ def _formulas(args):
 def cmd_gen(args, run: _Run):
     for seed, f in _formulas(args):
         name = f"formula_{seed}.cnf"
-        ksat.save_formula(f, run.path(name), alpha=args.alpha)
+        ksat.save_formula(f, run.path(name), alpha=args.alpha if args.m is None else None)
         run.register(name)
         run.register(name + ".json")
 
@@ -190,6 +190,7 @@ def cmd_ogp(args, run: _Run):
     for seed, f in _formulas(args):
         A = landscape.enumerate_sat(f, args.r, workers=args.workers, cap=caps["enum_cap"])
         hist = landscape.overlap_histogram(A, cap=caps["pair_cap"])
+        run.work[seed] = hist.work
         name = f"histogram_{seed}.csv"
         landscape.histogram_to_csv(hist, run.path(name))
         run.register(name)

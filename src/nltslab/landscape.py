@@ -4,9 +4,13 @@ Assignments are enumerated as packed integers in blocks; each block is an
 independent work unit, so enumeration parallelizes over a process pool and
 merges deterministically (ascending order).  Satisfying assignments (r = 0)
 pass an early-exit clause filter; near-satisfying ones (r > 0) are counted
-64 clauses at a time from split tables over the low and high variables.  The
-overlap histogram and the OGP witness sweep every pair in popcounted tiles of
-a few MiB (_pair_tiles).
+64 clauses at a time from split tables over the low and high variables.
+Every pair histogram goes through _pair_counts, which picks one of two
+kernels on n and |A| alone: for a dense set at n <= 24 the counts are the
+Krawtchouk transform of the squared Walsh-Hadamard weight classes of the
+set's indicator (MacWilliams identity), O(n 2^n) whatever |A| is; every
+other set is swept pair by pair in popcounted tiles of a few MiB
+(_pair_tiles), which also find the OGP witness.
 Clustering reuses that histogram and then visits only the pairs that share
 one of t1 + 1 bit chunks (multi-index hashing) and the pairs inside each
 cluster, falling back to tiles when those are a large share of all pairs.
@@ -38,6 +42,16 @@ BLOCK_SIZE = 1 << 16
 DEFAULT_PAIR_CAP = 1 << 20
 #: Pair tile shape: its widest temporary, 2^20 uint64 XOR words, is 8 MiB.
 _TILE_ROWS, _TILE_COLS = 256, 4096
+#: The Walsh pair kernel runs only for n <= _WALSH_MAX_N.  There its float32
+#: vector of 2^n entries is at most 64 MiB, and every partial sum of the
+#: transform, a signed count of at most |A| <= 2^24 members, is exact.
+_WALSH_MAX_N = 24
+#: ... and only when C(|A|, 2) >= _WALSH_CROSSOVER * n 2^n.  The measured
+#: crossover with the tiles is 0.2-0.35 at n = 14-24 and near 1 at n = 12;
+#: below that both kernels take under 0.3 ms (see CHANGES.md).
+_WALSH_CROSSOVER = 1
+#: Transform entries squared at a time when summing the weight classes.
+_CLASS_BLOCK = 1 << 19
 #: cluster visits only the candidate (or intra-cluster) pairs while they are
 #: at most this share of all pairs, and tiles above it: a visited pair costs
 #: 3-9x a tiled one, so below 1/8 buckets were never the slower kernel on the
@@ -93,6 +107,7 @@ class OverlapHistogram:
 
     n: int
     counts: np.ndarray  # int64, length n + 1
+    work: dict = field(default_factory=dict, compare=False)  # kernel run and the work it was priced at
 
     @property
     def total_pairs(self) -> int:
@@ -348,7 +363,7 @@ def _pair_tiles(members: np.ndarray, n: int):
             yield i0, j0, np.bitwise_count(rows ^ words[None, j0 : j0 + _TILE_COLS])
 
 
-def _pair_counts(members: np.ndarray, n: int) -> np.ndarray:
+def _tile_counts(members: np.ndarray, n: int) -> np.ndarray:
     """Int64 counts[d] of the unordered pairs of `members` at distance d, by tiles.
 
     A tile's bytes are counted two at a time, in uint16 bins folded back onto
@@ -368,10 +383,105 @@ def _pair_counts(members: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
+def _walsh_transform(members: np.ndarray, n: int) -> np.ndarray:
+    """Walsh-Hadamard transform W of the indicator of `members`, as float32.
+
+    W[s] = sum over members x of (-1)^popcount(s & x).  The bits are taken six
+    at a time: each stage is one matmul of a Hadamard block over a view of
+    the vector, written into a second buffer that then swaps with it.
+    """
+    order = np.arange(64)
+    hadamard = np.where(np.bitwise_count(order[:, None] & order) & 1, -1, 1).astype(np.float32)
+    v = np.zeros(1 << n, dtype=np.float32)
+    v[members] = 1
+    out = np.empty_like(v)
+    for b in range(0, n, 6):
+        k = min(6, n - b)
+        H = hadamard[: 1 << k, : 1 << k]  # Sylvester order: its leading squares are Hadamard too
+        shape = (1 << (n - b - k), 1 << k, 1 << b)
+        if b == 0:  # the transformed bits are the last axis
+            np.matmul(v.reshape(shape[:2]), H, out=out.reshape(shape[:2]))
+        else:
+            np.matmul(H, v.reshape(shape), out=out.reshape(shape))
+        v, out = out, v
+    return v
+
+
+def _weight_onehot(bits: int) -> np.ndarray:
+    """Float64 (2^bits, bits + 1) matrix: row x is 1 at popcount(x)."""
+    return np.equal.outer(np.bitwise_count(np.arange(1 << bits)), np.arange(bits + 1)).astype(np.float64)
+
+
+def _weight_classes(W: np.ndarray, n: int) -> list[int]:
+    """Sums of W[s]^2 over the s of each Hamming weight 0..n.
+
+    W is viewed as (2^ceil(n/2), 2^floor(n/2)) rows and columns, so the weight
+    of an entry is its row's plus its column's.  Blocks of rows are squared in
+    float64 and summed by column weight, and those sums by row weight.  Every
+    value is an integer at most 2^n |A| <= 2^48 (Parseval), so the float64
+    sums are exact.
+    """
+    R, C = (n + 1) // 2, n // 2
+    rows = W.reshape(1 << R, 1 << C)
+    by_column = _weight_onehot(C)
+    step = max(1, _CLASS_BLOCK >> C)
+    by_row = np.concatenate([np.square(rows[r0 : r0 + step], dtype=np.float64) @ by_column
+                             for r0 in range(0, 1 << R, step)])
+    classes = [0] * (n + 1)
+    for (i, j), total in np.ndenumerate(_weight_onehot(R).T @ by_row):
+        classes[i + j] += int(total)
+    return classes
+
+
+def _krawtchouk(n: int) -> list[list[int]]:
+    """K[d][w] = sum_j (-1)^j C(w, j) C(n - w, d - j), by the three-term recurrence in d."""
+    K = [[1] * (n + 1), [n - 2 * w for w in range(n + 1)]]
+    for d in range(1, n):
+        K.append([((n - 2 * w) * a - (n - d + 1) * b) // (d + 1)
+                  for w, (a, b) in enumerate(zip(K[d], K[d - 1]))])
+    return K[: n + 1]
+
+
+def _walsh_counts(members: np.ndarray, n: int) -> np.ndarray:
+    """_tile_counts' result from the Walsh transform, for n <= _WALSH_MAX_N.
+
+    By the MacWilliams identity the ordered pairs at distance d number
+    2^-n sum_w K_d(w) B_w, where B_w sums W^2 over weight w.  That sum is taken
+    in Python ints; then the diagonal (the |A| pairs of a member with itself)
+    is subtracted and the rest halved.
+    """
+    classes = _weight_classes(_walsh_transform(members, n), n)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for d, row in enumerate(_krawtchouk(n)):
+        ordered, rem = divmod(sum(k * b for k, b in zip(row, classes)), 1 << n)
+        if d == 0:
+            ordered -= members.size
+        if rem or ordered % 2:
+            raise ContractError(f"Walsh pair count at distance {d} is not an even multiple of 2^{n}")
+        counts[d] = ordered // 2
+    return counts
+
+
+def _walsh_priced(size: int, n: int) -> bool:
+    """Whether _pair_counts takes the Walsh kernel for `size` members of the n-cube."""
+    return n <= _WALSH_MAX_N and math.comb(size, 2) >= _WALSH_CROSSOVER * (n << n)
+
+
+def _pair_counts(members: np.ndarray, n: int) -> np.ndarray:
+    """Int64 counts[d] of the unordered pairs of `members` at distance d, by the kernel _walsh_priced picks."""
+    return (_walsh_counts if _walsh_priced(members.size, n) else _tile_counts)(members, n)
+
+
 def overlap_histogram(A: SolutionSet, cap: int = DEFAULT_PAIR_CAP) -> OverlapHistogram:
-    """Exact Hamming-distance histogram over all unordered member pairs."""
+    """Exact Hamming-distance histogram over all unordered member pairs.
+
+    `work` names the kernel and its priced amount: transform_ops = n 2^n for
+    the Walsh kernel, or pairs = C(|A|, 2) for the tiles.
+    """
     check_budget("pair_cap", len(A), cap, "the pair loop", "members")
-    return OverlapHistogram(n=A.n, counts=_pair_counts(A.members, A.n))
+    work = ({"kernel": "walsh", "transform_ops": A.n << A.n} if _walsh_priced(len(A), A.n)
+            else {"kernel": "tiles", "pairs": math.comb(len(A), 2)})
+    return OverlapHistogram(n=A.n, counts=_pair_counts(A.members, A.n), work=work)
 
 
 def _thresholds(n: int, nu1: float, nu2: float) -> tuple[int, int]:
@@ -379,16 +489,13 @@ def _thresholds(n: int, nu1: float, nu2: float) -> tuple[int, int]:
 
 
 def _detect_ogp(A: SolutionSet, nu1: float, nu2: float, cap: int):
-    """detect_ogp's (holds, witness), plus the histogram counts it was decided on."""
+    """detect_ogp's (holds, witness), plus the histogram it was decided on."""
     if not 0.0 < nu1 < nu2 < 1.0:
         raise ParameterError(f"need 0 < nu1 < nu2 < 1, got nu1={nu1}, nu2={nu2}")
-    check_budget("pair_cap", len(A), cap, "the pair loop", "members")
     t1, t2 = _thresholds(A.n, nu1, nu2)
-    if len(A) <= 1:
-        return True, None, np.zeros(A.n + 1, dtype=np.int64)
-    counts = overlap_histogram(A, cap=cap).counts
-    if counts[t1 + 1 : t2].sum() == 0:
-        return True, None, counts
+    hist = overlap_histogram(A, cap=cap)
+    if hist.counts[t1 + 1 : t2].sum() == 0:
+        return True, None, hist
     witness = None
     for i0, j0, d in _pair_tiles(A.members, A.n):
         if witness is not None and i0 > witness[0]:
@@ -400,7 +507,7 @@ def _detect_ogp(A: SolutionSet, nu1: float, nu2: float, cap: int):
             witness = pair if witness is None else min(witness, pair)
     if witness is None:
         raise AssertionError("histogram reported a gap violation but no witness found")
-    return False, tuple(int(A.members[k]) for k in witness), counts
+    return False, tuple(int(A.members[k]) for k in witness), hist
 
 
 def detect_ogp(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_CAP):
@@ -512,23 +619,24 @@ def cluster(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_CAP)
       its largest distance and min_inter the least d at which the OGP
       histogram holds more pairs than it.
 
-    `work` records both kernel choices, the candidate pairs priced, the close
-    pairs the label pass found (buckets count a pair once per chunk it shares)
-    and the intra-cluster pairs.
+    `work` records the OGP histogram's kernel and both kernel choices, the
+    candidate pairs priced, the close pairs the label pass found (buckets count
+    a pair once per chunk it shares) and the intra-cluster pairs.
     """
     if not nu1 < nu2 / 2:
         raise ParameterError(f"clustering needs nu1 < nu2/2, got nu1={nu1}, nu2={nu2}")
-    ok, witness, counts = _detect_ogp(A, nu1, nu2, cap)
+    ok, witness, hist = _detect_ogp(A, nu1, nu2, cap)
     if not ok:
         raise ContractError(
             f"OGP fails at (nu1={nu1}, nu2={nu2}); witness pair {witness}", witness=witness
         )
-    n, members = A.n, A.members
+    n, members, counts = A.n, A.members, hist.counts
     t1, t2 = _thresholds(n, nu1, nu2)
     total = math.comb(members.size, 2)
     words = _words(members, n)
     candidates = _bucket_candidates(words, n, t1)
-    work = {"label_kernel": _choose(candidates, total), "candidate_pairs": candidates}
+    work = {"histogram_kernel": hist.work["kernel"], "label_kernel": _choose(candidates, total),
+            "candidate_pairs": candidates}
     if work["label_kernel"] == "buckets":
         labels, work["close_pairs"] = _bucket_labels(words, n, t1)
     else:

@@ -103,14 +103,30 @@ def test_cluster_manifest_records_the_pair_kernels(tmp_path):
         labels = [int(row[1]) for row in list(csv.reader(fh))[2:]]
     sizes = [labels.count(ell) for ell in set(labels)]
     work = read_manifest(out)["work"]["7"]
-    assert set(work) == {"label_kernel", "candidate_pairs", "close_pairs", "intra_pairs",
+    assert set(work) == {"histogram_kernel", "label_kernel", "candidate_pairs", "close_pairs", "intra_pairs",
                          "certificate_kernel"}
+    assert work["histogram_kernel"] in {"walsh", "tiles"}
     assert {work["label_kernel"], work["certificate_kernel"]} <= {"buckets", "tiles"}
     assert work["intra_pairs"] == sum(math.comb(s, 2) for s in sizes) > 0
     assert work["candidate_pairs"] >= work["close_pairs"] >= work["intra_pairs"]
     summary = json.loads((out / "cluster_summary_7.json").read_text())
     assert set(summary) == {"seed", "num_clusters", "max_cluster_size", "max_cluster_fraction",
                             "total_size", "max_intra", "min_inter"}
+
+
+@pytest.mark.parametrize("m, size, kernel", [(10, 1170, "walsh"), (20, 266, "tiles")])
+def test_ogp_manifest_records_the_histogram_kernel(tmp_path, monkeypatch, m, size, kernel):
+    argv = ["ogp", "--n", 12, "--K", 3, "--m", m, "--nu1", 0.1, "--nu2", 0.3, "--seeds", "5"]
+    assert run_cli(argv + ["--out", tmp_path / "priced"]) == 0
+    work = ({"kernel": "walsh", "transform_ops": 12 << 12} if kernel == "walsh"
+            else {"kernel": "tiles", "pairs": math.comb(size, 2)})
+    assert read_manifest(tmp_path / "priced")["work"] == {"5": work}
+    assert json.loads((tmp_path / "priced" / "ogp_5.json").read_text())["count"] == size
+    # the other kernel writes the same histogram and verdict
+    monkeypatch.setattr(landscape, "_WALSH_CROSSOVER", math.inf if kernel == "walsh" else 0)
+    assert run_cli(argv + ["--out", tmp_path / "other"]) == 0
+    assert read_manifest(tmp_path / "other")["work"]["5"]["kernel"] != kernel
+    assert_identical_data_files(tmp_path / "priced", tmp_path / "other")
 
 
 @pytest.mark.parametrize("r, filt", [(0, "early_exit"), (1, "split_tables"), (40, "early_exit")])
@@ -748,6 +764,8 @@ def test_m_wins_over_alpha(tmp_path):
     assert run_cli(["gen", "--n", 10, "--K", 3, "--m", 7, "--alpha", 0.9, "--seeds", "5", "--out", out]) == 0
     assert ksat.clause_count(0.9, 3, 10) != 7
     assert _clause_count_of(out / "formula_5.cnf") == 7
+    # the sidecar names no density the formula does not have
+    assert json.loads((out / "formula_5.cnf.json").read_text())["alpha"] is None
 
 
 def test_enumerate_alpha_reports_its_clause_count(tmp_path):

@@ -978,6 +978,132 @@ def test_dense_set_takes_the_tile_path_within_memory_bound():
 
 
 # ---------------------------------------------------------------------------
+# Walsh pair kernel against the tiles and brute force
+# ---------------------------------------------------------------------------
+
+def _brute_counts(members: np.ndarray, n: int) -> list[int]:
+    d = np.bitwise_count(members[:, None] ^ members[None, :])
+    return np.bincount(d[np.triu_indices(members.size, 1)], minlength=n + 1).tolist()
+
+
+def _dense_set(rng, n: int, ratio: float = 1.0) -> np.ndarray:
+    """The least random set with C(|A|, 2) >= ratio * n 2^n, or the whole cube when none fits."""
+    size = min(1 << n, math.ceil((1 + math.sqrt(1 + 8 * ratio * (n << n))) / 2))
+    return np.sort(rng.choice(1 << n, size=size, replace=False)).astype(np.uint64)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_walsh_kernel_matches_tiles_and_brute_force(n):
+    members = _dense_set(np.random.default_rng(n), n)
+    got = landscape._walsh_counts(members, n).tolist()
+    assert got == landscape._tile_counts(members, n).tolist() == _brute_counts(members, n)
+    assert landscape._pair_counts(members, n).tolist() == got
+
+
+def test_walsh_kernel_at_n_24():
+    n = 24
+    members = _dense_set(np.random.default_rng(n), n)
+    assert landscape._walsh_priced(members.size, n)
+    assert landscape._pair_counts(members, n).tolist() == landscape._tile_counts(members, n).tolist()
+    # two disjoint 20-dimensional subcubes whose top bits differ in h = 3 places;
+    # |A| = 2^21 takes the transform's partial sums to 2^21
+    k, h = 20, 3
+    low = np.arange(1 << k, dtype=np.uint64)
+    members = np.concatenate([low, low | np.uint64(0b0111 << k)])
+    cube = [2 * (1 << (k - 1)) * math.comb(k, d) if 0 < d <= k else 0 for d in range(n + 1)]
+    cross = [(1 << k) * math.comb(k, d - h) if h <= d <= h + k else 0 for d in range(n + 1)]
+    assert landscape._pair_counts(members, n).tolist() == [a + b for a, b in zip(cube, cross)]
+
+
+def test_walsh_kernel_on_the_full_cube():
+    n = 10
+    members = np.arange(1 << n, dtype=np.uint64)
+    assert landscape._walsh_priced(members.size, n)
+    expected = [(1 << (n - 1)) * math.comb(n, d) if d else 0 for d in range(n + 1)]
+    assert landscape._walsh_counts(members, n).tolist() == expected
+    assert landscape._tile_counts(members, n).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, 12])
+@pytest.mark.parametrize("packed", [[], [0], [0, 1], [0, 0b11]], ids=["empty", "one", "two-near", "two-far"])
+def test_walsh_kernel_on_tiny_sets(n, packed):
+    members = np.asarray([z for z in packed if z >> n == 0], dtype=np.uint64)
+    got = landscape._walsh_counts(members, n).tolist()
+    assert got == landscape._tile_counts(members, n).tolist() == _brute_counts(members, n)
+    assert sum(got) == math.comb(members.size, 2)
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_kernel_choice_flips_at_the_crossover(monkeypatch, n):
+    calls = []
+    walsh = landscape._walsh_counts
+    monkeypatch.setattr(landscape, "_walsh_counts", lambda m, n: calls.append(m.size) or walsh(m, n))
+    above = _dense_set(np.random.default_rng(n), n)
+    for members, kernel in ((above[:-1], "tiles"), (above, "walsh")):
+        calls.clear()
+        h = landscape.overlap_histogram(_set(n, members))
+        assert h.work == ({"kernel": "walsh", "transform_ops": n << n} if kernel == "walsh"
+                          else {"kernel": "tiles", "pairs": math.comb(members.size, 2)})
+        assert calls == ([members.size] if kernel == "walsh" else [])
+        assert h.counts.tolist() == landscape._tile_counts(members, n).tolist()
+    assert math.comb(above.size - 1, 2) < landscape._WALSH_CROSSOVER * (n << n) <= math.comb(above.size, 2)
+
+
+def test_n_above_24_falls_back_to_tiles(monkeypatch):
+    assert not landscape._walsh_priced(1 << 20, 25)  # 5.5e11 pairs, far past the crossover
+    monkeypatch.setattr(landscape, "_WALSH_CROSSOVER", 0)  # now any set at n <= 24 is priced Walsh
+    members = np.sort(np.random.default_rng(25).choice(1 << 25, size=300, replace=False)).astype(np.uint64)
+    assert landscape._walsh_priced(members.size, 24) and not landscape._walsh_priced(members.size, 25)
+    monkeypatch.setattr(landscape, "_walsh_counts", None)  # calling it would raise
+    assert landscape._pair_counts(members, 25).tolist() == _brute_counts(members, 25)
+    assert landscape.overlap_histogram(_set(25, members)).work["kernel"] == "tiles"
+
+
+def test_dense_set_clusters_on_the_walsh_histogram(monkeypatch):
+    # the [15, 11, 3] Hamming code times one free bit: 2048 clusters of two
+    # members at distance 1, each 3 or more from the rest; C(4096, 2) > 16 * 2^16
+    x = np.arange(1 << 15, dtype=np.uint64)
+    syndrome = np.zeros(x.size, dtype=np.uint64)
+    for i in range(15):
+        syndrome ^= ((x >> np.uint64(i)) & np.uint64(1)) * np.uint64(i + 1)
+    even = x[syndrome == 0] << np.uint64(1)
+    A = _set(16, np.concatenate([even, even | np.uint64(1)]))
+    for kernel, crossover in (("walsh", 1), ("tiles", math.inf)):
+        monkeypatch.setattr(landscape, "_WALSH_CROSSOVER", crossover)
+        P = landscape.cluster(A, *_nus(16, 1, 3))
+        assert P.work["histogram_kernel"] == kernel
+        assert [c.tolist() for c in P.clusters] == [[int(z), int(z) | 1] for z in even]
+        assert (P.max_intra, P.min_inter) == (1, 3)
+
+
+def test_walsh_kernel_refuses_a_count_that_is_not_a_multiple_of_2_to_the_n(monkeypatch):
+    classes = landscape._weight_classes
+    monkeypatch.setattr(landscape, "_weight_classes", lambda W, n: [classes(W, n)[0] + 1, *classes(W, n)[1:]])
+    with pytest.raises(ContractError, match="not an even multiple"):
+        landscape._walsh_counts(np.arange(16, dtype=np.uint64), 6)
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walsh_kernel_memory_is_two_vectors():
+    n = 24
+    dense = _dense_set(np.random.default_rng(n), n)
+    peak = _traced_peak(landscape._pair_counts, dense, n)
+    assert 4 << n < peak < 2 * (4 << n) + 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # a near-ground set of the p-spin shape stays on the tiles: no 2^n vector
+    sparse = np.sort(np.random.default_rng(1).choice(1 << n, size=144, replace=False)).astype(np.uint64)
+    peak = _traced_peak(landscape._pair_counts, sparse, n)
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
 
