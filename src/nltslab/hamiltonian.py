@@ -41,6 +41,12 @@ MIN_GAMMA = 0.1
 #: vector passes per active variable in ``energy``: two ``violation_counts``,
 #: two ``apply_q_gamma`` and one ``project_out_cat``
 ENERGY_PASSES_PER_VARIABLE = 5
+#: measurement_distribution refuses a state whose norm is further than this from 1.
+_NORM_TOL = 1e-12
+#: near_ground_state refuses a state with <psi|H_i|psi> above this for some i in S.
+_VERIFY_TOL = 1e-10
+#: check_probability_bound counts a bound or sandwich entry past this relative slack as violated.
+_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -310,14 +316,14 @@ def ground_state(layout_or_formula, gamma: float) -> StateVector:
     return apply_q_gamma(cat_state(layout), gamma, sign=1).normalized()
 
 
-def measurement_distribution(psi: StateVector, norm_tol: float = 1e-12) -> dict[str, float]:
+def measurement_distribution(psi: StateVector) -> dict[str, float]:
     """|amplitude|^2 per computational basis string (zero entries omitted).
 
     String position q holds the value of qubit q = (j, k) with q = j*K + k.
     """
     nrm = psi.norm()
-    if abs(nrm - 1.0) > norm_tol:
-        raise ContractError(f"state norm {nrm} deviates from 1 beyond {norm_tol}")
+    if abs(nrm - 1.0) > _NORM_TOL:
+        raise ContractError(f"state norm {nrm} deviates from 1 beyond {_NORM_TOL}")
     probs = np.abs(psi.amp)
     np.square(probs, out=probs)
     total = float(probs.sum())
@@ -419,19 +425,11 @@ def w_elements_cat_on(layout: QubitLayout, S: Iterable[int], cap: int = BASIS_EN
         )
 
 
-def expand_in_basis(psi: StateVector):
-    """Coefficients <w|psi> over the full basis."""
-    elems = list(all_basis_elements(psi.layout))
-    coeffs = np.array([basis_coefficient(psi, w) for w in elems], dtype=np.complex128)
-    return elems, coeffs
-
-
 def near_ground_state(
     layout: QubitLayout,
     gamma: float,
     S: Iterable[int],
     off_factors: Mapping[int, tuple[int, int]] | None = None,
-    verify_tol: float = 1e-10,
 ) -> StateVector:
     """Normalized Q(gamma)|w> with CAT factors on S and caller factors off S.
 
@@ -450,8 +448,8 @@ def near_ground_state(
     for i in S:
         if 0 <= i < layout.num_variables and layout.fibers[i]:
             e_i = float(np.real(np.vdot(psi.amp, apply_h_i(psi, i, gamma).amp)))
-            if e_i > verify_tol:
-                raise ContractError(f"<psi|H_{i}|psi> = {e_i} exceeds {verify_tol} for i in S")
+            if e_i > _VERIFY_TOL:
+                raise ContractError(f"<psi|H_{i}|psi> = {e_i} exceeds {_VERIFY_TOL} for i in S")
     return psi
 
 
@@ -487,7 +485,6 @@ def check_probability_bound(
     gamma: float,
     S: Iterable[int],
     psi: StateVector,
-    rel_tol: float = 1e-9,
 ) -> ProbabilityBoundReport:
     """Verify |<psi|z>|^2 <= gamma^(2r) (2/gamma)^(3K eta n) / |Sbar(0)| on Sbar(r),
     and the gamma^(r + eta n) |<phi|z>| <= |<psi|z>| <= gamma^r |<phi|z>| sandwich.
@@ -513,7 +510,7 @@ def check_probability_bound(
     rhs = (gamma ** (2 * ell)) * amplification / s0
     probs = psi_abs**2
     ratios = probs / rhs
-    bound_viol = int((ratios > 1.0 + rel_tol).sum())
+    bound_viol = int((ratios > 1.0 + _REL_TOL).sum())
     phi = apply_q_gamma(psi, gamma, sign=-1)
     phi_abs = np.abs(phi.amp[zs])
     upper = (gamma**ell) * phi_abs
@@ -521,7 +518,7 @@ def check_probability_bound(
     scale = max(float(psi_abs.max()), 1e-300)
     up_slack = (psi_abs - upper) / scale
     lo_slack = (lower - psi_abs) / scale
-    sandwich_viol = int(((up_slack > rel_tol) | (lo_slack > rel_tol)).sum())
+    sandwich_viol = int(((up_slack > _REL_TOL) | (lo_slack > _REL_TOL)).sum())
     return ProbabilityBoundReport(
         eta=eta,
         eta_n=eta_n,

@@ -185,13 +185,6 @@ def clauses_within(f: Formula, S: Iterable[int]) -> frozenset[int]:
     return frozenset(j for j, c in enumerate(f.clauses) if c.variable_set <= S)
 
 
-def clauses_containing(f: Formula, i: int) -> frozenset[int]:
-    """C(x_i): indices of clauses in which variable i appears."""
-    if not 0 <= i < f.n:
-        raise ParameterError(f"variable index {i} out of range [0, {f.n})")
-    return frozenset(j for j, c in enumerate(f.clauses) if i in c.variable_set)
-
-
 def eta_exact_excluded(f: Formula, excluded: int, budget: int = DEFAULT_ETA_BUDGET) -> float:
     """eta = (1/n) max over |S| = n - excluded of (m - |C(S)|), exhaustively.
 

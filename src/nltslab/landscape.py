@@ -5,6 +5,9 @@ independent work unit, so enumeration parallelizes over a process pool and
 merges deterministically (ascending order).  Satisfying assignments (r = 0)
 pass an early-exit clause filter; near-satisfying ones (r > 0) are counted
 64 clauses at a time from split tables over the low and high variables.
+The eps-robust union over excluded variable sets reads the same tables in
+one pass over the cube: each excluded set is a mask of the clauses that
+avoid it, tested against every assignment's violated-clause words.
 Every pair histogram goes through _pair_counts, which picks one of two
 kernels on n and |A| alone: for a dense set at n <= 24 the counts are the
 Krawtchouk transform of the squared Walsh-Hadamard weight classes of the
@@ -141,6 +144,13 @@ def _table_size(n: int, m: int) -> tuple[int, int]:
     return (min(-(-m // 64), _TABLE_BUDGET // per_word) if 1 << L <= BLOCK_SIZE else 0), per_word
 
 
+def _packed(bits: np.ndarray, words: int) -> np.ndarray:
+    """(rows, m) bools as (rows, words) clause words: bit c of word w is column 64w + c, zero past m."""
+    padded = np.zeros((bits.shape[0], 64 * words), dtype=bool)
+    padded[:, : bits.shape[1]] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
 def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split tables (lo, hi) of shapes (words, 2^L) and (words, 2^(n-L)), L = ceil(n/2).
 
@@ -154,17 +164,11 @@ def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray) -> tuple[np.nd
     L = (n + 1) // 2
     words = _table_size(n, masks.size)[0]
     m = min(masks.size, 64 * words)
-
-    def packed(bits: np.ndarray) -> np.ndarray:  # (rows, m) bools -> (rows, words) clause words
-        padded = np.zeros((bits.shape[0], 64 * words), dtype=bool)
-        padded[:, :m] = bits
-        return np.packbits(padded, axis=1, bitorder="little").view("<u8")
-
     var = np.arange(n, dtype=np.uint64)[:, None]
     inside = (masks[None, :m] >> var) & 1 == 1
     negated = (values[None, :m] >> var) & 1 == 1
-    unsat0, unsat1 = ~packed(inside & negated), ~packed(inside & ~negated)  # by x_v = 0, 1
-    valid = packed(np.ones((1, m), dtype=bool))[0]
+    unsat0, unsat1 = ~_packed(inside & negated, words), ~_packed(inside & ~negated, words)  # by x_v = 0, 1
+    valid = _packed(np.ones((1, m), dtype=bool), words)[0]
 
     def side(variables: range) -> np.ndarray:
         out = np.empty((words, 1 << len(variables)), dtype=np.uint64)
@@ -289,19 +293,6 @@ def enumerate_sat(
     return SolutionSet(n=f.n, members=members, r=r, work=work)
 
 
-def _merge(union: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
-    """Sorted distinct members of union and parts, which it empties before sorting.
-
-    np.unique is many times slower on these runs and sorts a second copy.
-    """
-    merged = np.concatenate([union, *parts])
-    parts.clear()
-    merged.sort()
-    keep = np.ones(merged.size, dtype=bool)
-    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-    return merged[keep]
-
-
 def enumerate_sat_eps(
     f: Formula,
     eps: float,
@@ -309,33 +300,60 @@ def enumerate_sat_eps(
     cap: int = DEFAULT_ENUM_CAP,
     budget: int = DEFAULT_EPS_BUDGET,
 ) -> SolutionSet:
-    """Union over all S of size n - ceil(eps*n) of enumerate_sat(f, r, S), in this process.
+    """Union over all S of size n - ceil(eps*n) of enumerate_sat(f, r, S), in one pass in this process.
 
-    Parts wait until they hold as many members as the union, then one sort
-    merges them all, so they never hold more than the union plus one part.
+    Each excluded set E is a mask of the clauses that avoid it, in 64-clause
+    words, built in groups of sets whose temporaries fit _TABLE_BUDGET.  The
+    cube is walked once, in blocks of whole high halves whose violated-clause
+    words (hi & lo on the tabled words, one compare per clause past them) and
+    temporaries fit it too.  x is kept when its violated words ANDed with some
+    mask hold at most r bits, so members come out ascending and distinct, and
+    eps_budget's price, C(n, k) 2^n, is one mask test per set per assignment.
     """
     if not 0.0 <= eps < 1.0:
         raise ParameterError("eps must be in [0, 1)")
-    excluded = math.ceil(eps * f.n)
-    n_subsets = math.comb(f.n, excluded)
-    check_budget("eps_budget", n_subsets << f.n, budget, f"enumerate_sat_eps over {n_subsets} kept sets",
+    n, excluded = f.n, math.ceil(eps * f.n)
+    n_subsets = math.comb(n, excluded)
+    check_budget("eps_budget", n_subsets << n, budget, f"enumerate_sat_eps over {n_subsets} kept sets",
                  "assignments")
-    union = np.empty(0, dtype=np.uint64)
-    parts: list[np.ndarray] = []
-    pending = 0
-    table_bytes = 0
-    for excl in combinations(range(f.n), excluded):
-        part = enumerate_sat(f, r, S=set(range(f.n)).difference(excl), cap=cap)
-        table_bytes = max(table_bytes, part.work["table_bytes"])
-        parts.append(part.members)
-        pending += part.members.size
-        if pending >= union.size:
-            union, pending = _merge(union, parts), 0
-    if parts:
-        union = _merge(union, parts)
-    work = {"filter": "split_tables" if table_bytes else "early_exit", "assignments": n_subsets << f.n,
-            "table_bytes": table_bytes, "members": int(union.size)}
-    return SolutionSet(n=f.n, members=union, r=r, work=work)
+    check_budget("enum_cap", n, cap, "enumeration", "variables")
+    if r < 0:
+        raise ParameterError("violation budget r must be nonnegative")
+    masks, values, _ = f.clause_arrays
+    work = {"filter": "clause_masks", "assignments": 1 << n, "excluded_sets": n_subsets, "table_bytes": 0}
+    if r >= masks.size:  # no set keeps more than r clauses
+        members = np.arange(1 << n, dtype=np.uint64)
+    else:
+        lo, hi = _clause_tables(n, masks, values)
+        work["table_bytes"] = lo.nbytes + hi.nbytes
+        tabled, words, L = lo.shape[0], -(-masks.size // 64), (n + 1) // 2
+        E = np.fromiter((sum(1 << v for v in e) for e in combinations(range(n), excluded)), dtype=np.uint64,
+                        count=n_subsets)
+        group = max(1, _TABLE_BUDGET // (16 * 64 * words))  # 16 bytes per set and clause slot
+        kept = np.concatenate([_packed((masks & E[g : g + group, None]) == 0, words)
+                               for g in range(0, n_subsets, group)])
+        count = np.min_scalar_type(64 * words)
+        halves = max(1, _TABLE_BUDGET // (48 * words) >> L)  # 17 bytes per row and word, plus 30 per row
+        parts = []
+        for a in range(0, 1 << (n - L), halves):
+            x = np.arange(a << L, min(a + halves, 1 << (n - L)) << L, dtype=np.uint64)
+            viol = np.zeros((words, x.size), dtype=np.uint64)
+            viol[:tabled] = (hi[:, a : a + halves, None] & lo[:, None]).reshape(tabled, x.size)
+            for c in range(64 * tabled, masks.size):
+                viol[c // 64] |= ((x & masks[c]) == values[c]).astype(np.uint64) << np.uint64(c % 64)
+            keep = np.zeros(x.size, dtype=bool)
+            at, found = np.arange(x.size), 0  # the rows still tested; those kept since the last drop
+            for mask in kept:
+                hit = at[np.add.reduce(np.bitwise_count(viol & mask[:, None]), axis=0, dtype=count) <= r]
+                keep[hit] = True
+                found += hit.size
+                if found * 8 > at.size:  # compress, unlike viol[:, live], stays C-ordered
+                    live = ~keep[at]
+                    at, viol, found = at[live], viol.compress(live, axis=1), 0
+            parts.append(x[keep])
+        members = np.concatenate(parts)
+    work["members"] = int(members.size)
+    return SolutionSet(n=n, members=members, r=r, work=work)
 
 
 # ---------------------------------------------------------------------------

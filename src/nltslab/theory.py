@@ -119,15 +119,6 @@ def azuma_tail(eta: float, eps: float, K: int) -> tuple[float, bool]:
     return value, in_regime
 
 
-def g0(eps: float) -> float:
-    """Explicit subset-entropy piece 2 eps ln(e / (2 eps)) of the g function."""
-    if eps < 0.0:
-        raise ParameterError("eps must be nonnegative")
-    if eps == 0.0:
-        return 0.0
-    return 2.0 * eps * math.log(math.e / (2.0 * eps))
-
-
 def depth_lower_bound(
     d: float, n_bits: int, mu: float, outer_base2: bool = True
 ) -> float:

@@ -148,15 +148,6 @@ def test_clauses_within(demo_formula):
     assert ksat.clauses_within(demo_formula, {1, 2}) == frozenset({2})
 
 
-def test_clauses_containing(demo_formula):
-    assert ksat.clauses_containing(demo_formula, 0) == frozenset({0, 1})
-    assert ksat.clauses_containing(demo_formula, 2) == frozenset({1, 2})
-    f = ksat.Formula(n=5, K=2, clauses=demo_formula.clauses)
-    assert ksat.clauses_containing(f, 4) == frozenset()
-    with pytest.raises(ParameterError):
-        ksat.clauses_containing(demo_formula, 7)
-
-
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_clauses_within_intersection(seed):
@@ -167,14 +158,6 @@ def test_clauses_within_intersection(seed):
     lhs = ksat.clauses_within(f, S1 & S2)
     rhs = ksat.clauses_within(f, S1) & ksat.clauses_within(f, S2)
     assert lhs == rhs
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=40, deadline=None)
-def test_incidence_counts_distinct_variables(seed):
-    f = ksat.generate_formula(6, 10, 3, seed)
-    total = sum(len(ksat.clauses_containing(f, i)) for i in range(f.n))
-    assert total == sum(len(c.variable_set) for c in f.clauses)
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,8 @@ def test_enumerate_eps_records_its_work():
     for v in range(6):
         union |= set(naive_enumerate(f, 1, S=frozenset(range(6)) - {v}))
     assert A.members.tolist() == sorted(union)
-    assert A.work == {"filter": "split_tables", "assignments": 6 << 6, "table_bytes": (8 + 8) * 8,
-                      "members": len(union)}
+    assert A.work == {"filter": "clause_masks", "assignments": 1 << 6, "excluded_sets": 6,
+                      "table_bytes": (8 + 8) * 8, "members": len(union)}
 
 
 def test_enumerate_eps_budget(demo_formula):
@@ -173,15 +173,13 @@ def _eps_oracle(f: ksat.Formula, eps: float, r: int) -> tuple[list[int], dict]:
     """The union of counts <= r over every excluded set, and the work enumerate_sat_eps reports."""
     excluded = math.ceil(eps * f.n)
     union = np.zeros(1 << f.n, dtype=bool)
-    table_bytes = 0
     for excl in combinations(range(f.n), excluded):
-        S = frozenset(range(f.n)) - set(excl)
-        union |= literal_violation_counts(f, S) <= r
-        table_bytes = max(table_bytes, landscape.enumerate_sat(f, r, S=S).work["table_bytes"])
+        union |= literal_violation_counts(f, frozenset(range(f.n)) - set(excl)) <= r
     members = np.flatnonzero(union).tolist()
-    work = {"filter": "split_tables" if table_bytes else "early_exit",
-            "assignments": math.comb(f.n, excluded) << f.n, "table_bytes": table_bytes,
-            "members": len(members)}
+    live = sum(not c.is_tautology for c in f.clauses)
+    tabled = min(-(-live // 64), landscape._TABLE_BUDGET // _per_word(f.n)) if r < live else 0
+    work = {"filter": "clause_masks", "assignments": 1 << f.n, "excluded_sets": math.comb(f.n, excluded),
+            "table_bytes": tabled * _per_word(f.n), "members": len(members)}
     return members, work
 
 
@@ -190,25 +188,72 @@ def _eps_oracle(f: ksat.Formula, eps: float, r: int) -> tuple[list[int], dict]:
     (9, 40, 0.25, 2),
     (8, 30, 0.0, 1),  # one set, the whole formula
     (6, 3, 0.2, 6),  # r >= m: the whole cube
-    (12, 24, 0.25, 0),  # 220 sets, merged several times
+    (12, 24, 0.25, 0),  # 220 sets
 ])
-def test_enumerate_eps_matches_the_union_oracle(monkeypatch, n, m, eps, r):
+def test_enumerate_eps_matches_the_union_oracle(n, m, eps, r):
     # _kernel_formula adds a tautology and clauses that repeat a variable
     f = _kernel_formula(n, m, seed=n * 10 + r)
-    merges, merge = [], landscape._merge
-
-    def counted(union, parts):
-        merges.append(len(parts))
-        return merge(union, parts)
-
-    monkeypatch.setattr(landscape, "_merge", counted)
     A = landscape.enumerate_sat_eps(f, eps, r)
     members, work = _eps_oracle(f, eps, r)
     assert A.members.tolist() == members
     assert A.work == work
-    assert 1 <= len(merges) <= sum(merges) == math.comb(n, math.ceil(eps * n))
-    if n == 12:
-        assert len(merges) >= 3 and max(merges) > 1
+
+
+@pytest.mark.parametrize("n, m, eps, r, words, tabled", [
+    (11, 160, 0.1, 2, 3, 3),  # 142 live clauses: three words, all tabled
+    (11, 160, 0.1, 2, 3, 1),  # ... one tabled, two by compares
+    (9, 100, 0.25, 1, 2, 0),  # 84 live clauses: two words, both by compares
+    (17, 150, 0.05, 3, 3, 3),  # odd n, 131 live clauses: blocks of 113 high halves, 3 blocks
+    (17, 150, 0.05, 3, 3, 1),  # ... blocks of one high half
+])
+def test_one_pass_eps_kernel_matches_the_union_oracle(monkeypatch, n, m, eps, r, words, tabled):
+    f = _kernel_formula(n, m, seed=n + m + r)
+    assert -(-f.clause_arrays[0].size // 64) == words
+    if tabled < words:
+        monkeypatch.setattr(landscape, "_TABLE_BUDGET", (tabled + 1) * _per_word(n) - 1)
+    A = landscape.enumerate_sat_eps(f, eps, r)
+    members, work = _eps_oracle(f, eps, r)
+    assert A.members.tolist() == members
+    assert A.work == work
+    assert work["table_bytes"] == tabled * _per_word(n)
+
+
+@pytest.mark.parametrize("n, m, r", [(9, 100, 0), (9, 100, 2), (12, 40, 1), (13, 20, 0)])
+def test_enumerate_eps_at_zero_is_plain_enumeration(n, m, r):
+    f = _kernel_formula(n, m, seed=n * m + r)
+    A = landscape.enumerate_sat_eps(f, 0.0, r)
+    assert A.members.tolist() == landscape.enumerate_sat(f, r).members.tolist() == _oracle_members(f, r)
+    assert A.work["excluded_sets"] == 1
+
+
+def test_enumerate_eps_without_live_clauses_keeps_the_cube():
+    L, C = ksat.Literal, ksat.Clause
+    empty = ksat.Formula(n=5, K=3, clauses=())
+    tautologies = ksat.Formula(n=5, K=2, clauses=(C((L(1, False), L(1, True))),) * 3)
+    three = _kernel_formula(5, 0, seed=1)  # a tautology and two live clauses
+    for f, r in [(empty, 0), (tautologies, 0), (three, 2), (three, 7)]:
+        for eps in (0.0, 0.4):
+            A = landscape.enumerate_sat_eps(f, eps, r)
+            assert A.members.tolist() == list(range(32))
+            assert (A.members.tolist(), A.work) == _eps_oracle(f, eps, r)
+            assert A.work["table_bytes"] == 0
+
+
+def test_enumerate_eps_blocks_stay_within_the_table_budget(monkeypatch):
+    # 46 clause words at n = 16: one block over the whole cube would hold
+    # about 50 MiB of violated-clause words and temporaries
+    monkeypatch.setattr(landscape, "_TABLE_BUDGET", 1 << 20)
+    f = ksat.generate_formula(16, 7000, 8, seed=2)
+    landscape.enumerate_sat_eps(f, 0.1, 0)  # warm up numpy's allocations
+    tracemalloc.start()
+    try:
+        A = landscape.enumerate_sat_eps(f, 0.1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert -(-f.clause_arrays[0].size // 64) == 46
+    assert 0 < len(A) < 1 << 15
+    assert peak <= landscape._TABLE_BUDGET + A.work["table_bytes"] + 4 * A.members.nbytes
 
 
 def test_enumerate_eps_merge_memory_is_bounded_by_the_union():

@@ -152,10 +152,6 @@ def test_azuma_regime_flag_flips():
     assert ok_small and not ok_large
 
 
-def test_g0():
-    assert theory.g0(0.0) == 0.0
-    eps = 0.01
-    assert theory.g0(eps) == pytest.approx(2 * eps * math.log(math.e / (2 * eps)), abs=1e-15)
 
 
 def test_derive_eps_certifies():
