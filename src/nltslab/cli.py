@@ -11,10 +11,10 @@ byte-identical data files (manifests may differ only in the wall-time field).
 
 Each subcommand takes ``--config``, ``--out`` and only the flags it reads:
 all but theory-scan and depth-bound take the seed flags, and the three that
-enumerate (enumerate, ogp, cluster) take ``--r`` and ``--workers``.
-``pspin --gamma`` is refused without ``--quantize``, which alone uses 0.5.
-Randomness flows from one 64-bit master seed: the stream for instance index
-``i`` is the first 8 bytes of blake2b("<master>:<i>").
+enumerate (enumerate, ogp, cluster) take ``--r`` and ``--workers``, which
+``enumerate --eps`` refuses above 1; ``pspin --gamma`` is refused without
+``--quantize``, which alone uses 0.5.  The stream of instance ``i`` under the
+64-bit master seed is the first 8 bytes of blake2b("<master>:<i>").
 
 ``--config`` names an INI file whose section for the subcommand acts as flags
 placed before argv's own, so argv wins and argparse parses everything once;
@@ -78,27 +78,24 @@ def _caps() -> dict:
 
 
 class _Run:
-    """Collects output files and emits the manifest; the directory is made at the first write."""
+    """Owns the output files: makes ``--out`` at the first and hashes them all into the manifest at finish."""
 
     def __init__(self, outdir: Path, subcommand: str, config: dict):
         self.outdir = outdir
         self.subcommand = subcommand
         self.config = config
         self.t0 = time.monotonic()
-        self.files: dict[str, str] = {}
+        self.names: set[str] = set()
         self.work: dict[int, dict] = {}  # per seed: kernels chosen and their work counts
 
-    def path(self, name: str) -> Path:
+    def path(self, name: str, *sidecars: str) -> Path:
+        """Where to write ``name``; it and the sidecars its writer adds go into the manifest."""
         self.outdir.mkdir(parents=True, exist_ok=True)
+        self.names.update((name, *sidecars))
         return self.outdir / name
-
-    def register(self, name: str) -> None:
-        digest = hashlib.sha256(self.path(name).read_bytes()).hexdigest()
-        self.files[name] = digest
 
     def write_json(self, name: str, obj) -> None:
         self.path(name).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-        self.register(name)
 
     def write_csv(self, name: str, head: list, columns: list[str], rows) -> None:
         """A CSV of a head row (format tag and size), a column row, then rows."""
@@ -107,18 +104,26 @@ class _Run:
             w.writerow(head)
             w.writerow(columns)
             w.writerows(rows)
-        self.register(name)
+
+    def write_table(self, name: str, tag: str, fields: list[str], rows: list[dict]) -> None:
+        """A ``# nltslab <tag> v1`` line, then a header row of ``fields`` and one row per dict."""
+        with open(self.path(name), "w", newline="") as fh:
+            fh.write(f"# nltslab {tag} v1\n")
+            w = csv.DictWriter(fh, fieldnames=fields)
+            w.writeheader()
+            w.writerows(rows)
 
     def finish(self) -> None:
+        files = {name: hashlib.sha256((self.outdir / name).read_bytes()).hexdigest() for name in self.names}
         manifest = {
             "subcommand": self.subcommand,
             "config": self.config,
-            "files": self.files,
+            "files": files,
             "version": __version__,
             "work": self.work,
             "wall_time_s": time.monotonic() - self.t0,
         }
-        self.path("manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        self.write_json("manifest.json", manifest)  # after the hashes, so it lists no hash of itself
 
 
 def _int_list(flag: str, raw: str) -> list[int]:
@@ -151,6 +156,16 @@ def _formulas(args):
         yield seed, ksat.generate_formula(args.n, _resolve_m(args), args.K, seed)
 
 
+def _enumerated(args, eps: float | None = None):
+    """(seed, formula, set) per seed: ``enumerate_sat`` at ``--r``, or ``enumerate_sat_eps`` given eps."""
+    cap = _caps()["enum_cap"]
+    for seed, f in _formulas(args):
+        if eps is None:
+            yield seed, f, landscape.enumerate_sat(f, args.r, workers=args.workers, cap=cap)
+        else:
+            yield seed, f, landscape.enumerate_sat_eps(f, eps, args.r, cap=cap)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -158,22 +173,15 @@ def _formulas(args):
 def cmd_gen(args, run: _Run):
     for seed, f in _formulas(args):
         name = f"formula_{seed}.cnf"
-        ksat.save_formula(f, run.path(name), alpha=args.alpha if args.m is None else None)
-        run.register(name)
-        run.register(name + ".json")
+        ksat.save_formula(f, run.path(name, f"{name}.json"), alpha=args.alpha if args.m is None else None)
 
 
 def cmd_enumerate(args, run: _Run):
-    caps = _caps()
-    for seed, f in _formulas(args):
-        if args.eps is not None:
-            A = landscape.enumerate_sat_eps(f, args.eps, args.r, cap=caps["enum_cap"])
-        else:
-            A = landscape.enumerate_sat(f, args.r, workers=args.workers, cap=caps["enum_cap"])
+    if args.eps is not None and args.workers > 1:
+        raise ParameterError("enumerate --eps runs in one process, so --workers above 1 is refused with it")
+    for seed, f, A in _enumerated(args, args.eps):
         run.work[seed] = A.work
-        name = f"members_{seed}.csv"
-        landscape.members_to_csv(A, run.path(name))
-        run.register(name)
+        landscape.members_to_csv(A, run.path(f"members_{seed}.csv"))
         run.write_json(
             f"summary_{seed}.json",
             {
@@ -186,15 +194,12 @@ def cmd_enumerate(args, run: _Run):
 
 
 def cmd_ogp(args, run: _Run):
-    caps = _caps()
-    for seed, f in _formulas(args):
-        A = landscape.enumerate_sat(f, args.r, workers=args.workers, cap=caps["enum_cap"])
-        hist = landscape.overlap_histogram(A, cap=caps["pair_cap"])
+    pair_cap = _caps()["pair_cap"]
+    for seed, _, A in _enumerated(args):
+        hist = landscape.overlap_histogram(A, cap=pair_cap)
         run.work[seed] = hist.work
-        name = f"histogram_{seed}.csv"
-        landscape.histogram_to_csv(hist, run.path(name))
-        run.register(name)
-        holds, witness = landscape.detect_ogp(A, args.nu1, args.nu2, cap=caps["pair_cap"])
+        landscape.histogram_to_csv(hist, run.path(f"histogram_{seed}.csv"))
+        holds, witness = landscape.detect_ogp(A, args.nu1, args.nu2, cap=pair_cap)
         run.write_json(
             f"ogp_{seed}.json",
             {"seed": seed, "count": len(A), "nu1": args.nu1, "nu2": args.nu2,
@@ -203,10 +208,9 @@ def cmd_ogp(args, run: _Run):
 
 
 def cmd_cluster(args, run: _Run):
-    caps = _caps()
-    for seed, f in _formulas(args):
-        A = landscape.enumerate_sat(f, args.r, workers=args.workers, cap=caps["enum_cap"])
-        P = landscape.cluster(A, args.nu1, args.nu2, cap=caps["pair_cap"])
+    pair_cap = _caps()["pair_cap"]
+    for seed, _, A in _enumerated(args):
+        P = landscape.cluster(A, args.nu1, args.nu2, cap=pair_cap)
         run.work[seed] = P.work
         run.write_csv(f"clusters_{seed}.csv", ["# nltslab clusters v1", f"n={A.n}"], ["packed", "cluster"],
                       ([int(z), ell] for ell, members in enumerate(P.clusters) for z in members))
@@ -234,9 +238,7 @@ def cmd_hamiltonian(args, run: _Run):
                       ["bits", "probability"], ([bits, repr(dist[bits])] for bits in sorted(dist)))
         if args.dump_state:
             sname = f"state_{seed}.bin"
-            hamiltonian.save_state(psi, run.path(sname), gamma=args.gamma)
-            run.register(sname)
-            run.register(sname + ".json")
+            hamiltonian.save_state(psi, run.path(sname, f"{sname}.json"), gamma=args.gamma)
         run.write_json(
             f"hamiltonian_{seed}.json",
             {"seed": seed, "qubits": layout.num_qubits, "gamma": args.gamma,
@@ -256,9 +258,7 @@ def cmd_pspin(args, run: _Run):
         # both caps are checked before the cube scan and before any file is written
         layout = pspin.quantize(g, J, cap=caps["qubit_cap"]) if args.quantize else None
         sigma, emin = pspin.ground_state_bruteforce(g, J, cap=caps["spin_cap"])
-        gname = f"hypergraph_{seed}.json"
-        pspin.save_hypergraph(g, run.path(gname))
-        run.register(gname)
+        pspin.save_hypergraph(g, run.path(f"hypergraph_{seed}.json"))
         record = {
             "seed": seed, "n": g.n, "d": g.d, "p": g.p, "m": g.m,
             "couplings": list(J.values),
@@ -268,9 +268,7 @@ def cmd_pspin(args, run: _Run):
         }
         if args.slack is not None:
             A = pspin.near_ground_set(g, J, args.slack, cap=caps["spin_cap"])
-            name = f"near_ground_{seed}.csv"
-            landscape.members_to_csv(A, run.path(name))
-            run.register(name)
+            landscape.members_to_csv(A, run.path(f"near_ground_{seed}.csv"))
             record["near_ground_count"] = len(A)
         if layout is not None:
             psi = hamiltonian.ground_state(layout, gamma)
@@ -299,12 +297,7 @@ def _scan_csv_row(K, window, eps, p, report) -> dict:
 def cmd_theory_scan(args, run: _Run):
     K_values = _int_list("--K-list", args.K_list)
     rows = [_scan_csv_row(*row) for row in theory.scan_rows(args.alpha, K_values, args.nu_step, args.s_step)]
-    with open(run.path("scan.csv"), "w", newline="") as fh:
-        fh.write("# nltslab theory-scan v1\n")
-        w = csv.DictWriter(fh, fieldnames=_SCAN_FIELDS)
-        w.writeheader()
-        w.writerows(rows)
-    run.register("scan.csv")
+    run.write_table("scan.csv", "theory-scan", _SCAN_FIELDS, rows)
     feasible = [r for r in rows if r.get("feasible")]
     run.write_json("scan_summary.json", {
         "alpha": args.alpha, "K_values": K_values, "feasible_count": len(feasible),
@@ -321,12 +314,7 @@ def cmd_depth_bound(args, run: _Run):
         val = theory.depth_lower_bound(dd, args.n_bits, args.mu, outer_base2=not args.natural_log)
         rows.append({"d": dd, "n_bits": args.n_bits, "mu": args.mu, "depth_bound": val,
                      "vacuous": val <= 0.0})
-    with open(run.path("depth_bound.csv"), "w", newline="") as fh:
-        fh.write("# nltslab depth-bound v1\n")
-        w = csv.DictWriter(fh, fieldnames=["d", "n_bits", "mu", "depth_bound", "vacuous"])
-        w.writeheader()
-        w.writerows(rows)
-    run.register("depth_bound.csv")
+    run.write_table("depth_bound.csv", "depth-bound", ["d", "n_bits", "mu", "depth_bound", "vacuous"], rows)
     run.write_json("depth_bound.json",
                    {"d": args.d, "n_bits": args.n_bits, "mu": args.mu,
                     "outer_base2": not args.natural_log,

@@ -39,9 +39,10 @@ from .ksat import Formula, clauses_within
 DEFAULT_ENUM_CAP = 30
 #: Work-unit size for enumeration; blocks are independent.
 BLOCK_SIZE = 1 << 16
-#: Cap on solution-set size for the pair kernels: the histogram and the OGP
-#: witness sweep all |A|^2/2 pairs; cluster adds only its candidate and
-#: intra-cluster pairs, or at most one more sweep when those are dense.
+#: Cap on solution-set size for the pair kernels.  It counts members, not
+#: work: the tiled histogram (sparse sets, n > 24) and the OGP witness search
+#: sweep up to |A|^2/2 pairs, a dense set's Walsh histogram costs n 2^n, and
+#: cluster adds its candidate and intra-cluster pairs or one more sweep.
 DEFAULT_PAIR_CAP = 1 << 20
 #: Pair tile shape: its widest temporary, 2^20 uint64 XOR words, is 8 MiB.
 _TILE_ROWS, _TILE_COLS = 256, 4096
@@ -61,7 +62,7 @@ _CLASS_BLOCK = 1 << 19
 #: measured sets (see CHANGES.md).
 _BUCKET_SHARE = 1 / 8
 #: Budget for the union over variable subsets in enumerate_sat_eps:
-#: choose(n, excluded) * 2^n must stay below this.
+#: choose(n, excluded) * 2^n * max(1, 64-clause words) mask-word tests.
 DEFAULT_EPS_BUDGET = 1 << 34
 #: Byte budget for the split clause tables of r > 0 enumeration, which cost
 #: (2^ceil(n/2) + 2^floor(n/2)) * 8 bytes per 64-clause word; clauses past
@@ -308,25 +309,27 @@ def enumerate_sat_eps(
     words (hi & lo on the tabled words, one compare per clause past them) and
     temporaries fit it too.  x is kept when its violated words ANDed with some
     mask hold at most r bits, so members come out ascending and distinct, and
-    eps_budget's price, C(n, k) 2^n, is one mask test per set per assignment.
+    eps_budget's price, C(n, k) 2^n max(1, words), is one AND and popcount per
+    mask word, set and assignment.
     """
     if not 0.0 <= eps < 1.0:
         raise ParameterError("eps must be in [0, 1)")
     n, excluded = f.n, math.ceil(eps * f.n)
     n_subsets = math.comb(n, excluded)
-    check_budget("eps_budget", n_subsets << n, budget, f"enumerate_sat_eps over {n_subsets} kept sets",
-                 "assignments")
+    masks, values, _ = f.clause_arrays
+    words = -(-masks.size // 64)
+    check_budget("eps_budget", (n_subsets << n) * max(1, words), budget,
+                 f"enumerate_sat_eps over {n_subsets} kept sets", "mask-word tests")
     check_budget("enum_cap", n, cap, "enumeration", "variables")
     if r < 0:
         raise ParameterError("violation budget r must be nonnegative")
-    masks, values, _ = f.clause_arrays
     work = {"filter": "clause_masks", "assignments": 1 << n, "excluded_sets": n_subsets, "table_bytes": 0}
     if r >= masks.size:  # no set keeps more than r clauses
         members = np.arange(1 << n, dtype=np.uint64)
     else:
         lo, hi = _clause_tables(n, masks, values)
         work["table_bytes"] = lo.nbytes + hi.nbytes
-        tabled, words, L = lo.shape[0], -(-masks.size // 64), (n + 1) // 2
+        tabled, L = lo.shape[0], (n + 1) // 2
         E = np.fromiter((sum(1 << v for v in e) for e in combinations(range(n), excluded)), dtype=np.uint64,
                         count=n_subsets)
         group = max(1, _TABLE_BUDGET // (16 * 64 * words))  # 16 bytes per set and clause slot

@@ -65,15 +65,29 @@ def test_enumerate_deterministic(tmp_path):
 
 
 def test_manifest_lists_every_file(tmp_path):
-    out = tmp_path / "run"
-    assert run_cli(["enumerate", "--n", 8, "--K", 3, "--m", 10,
-                    "--master-seed", 3, "--out", out]) == 0
-    manifest = read_manifest(out)
-    on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
-    assert set(manifest["files"]) == on_disk
     import hashlib
-    for name, digest in manifest["files"].items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    seeded = ["--seeds", "3,4"]
+    runs = {
+        "gen": ["gen", "--n", 8, "--K", 3, "--m", 10, *seeded],
+        "enumerate": ["enumerate", "--n", 8, "--K", 3, "--m", 10, "--master-seed", 3, "--instances", 2],
+        "enumerate-eps": ["enumerate", "--n", 8, "--K", 3, "--m", 10, "--r", 1, "--eps", 0.2, *seeded],
+        "ogp": ["ogp", "--n", 8, "--K", 3, "--m", 10, "--nu1", 0.1, "--nu2", 0.3, *seeded],
+        "cluster": ["cluster", "--n", 18, "--K", 3, "--m", 70, "--nu1", 0.12, "--nu2", 0.3, "--seeds", "7"],
+        "hamiltonian": ["hamiltonian", "--n", 4, "--K", 2, "--m", 4, "--dump-state", *seeded],
+        "pspin": ["pspin", "--n", 8, "--d", 2, "--p", 2, "--slack", 2, "--quantize", *seeded],
+        "theory-scan": ["theory-scan", "--alpha", 0.75, "--K-list", "8,64"],
+        "depth-bound": ["depth-bound", "--d", 0, "--n-bits", 1000, "--mu", 0.45],
+    }
+    sidecars = {"gen": 2, "hamiltonian": 2}  # formula_*.cnf.json and state_*.bin.json
+    for label, argv in runs.items():
+        out = tmp_path / label
+        assert run_cli([*argv, "--out", out]) == 0, label
+        manifest = read_manifest(out)
+        on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert set(manifest["files"]) == on_disk, label
+        assert sum(name.endswith((".cnf.json", ".bin.json")) for name in on_disk) == sidecars.get(label, 0)
+        for name, digest in manifest["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (label, name)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +158,8 @@ def test_enumerate_manifest_records_the_filter(tmp_path, r, filt):
 
 
 def test_enumerate_eps_members_do_not_depend_on_workers(tmp_path, monkeypatch):
-    # n = 17 holds two blocks per cube, and eps = 0.05 keeps 17 variable sets:
-    # a pool per set would start 17 pools for each run with --workers > 1
+    # n = 17 holds two blocks per cube, and eps = 0.05 keeps 17 variable sets;
+    # --eps runs in one process, so only --workers 1 runs and no pool starts
     started = []
     monkeypatch.setattr(landscape, "mp", types.SimpleNamespace(get_context=started.append))
     f = ksat.generate_formula(17, 60, 3, 5)
@@ -153,14 +167,30 @@ def test_enumerate_eps_members_do_not_depend_on_workers(tmp_path, monkeypatch):
     oracle = functools.reduce(np.union1d, [np.flatnonzero(literal_violation_counts(f, S) <= 1)
                                            for S in kept])
     for workers in (1, 2, 3):
-        assert run_cli(["enumerate", "--n", 17, "--K", 3, "--m", 60, "--r", 1, "--eps", 0.05,
-                        "--workers", workers, "--seeds", "5", "--out", tmp_path / str(workers)]) == 0
-    assert_identical_data_files(tmp_path / "1", tmp_path / "2")
-    assert_identical_data_files(tmp_path / "1", tmp_path / "3")
+        code = run_cli(["enumerate", "--n", 17, "--K", 3, "--m", 60, "--r", 1, "--eps", 0.05,
+                        "--workers", workers, "--seeds", "5", "--out", tmp_path / str(workers)])
+        assert code == (0 if workers == 1 else 2)
+    assert not (tmp_path / "2").exists() and not (tmp_path / "3").exists()
     with open(tmp_path / "1" / "members_5.csv", newline="") as fh:
         members = [int(row[0]) for row in list(csv.reader(fh))[2:]]
     assert members == oracle.tolist()
     assert started == []
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_enumerate_eps_with_workers_is_refused(tmp_path, capsys, source):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[enumerate]\nworkers = 2\n")
+    extra = ["--workers", 2] if source == "flag" else ["--config", cfg]
+    out = tmp_path / "x"
+    assert run_cli(["enumerate", "--n", 8, "--K", 3, "--m", 10, "--eps", 0.2, *extra,
+                    "--seeds", "4", "--out", out]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation"
+    assert "--eps" in record["message"] and "--workers" in record["message"]
+    assert not out.exists()
+    # without --eps the same workers are accepted
+    assert run_cli(["enumerate", "--n", 8, "--K", 3, "--m", 10, *extra, "--seeds", "4", "--out", out]) == 0
 
 
 def test_hamiltonian_subcommand(tmp_path):

@@ -169,6 +169,20 @@ def test_enumerate_eps_budget(demo_formula):
         landscape.enumerate_sat_eps(demo_formula, eps=1 / 3, r=0, budget=1)
 
 
+def test_enumerate_eps_budget_prices_every_mask_word():
+    # 132 live clauses fill 3 words: 10 kept sets times 2^10 assignments times 3 word tests
+    f = ksat.generate_formula(10, 150, 3, seed=1)
+    assert -(-f.clause_arrays[0].size // 64) == 3
+    price = 10 * 2**10 * 3
+    with pytest.raises(ResourceLimitError) as exc:
+        landscape.enumerate_sat_eps(f, 0.1, 0, budget=price - 1)
+    assert (exc.value.requested, exc.value.allowed) == (price, price - 1)
+    assert "mask-word tests" in str(exc.value)
+    landscape.enumerate_sat_eps(f, 0.1, 0, budget=price)
+    # no live clause still costs one word test per set and assignment
+    landscape.enumerate_sat_eps(ksat.Formula(n=10, K=3, clauses=()), 0.1, 0, budget=10 * 2**10)
+
+
 def _eps_oracle(f: ksat.Formula, eps: float, r: int) -> tuple[list[int], dict]:
     """The union of counts <= r over every excluded set, and the work enumerate_sat_eps reports."""
     excluded = math.ceil(eps * f.n)
@@ -256,10 +270,11 @@ def test_enumerate_eps_blocks_stay_within_the_table_budget(monkeypatch):
     assert peak <= landscape._TABLE_BUDGET + A.work["table_bytes"] + 4 * A.members.nbytes
 
 
-def test_enumerate_eps_merge_memory_is_bounded_by_the_union():
-    # 2002 parts of up to the whole cube: the pending parts are merged before
-    # they outgrow the union, so the peak is a few copies of the union plus
-    # one scan (measured at 4.8 union copies beyond the scan)
+def test_enumerate_eps_one_pass_memory_is_bounded_by_the_union():
+    # 2002 kept sets in one pass over a cube whose every assignment is kept:
+    # the block's assignments, violated-clause words, row indices and kept
+    # flags sit beside the union, so the peak is a few copies of the union
+    # plus one restricted scan (measured at 4.7 union copies beyond the scan)
     f = ksat.generate_formula(14, 30, 3, seed=7)
     landscape.enumerate_sat_eps(f, 0.3, 0)  # warm up numpy's allocations
     tracemalloc.start()
