@@ -12,9 +12,10 @@ byte-identical data files (manifests may differ only in the wall-time field).
 Each subcommand takes ``--config``, ``--out`` and only the flags it reads:
 all but theory-scan and depth-bound take the seed flags, and the three that
 enumerate (enumerate, ogp, cluster) take ``--r`` and ``--workers``, which
-``enumerate --eps`` refuses above 1; ``pspin --gamma`` is refused without
-``--quantize``, which alone uses 0.5.  The stream of instance ``i`` under the
-64-bit master seed is the first 8 bytes of blake2b("<master>:<i>").
+is refused below 1, and above 1 with ``enumerate --eps``; ``pspin --gamma`` is
+refused without ``--quantize``, which alone uses 0.5.  The stream of instance
+``i`` under the 64-bit master seed is the first 8 bytes of
+blake2b("<master>:<i>").
 
 ``--config`` names an INI file whose section for the subcommand acts as flags
 placed before argv's own, so argv wins and argparse parses everything once;
@@ -24,9 +25,9 @@ Exit codes: 0 success, 2 validation, 3 resource-cap breach, 4 internal
 assertion.  Each error prints one JSON record on stderr with ``error`` and
 ``message``; a resource record adds ``budget``, ``requested`` and ``allowed``
 (``requested`` is null for a draw that ran out of tries).  ``--out`` is made
-at the first file written, so a refused run leaves none.  Caps can be
-overridden with NLTSLAB_ENUM_CAP, NLTSLAB_QUBIT_CAP, NLTSLAB_PAIR_CAP and
-NLTSLAB_SPIN_CAP.
+at the first file written, so a refused run leaves none.  The budgets are
+``errors.BUDGETS``; NLTSLAB_ENUM_CAP, NLTSLAB_QUBIT_CAP, NLTSLAB_PAIR_CAP and
+NLTSLAB_SPIN_CAP override theirs, read where the budget is checked.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -51,30 +51,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_ASSERTION = 4
+#: Bytes read at a time when hashing an output file into the manifest.
+_HASH_CHUNK = 1 << 18
 
 
 def stream_seed(master: int, index: int) -> int:
     digest = hashlib.blake2b(f"{master}:{index}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"{name}={raw!r} is not an integer") from None
-
-
-def _caps() -> dict:
-    return {
-        "enum_cap": _env_int("NLTSLAB_ENUM_CAP", landscape.DEFAULT_ENUM_CAP),
-        "qubit_cap": _env_int("NLTSLAB_QUBIT_CAP", hamiltonian.DEFAULT_QUBIT_CAP),
-        "pair_cap": _env_int("NLTSLAB_PAIR_CAP", landscape.DEFAULT_PAIR_CAP),
-        "spin_cap": _env_int("NLTSLAB_SPIN_CAP", pspin.DEFAULT_SPIN_CAP),
-    }
 
 
 class _Run:
@@ -114,7 +97,13 @@ class _Run:
             w.writerows(rows)
 
     def finish(self) -> None:
-        files = {name: hashlib.sha256((self.outdir / name).read_bytes()).hexdigest() for name in self.names}
+        files = {}
+        for name in self.names:
+            digest = hashlib.sha256()
+            with open(self.outdir / name, "rb") as fh:
+                while chunk := fh.read(_HASH_CHUNK):  # so no file is held in memory whole
+                    digest.update(chunk)
+            files[name] = digest.hexdigest()
         manifest = {
             "subcommand": self.subcommand,
             "config": self.config,
@@ -158,12 +147,13 @@ def _formulas(args):
 
 def _enumerated(args, eps: float | None = None):
     """(seed, formula, set) per seed: ``enumerate_sat`` at ``--r``, or ``enumerate_sat_eps`` given eps."""
-    cap = _caps()["enum_cap"]
+    if args.workers < 1:
+        raise ParameterError(f"--workers must be at least 1, got {args.workers}")
     for seed, f in _formulas(args):
         if eps is None:
-            yield seed, f, landscape.enumerate_sat(f, args.r, workers=args.workers, cap=cap)
+            yield seed, f, landscape.enumerate_sat(f, args.r, workers=args.workers)
         else:
-            yield seed, f, landscape.enumerate_sat_eps(f, eps, args.r, cap=cap)
+            yield seed, f, landscape.enumerate_sat_eps(f, eps, args.r)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +184,11 @@ def cmd_enumerate(args, run: _Run):
 
 
 def cmd_ogp(args, run: _Run):
-    pair_cap = _caps()["pair_cap"]
     for seed, _, A in _enumerated(args):
-        hist = landscape.overlap_histogram(A, cap=pair_cap)
+        hist = landscape.overlap_histogram(A)
         run.work[seed] = hist.work
         landscape.histogram_to_csv(hist, run.path(f"histogram_{seed}.csv"))
-        holds, witness = landscape.detect_ogp(A, args.nu1, args.nu2, cap=pair_cap)
+        holds, witness = landscape.detect_ogp(A, args.nu1, args.nu2)
         run.write_json(
             f"ogp_{seed}.json",
             {"seed": seed, "count": len(A), "nu1": args.nu1, "nu2": args.nu2,
@@ -208,9 +197,8 @@ def cmd_ogp(args, run: _Run):
 
 
 def cmd_cluster(args, run: _Run):
-    pair_cap = _caps()["pair_cap"]
     for seed, _, A in _enumerated(args):
-        P = landscape.cluster(A, args.nu1, args.nu2, cap=pair_cap)
+        P = landscape.cluster(A, args.nu1, args.nu2)
         run.work[seed] = P.work
         run.write_csv(f"clusters_{seed}.csv", ["# nltslab clusters v1", f"n={A.n}"], ["packed", "cluster"],
                       ([int(z), ell] for ell, members in enumerate(P.clusters) for z in members))
@@ -228,9 +216,8 @@ def _quantum_work(psi: hamiltonian.StateVector) -> dict:
 
 
 def cmd_hamiltonian(args, run: _Run):
-    caps = _caps()
     for seed, f in _formulas(args):
-        layout = hamiltonian.build_layout(f, cap=caps["qubit_cap"])
+        layout = hamiltonian.build_layout(f)
         psi = hamiltonian.ground_state(layout, args.gamma)
         run.work[seed] = _quantum_work(psi)
         dist = hamiltonian.measurement_distribution(psi)
@@ -251,13 +238,12 @@ def cmd_pspin(args, run: _Run):
     if args.gamma is not None and not args.quantize:
         raise ParameterError("pspin --gamma is read only with --quantize")
     gamma = 0.5 if args.gamma is None else args.gamma
-    caps = _caps()
     for seed in _seed_list(args):
         g = pspin.generate_regular_hypergraph(args.n, args.d, args.p, seed)
         J = pspin.generate_couplings(g, stream_seed(seed, 1))
         # both caps are checked before the cube scan and before any file is written
-        layout = pspin.quantize(g, J, cap=caps["qubit_cap"]) if args.quantize else None
-        sigma, emin = pspin.ground_state_bruteforce(g, J, cap=caps["spin_cap"])
+        layout = pspin.quantize(g, J) if args.quantize else None
+        sigma, emin = pspin.ground_state_bruteforce(g, J)
         pspin.save_hypergraph(g, run.path(f"hypergraph_{seed}.json"))
         record = {
             "seed": seed, "n": g.n, "d": g.d, "p": g.p, "m": g.m,
@@ -267,7 +253,7 @@ def cmd_pspin(args, run: _Run):
             "ground_state": [int(s) for s in sigma],
         }
         if args.slack is not None:
-            A = pspin.near_ground_set(g, J, args.slack, cap=caps["spin_cap"])
+            A = pspin.near_ground_set(g, J, args.slack)
             landscape.members_to_csv(A, run.path(f"near_ground_{seed}.csv"))
             record["near_ground_count"] = len(A)
         if layout is not None:

@@ -1,9 +1,35 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the resource budget table.
 
 The CLI maps these onto distinct exit codes (validation 2, resource 3,
 internal assertion 4).  Every refusal of a budget is built by ``check_budget``
-or ``ResourceLimitError`` from the budget's name, requested and allowed amounts.
+or ``ResourceLimitError`` from the budget's name, requested and allowed amounts;
+the allowance is the budget's ``BUDGETS`` entry, or its ``OVERRIDES`` variable
+when that is set, read where the budget is checked.
 """
+
+import os
+
+#: Every resource allowance, by budget name.
+BUDGETS = {
+    "enum_cap": 30,  # variables of an exhaustive enumeration (2^n assignments)
+    # members of a set given to the pair kernels.  It counts members, not work:
+    # the tiled histogram (sparse sets, n > 24) and the OGP witness search sweep
+    # up to |A|^2/2 pairs, a dense set's Walsh histogram costs n 2^n, and
+    # cluster adds its candidate and intra-cluster pairs or one more sweep.
+    "pair_cap": 1 << 20,
+    "eps_budget": 1 << 34,  # enumerate_sat_eps's mask-word tests: C(n, excluded) 2^n max(1, 64-clause words)
+    "qubit_cap": 20,  # qubits of a dense layout (2^qubits amplitudes)
+    "basis_cap": 16,  # free qubits of W(S), log2 of its elements; full-basis enumeration is exponential
+    "sbar_cap": 22,  # flips of consistent_strings, log2 of the set's size
+    "eta_budget": 2_000_000,  # excluded-variable sets eta_exact_excluded visits
+    "spin_cap": 30,  # spins of a p-spin cube scan
+    "retry_budget": 10_000,  # configuration-model draws of generate_regular_hypergraph
+    # rate-exponent evaluations one window search may make: about 2 s of scalar
+    # calls on a 2-CPU x86 host, 200 times what the default steps need
+    "rate_eval_budget": 1_000_000,
+}
+#: The environment variables that override a budget's entry, such as NLTSLAB_ENUM_CAP.
+OVERRIDES = {name: f"NLTSLAB_{name.upper()}" for name in ("enum_cap", "qubit_cap", "pair_cap", "spin_cap")}
 
 
 class ParameterError(ValueError):
@@ -20,8 +46,21 @@ class ResourceLimitError(RuntimeError):
         self.allowed = allowed
 
 
-def check_budget(budget_name: str, requested: int, allowed: int, what: str, unit: str) -> None:
-    """Raise ResourceLimitError when ``requested`` exceeds ``allowed``."""
+def allowance(budget_name: str) -> int:
+    """The budget's allowance: its override variable's integer if set, else its table entry."""
+    variable = OVERRIDES.get(budget_name)
+    raw = os.environ.get(variable) if variable else None
+    if not raw:
+        return BUDGETS[budget_name]
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParameterError(f"{variable}={raw!r} is not an integer") from None
+
+
+def check_budget(budget_name: str, requested: int, what: str, unit: str) -> None:
+    """Raise ResourceLimitError when ``requested`` exceeds the budget's allowance."""
+    allowed = allowance(budget_name)
     if requested > allowed:
         raise ResourceLimitError(budget_name, requested, allowed,
                                  f"{what} needs {requested} {unit}, over budget {allowed}")

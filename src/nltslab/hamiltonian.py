@@ -32,9 +32,6 @@ from .errors import ContractError, ParameterError, check_budget
 from .ksat import Formula
 from .landscape import _bit_rows
 
-DEFAULT_QUBIT_CAP = 20
-#: Full-basis enumeration is exponential in qubit count; cap it separately.
-BASIS_ENUM_CAP = 16
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 #: gamma below this underflows double precision at large violation counts.
 MIN_GAMMA = 0.1
@@ -150,7 +147,6 @@ class StateVector:
 def layout_from_blocks(
     blocks: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
     num_variables: int,
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> QubitLayout:
     """Build a layout from (variables, forbidden patterns) blocks.
 
@@ -167,7 +163,7 @@ def layout_from_blocks(
                 raise ParameterError("block variable index out of range")
             fibers[v].append(qubits[slot])
         constraints.append(Constraint(qubits=qubits, variables=tuple(variables), forbidden=tuple(forbidden)))
-    check_budget("qubit_cap", q, cap, "the layout", "qubits")
+    check_budget("qubit_cap", q, "the layout", "qubits")
     return QubitLayout(
         num_qubits=q,
         num_variables=num_variables,
@@ -176,7 +172,7 @@ def layout_from_blocks(
     )
 
 
-def build_layout(f: Formula, cap: int = DEFAULT_QUBIT_CAP) -> QubitLayout:
+def build_layout(f: Formula) -> QubitLayout:
     """Km-qubit layout for a K-SAT formula; clause j owns qubits j*K .. j*K+K-1."""
     blocks = []
     for c in f.clauses:
@@ -186,7 +182,7 @@ def build_layout(f: Formula, cap: int = DEFAULT_QUBIT_CAP) -> QubitLayout:
         else:
             forbidden = (sum(b << k for k, b in enumerate(pat)),)
         blocks.append((c.variables, forbidden))
-    return layout_from_blocks(blocks, num_variables=f.n, cap=cap)
+    return layout_from_blocks(blocks, num_variables=f.n)
 
 
 def _subset_xors(masks: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -403,17 +399,17 @@ def basis_coefficient(psi: StateVector, w: BasisElement) -> complex:
     return complex(np.sum(coef * psi.amp[idx]) * scale)
 
 
-def all_basis_elements(layout: QubitLayout, cap: int = BASIS_ENUM_CAP):
+def all_basis_elements(layout: QubitLayout):
     """Every basis element (2^(num qubits) of them): W(S) with S empty; generator."""
-    return w_elements_cat_on(layout, (), cap)
+    return w_elements_cat_on(layout, ())
 
 
-def w_elements_cat_on(layout: QubitLayout, S: Iterable[int], cap: int = BASIS_ENUM_CAP):
+def w_elements_cat_on(layout: QubitLayout, S: Iterable[int]):
     """W(S): basis elements with the CAT factor at every active i in S."""
     S = frozenset(S)
     active = layout.active_variables
     free_qubits = sum(len(layout.fibers[i]) for i in active if i not in S)
-    check_budget("basis_cap", free_qubits, cap, "W(S)", "free qubits (log2 of its elements)")
+    check_budget("basis_cap", free_qubits, "W(S)", "free qubits (log2 of its elements)")
     # a free factor: any fiber pattern with first bit 0 (below its flip), either sign
     choice_lists = [
         [(0, 1)] if i in S else list(product(range(0, 1 << len(layout.fibers[i]), 2), (1, -1)))
@@ -470,13 +466,13 @@ class ProbabilityBoundReport:
     max_sandwich_slack: float
 
 
-def consistent_strings(layout: QubitLayout, S: Iterable[int], cap_log2: int = 22) -> np.ndarray:
+def consistent_strings(layout: QubitLayout, S: Iterable[int]) -> np.ndarray:
     """All basis indices whose fiber values are constant on every active i in S."""
     S = frozenset(S)
     flips = []
     for i in layout.active_variables:
         flips += [layout.fiber_masks[i]] if i in S else [1 << q for q in layout.fibers[i]]
-    check_budget("sbar_cap", len(flips), cap_log2, "the consistent-string set", "flips (log2 of its size)")
+    check_budget("sbar_cap", len(flips), "the consistent-string set", "flips (log2 of its size)")
     return np.sort(_subset_xors(flips))
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,9 +26,6 @@ import numpy as np
 from .errors import ParameterError, check_budget
 
 LN2 = math.log(2.0)
-
-#: Default cap on the number of excluded-variable subsets eta_exact will visit.
-DEFAULT_ETA_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -185,28 +183,24 @@ def clauses_within(f: Formula, S: Iterable[int]) -> frozenset[int]:
     return frozenset(j for j, c in enumerate(f.clauses) if c.variable_set <= S)
 
 
-def eta_exact_excluded(f: Formula, excluded: int, budget: int = DEFAULT_ETA_BUDGET) -> float:
+def eta_exact_excluded(f: Formula, excluded: int) -> float:
     """eta = (1/n) max over |S| = n - excluded of (m - |C(S)|), exhaustively.
 
     Equivalently: the largest number of clauses touching any excluded set of
-    the given size, divided by n.
+    the given size, divided by n.  The clauses touching a set are the OR of
+    its variables' clause bitsets (bit j: clause j contains the variable).
     """
     if not 0 <= excluded <= f.n:
         raise ParameterError("excluded count out of range")
     if excluded == 0 or f.m == 0:
         return 0.0
     n_subsets = math.comb(f.n, excluded)
-    check_budget("eta_budget", n_subsets, budget, "eta_exact", "excluded sets")
-    clause_masks = [
-        sum(1 << v for v in c.variable_set) for c in f.clauses
-    ]
-    best = 0
-    for excl in combinations(range(f.n), excluded):
-        emask = sum(1 << v for v in excl)
-        touched = sum(1 for cm in clause_masks if cm & emask)
-        if touched > best:
-            best = touched
-    return best / f.n
+    check_budget("eta_budget", n_subsets, "eta_exact", "excluded sets")
+    bitsets = [0] * f.n
+    for j, c in enumerate(f.clauses):
+        for v in c.variable_set:
+            bitsets[v] |= 1 << j
+    return max(reduce(or_, chosen).bit_count() for chosen in combinations(bitsets, excluded)) / f.n
 
 
 def eta_exact(f: Formula, eps: float) -> float:

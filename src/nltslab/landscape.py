@@ -35,15 +35,8 @@ import numpy as np
 from .errors import ContractError, ParameterError, check_budget
 from .ksat import Formula, clauses_within
 
-#: Hard cap on variable count for exhaustive enumeration (2^n assignments).
-DEFAULT_ENUM_CAP = 30
 #: Work-unit size for enumeration; blocks are independent.
 BLOCK_SIZE = 1 << 16
-#: Cap on solution-set size for the pair kernels.  It counts members, not
-#: work: the tiled histogram (sparse sets, n > 24) and the OGP witness search
-#: sweep up to |A|^2/2 pairs, a dense set's Walsh histogram costs n 2^n, and
-#: cluster adds its candidate and intra-cluster pairs or one more sweep.
-DEFAULT_PAIR_CAP = 1 << 20
 #: Pair tile shape: its widest temporary, 2^20 uint64 XOR words, is 8 MiB.
 _TILE_ROWS, _TILE_COLS = 256, 4096
 #: The Walsh pair kernel runs only for n <= _WALSH_MAX_N.  There its float32
@@ -61,9 +54,6 @@ _CLASS_BLOCK = 1 << 19
 #: 3-9x a tiled one, so below 1/8 buckets were never the slower kernel on the
 #: measured sets (see CHANGES.md).
 _BUCKET_SHARE = 1 / 8
-#: Budget for the union over variable subsets in enumerate_sat_eps:
-#: choose(n, excluded) * 2^n * max(1, 64-clause words) mask-word tests.
-DEFAULT_EPS_BUDGET = 1 << 34
 #: Byte budget for the split clause tables of r > 0 enumeration, which cost
 #: (2^ceil(n/2) + 2^floor(n/2)) * 8 bytes per 64-clause word; clauses past
 #: the words that fit are counted on the survivors one by one.
@@ -216,7 +206,7 @@ def _scan_range(args) -> np.ndarray:
     to that count on the survivors one by one, dropping rows above r after
     every clause; start and stop are then multiples of 2^L.
     Candidates and clause masks are uint32 words when they fit in 32 bits,
-    which always holds under DEFAULT_ENUM_CAP, and uint64 words otherwise.
+    which always holds at n <= 32 (enum_cap is 30), and uint64 words otherwise.
     The result is cast to uint64 once per range.
     """
     start, stop, masks, values, r, n = args
@@ -265,12 +255,13 @@ def enumerate_sat(
     r: int,
     S: Iterable[int] | None = None,
     workers: int = 1,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> SolutionSet:
     """All assignments violating at most r clauses of C(S) (all clauses if S is None)."""
-    check_budget("enum_cap", f.n, cap, "enumeration", "variables")
+    check_budget("enum_cap", f.n, "enumeration", "variables")
     if r < 0:
         raise ParameterError("violation budget r must be nonnegative")
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
     masks, values = _restricted_clause_arrays(f, S)
     total = 1 << f.n
     if workers <= 1 or total <= BLOCK_SIZE:
@@ -298,8 +289,6 @@ def enumerate_sat_eps(
     f: Formula,
     eps: float,
     r: int,
-    cap: int = DEFAULT_ENUM_CAP,
-    budget: int = DEFAULT_EPS_BUDGET,
 ) -> SolutionSet:
     """Union over all S of size n - ceil(eps*n) of enumerate_sat(f, r, S), in one pass in this process.
 
@@ -318,9 +307,9 @@ def enumerate_sat_eps(
     n_subsets = math.comb(n, excluded)
     masks, values, _ = f.clause_arrays
     words = -(-masks.size // 64)
-    check_budget("eps_budget", (n_subsets << n) * max(1, words), budget,
-                 f"enumerate_sat_eps over {n_subsets} kept sets", "mask-word tests")
-    check_budget("enum_cap", n, cap, "enumeration", "variables")
+    check_budget("eps_budget", (n_subsets << n) * max(1, words), f"enumerate_sat_eps over {n_subsets} kept sets",
+                 "mask-word tests")
+    check_budget("enum_cap", n, "enumeration", "variables")
     if r < 0:
         raise ParameterError("violation budget r must be nonnegative")
     work = {"filter": "clause_masks", "assignments": 1 << n, "excluded_sets": n_subsets, "table_bytes": 0}
@@ -493,13 +482,13 @@ def _pair_counts(members: np.ndarray, n: int) -> np.ndarray:
     return (_walsh_counts if _walsh_priced(members.size, n) else _tile_counts)(members, n)
 
 
-def overlap_histogram(A: SolutionSet, cap: int = DEFAULT_PAIR_CAP) -> OverlapHistogram:
+def overlap_histogram(A: SolutionSet) -> OverlapHistogram:
     """Exact Hamming-distance histogram over all unordered member pairs.
 
     `work` names the kernel and its priced amount: transform_ops = n 2^n for
     the Walsh kernel, or pairs = C(|A|, 2) for the tiles.
     """
-    check_budget("pair_cap", len(A), cap, "the pair loop", "members")
+    check_budget("pair_cap", len(A), "the pair loop", "members")
     work = ({"kernel": "walsh", "transform_ops": A.n << A.n} if _walsh_priced(len(A), A.n)
             else {"kernel": "tiles", "pairs": math.comb(len(A), 2)})
     return OverlapHistogram(n=A.n, counts=_pair_counts(A.members, A.n), work=work)
@@ -509,12 +498,12 @@ def _thresholds(n: int, nu1: float, nu2: float) -> tuple[int, int]:
     return math.floor(nu1 * n), math.ceil(nu2 * n)
 
 
-def _detect_ogp(A: SolutionSet, nu1: float, nu2: float, cap: int):
+def _detect_ogp(A: SolutionSet, nu1: float, nu2: float):
     """detect_ogp's (holds, witness), plus the histogram it was decided on."""
     if not 0.0 < nu1 < nu2 < 1.0:
         raise ParameterError(f"need 0 < nu1 < nu2 < 1, got nu1={nu1}, nu2={nu2}")
     t1, t2 = _thresholds(A.n, nu1, nu2)
-    hist = overlap_histogram(A, cap=cap)
+    hist = overlap_histogram(A)
     if hist.counts[t1 + 1 : t2].sum() == 0:
         return True, None, hist
     witness = None
@@ -531,7 +520,7 @@ def _detect_ogp(A: SolutionSet, nu1: float, nu2: float, cap: int):
     return False, tuple(int(A.members[k]) for k in witness), hist
 
 
-def detect_ogp(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_CAP):
+def detect_ogp(A: SolutionSet, nu1: float, nu2: float):
     """True iff no pair sits strictly inside (nu1*n, nu2*n); else a witness pair.
 
     Boundary convention: distances d <= floor(nu1*n) count as close and
@@ -539,7 +528,7 @@ def detect_ogp(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_C
     interval between the integer thresholds counts as a gap violation.  The
     witness is the gap pair (i, j), i < j, with the least (i, j) in member order.
     """
-    holds, witness, _ = _detect_ogp(A, nu1, nu2, cap)
+    holds, witness, _ = _detect_ogp(A, nu1, nu2)
     return holds, witness
 
 
@@ -623,7 +612,7 @@ def _tile_labels(members: np.ndarray, n: int, t1: int) -> np.ndarray:
     return labels
 
 
-def cluster(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_CAP) -> ClusterPartition:
+def cluster(A: SolutionSet, nu1: float, nu2: float) -> ClusterPartition:
     """Classes of the distance-<= nu1*n relation, with certificates.
 
     Requires the OGP to hold at (nu1, nu2) with nu1 < nu2/2; then the close
@@ -646,7 +635,7 @@ def cluster(A: SolutionSet, nu1: float, nu2: float, cap: int = DEFAULT_PAIR_CAP)
     """
     if not nu1 < nu2 / 2:
         raise ParameterError(f"clustering needs nu1 < nu2/2, got nu1={nu1}, nu2={nu2}")
-    ok, witness, hist = _detect_ogp(A, nu1, nu2, cap)
+    ok, witness, hist = _detect_ogp(A, nu1, nu2)
     if not ok:
         raise ContractError(
             f"OGP fails at (nu1={nu1}, nu2={nu2}); witness pair {witness}", witness=witness

@@ -16,12 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError, check_budget
-from .hamiltonian import DEFAULT_QUBIT_CAP, QubitLayout, _subset_xors, layout_from_blocks
+from .errors import ParameterError, ResourceLimitError, allowance, check_budget
+from .hamiltonian import QubitLayout, _subset_xors, layout_from_blocks
 from .landscape import BLOCK_SIZE, SolutionSet
-
-DEFAULT_SPIN_CAP = 30
-DEFAULT_RETRY_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -57,9 +54,7 @@ class CouplingVector:
             raise ParameterError("couplings must be +1 or -1")
 
 
-def generate_regular_hypergraph(
-    n: int, d: int, p: int, seed: int, retry_budget: int = DEFAULT_RETRY_BUDGET
-) -> RegularHypergraph:
+def generate_regular_hypergraph(n: int, d: int, p: int, seed: int) -> RegularHypergraph:
     """Configuration-model pairing, rejecting samples with a repeated node in an edge."""
     if p < 2:
         raise ParameterError("uniformity p must be at least 2")
@@ -67,14 +62,14 @@ def generate_regular_hypergraph(
         raise ParameterError(f"n*d = {n * d} not divisible by p = {p}")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(retry_budget):
+    tries = allowance("retry_budget")
+    for _ in range(tries):
         perm = rng.permutation(stubs)
         groups = perm.reshape(-1, p)
         if (np.diff(np.sort(groups, axis=1), axis=1) != 0).all():
             edges = tuple(tuple(int(v) for v in g) for g in groups)
             return RegularHypergraph(n=n, d=d, p=p, hyperedges=edges, seed=seed)
-    raise ResourceLimitError("retry_budget", None, retry_budget,
-                             f"no simple pairing found in {retry_budget} tries")
+    raise ResourceLimitError("retry_budget", None, tries, f"no simple pairing found in {tries} tries")
 
 
 def generate_couplings(g: RegularHypergraph, seed: int) -> CouplingVector:
@@ -143,15 +138,13 @@ def _energies_packed(g: RegularHypergraph, J: CouplingVector, zs: np.ndarray) ->
     return total
 
 
-def ground_state_bruteforce(
-    g: RegularHypergraph, J: CouplingVector, cap: int = DEFAULT_SPIN_CAP
-) -> tuple[np.ndarray, int]:
+def ground_state_bruteforce(g: RegularHypergraph, J: CouplingVector) -> tuple[np.ndarray, int]:
     """Global minimizer and energy; lexicographically smallest on ties.
 
     For even p the global flip symmetry halves the search space; the
     lexicographically smallest minimizer always lies in the searched half.
     """
-    check_budget("spin_cap", g.n, cap, "the spin cube scan", "spins")
+    check_budget("spin_cap", g.n, "the spin cube scan", "spins")
     if len(J.values) != g.m:
         raise ParameterError("coupling vector length differs from edge count")
     search = 1 << (g.n - 1) if g.p % 2 == 0 and g.n >= 1 else 1 << g.n
@@ -168,13 +161,11 @@ def ground_state_bruteforce(
     return packed_to_spins(best_z, g.n), best_e
 
 
-def near_ground_set(
-    g: RegularHypergraph, J: CouplingVector, slack: int, cap: int = DEFAULT_SPIN_CAP
-) -> SolutionSet:
+def near_ground_set(g: RegularHypergraph, J: CouplingVector, slack: int) -> SolutionSet:
     """All sigma with H(sigma) <= min + slack, as packed bits for the landscape tools."""
     if slack < 0:
         raise ParameterError("slack must be nonnegative")
-    _, emin = ground_state_bruteforce(g, J, cap=cap)
+    _, emin = ground_state_bruteforce(g, J)
     threshold = emin + slack
     parts = []
     total = 1 << g.n
@@ -186,7 +177,7 @@ def near_ground_set(
     return SolutionSet(n=g.n, members=members, r=int(slack))
 
 
-def quantize(g: RegularHypergraph, J: CouplingVector, cap: int = DEFAULT_QUBIT_CAP) -> QubitLayout:
+def quantize(g: RegularHypergraph, J: CouplingVector) -> QubitLayout:
     """Forbidden-pattern layout on n*d qubits: one qubit per (edge, position).
 
     A local bit pattern q (bit set = spin -1) is energy-raising exactly when
@@ -201,7 +192,7 @@ def quantize(g: RegularHypergraph, J: CouplingVector, cap: int = DEFAULT_QUBIT_C
             pat for pat in range(1 << g.p) if (-1) ** int(bin(pat).count("1")) == j
         )
         blocks.append((e, forbidden))
-    return layout_from_blocks(blocks, num_variables=g.n, cap=cap)
+    return layout_from_blocks(blocks, num_variables=g.n)
 
 
 # ---------------------------------------------------------------------------

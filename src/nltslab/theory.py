@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError, check_budget
+from .errors import ParameterError, ResourceLimitError, allowance, check_budget
 
 LN2 = math.log(2.0)
 
@@ -28,9 +28,6 @@ GAMMA_GRID = (1e-2, 1e-4, 1e-6)
 LAMBDA_GRID = (0.05, 0.1, 0.2)
 ETA_GRID = (1e-4, 1e-6, 1e-8)
 DELTA_GRID = (1e-4, 1e-3, 5e-3)
-#: Most rate-exponent evaluations one window search may make: about 2 s of
-#: scalar calls on a 2-CPU x86 host, 200 times what the default steps need.
-RATE_EVAL_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -203,20 +200,21 @@ def window_sup_rate(alpha: float, K: int, nu1: float, nu2: float, s_step: float 
 
 def _check_window_search(nu_step: float, s_step: float) -> None:
     """Reject grid steps outside (0, 0.5), and window searches that would make
-    more than RATE_EVAL_BUDGET rate evaluations for a K without a window."""
+    more than rate_eval_budget rate evaluations for a K without a window."""
     for flag, step in (("--nu-step", nu_step), ("--s-step", s_step)):
         if not 0.0 < step < 0.5:
             raise ParameterError(f"{flag} must lie in (0, 0.5), got {step!r}")
     what = f"the window search at --nu-step {nu_step!r}, --s-step {s_step!r}"
     nu_count = math.ceil((0.5 - nu_step) / nu_step)  # np.arange's length rule
     # every nu2 but the first two and a last one cut at 0.5 costs one evaluation or more
-    if nu_count - 3 > RATE_EVAL_BUDGET:
-        raise ResourceLimitError("rate_eval_budget", nu_count - 3, RATE_EVAL_BUDGET,
+    allowed = allowance("rate_eval_budget")
+    if nu_count - 3 > allowed:
+        raise ResourceLimitError("rate_eval_budget", nu_count - 3, allowed,
                                  f"{what} needs at least {nu_count - 3} rate evaluations per K, "
-                                 f"over budget {RATE_EVAL_BUDGET}")
+                                 f"over budget {allowed}")
     nus = _nu_grid(nu_step)
     needed = sum(_grid_size(nus[0], nu2, s_step) for nu2 in nus if nus[0] < nu2 / 2.0)
-    check_budget("rate_eval_budget", needed, RATE_EVAL_BUDGET, what, "rate evaluations per K")
+    check_budget("rate_eval_budget", needed, what, "rate evaluations per K")
 
 
 def derive_eps(eta: float, K: int) -> float | None:
@@ -241,7 +239,7 @@ def scan_rows(alpha: float, K_values: Iterable[int], nu_step: float = NU_STEP, s
     window = (nu1, nu2), the derived eps (None when no grid eps certifies the
     Azuma tail; params then carry nan) and the parameter-ledger report.
     Before any row, an alpha outside (0.7, 1) or a step outside (0, 0.5)
-    raises ParameterError, and a window search of more than RATE_EVAL_BUDGET
+    raises ParameterError, and a window search of more than rate_eval_budget
     rate evaluations raises ResourceLimitError.
     """
     if not 0.5 + 0.2 < alpha < 1.0:

@@ -1,11 +1,13 @@
 import csv
 import functools
+import hashlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import literal_violation_counts
-from nltslab import cli, hamiltonian, ksat, landscape, pspin, theory
+from nltslab import cli, errors, hamiltonian, ksat, landscape, pspin, theory
 
 
 def run_cli(args) -> int:
@@ -191,6 +193,48 @@ def test_enumerate_eps_with_workers_is_refused(tmp_path, capsys, source):
     assert not out.exists()
     # without --eps the same workers are accepted
     assert run_cli(["enumerate", "--n", 8, "--K", 3, "--m", 10, *extra, "--seeds", "4", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", 6, "--K", 3, "--m", 4],
+    ["enumerate", "--n", 6, "--K", 3, "--m", 4, "--eps", 0.2],
+    ["ogp", "--n", 6, "--K", 3, "--m", 4, "--nu1", 0.1, "--nu2", 0.3],
+    ["cluster", "--n", 6, "--K", 3, "--m", 4, "--nu1", 0.1, "--nu2", 0.3],
+], ids=["enumerate", "enumerate-eps", "ogp", "cluster"])
+def test_workers_below_one_is_refused(tmp_path, capsys, argv, workers, source):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{argv[0]}]\nworkers = {workers}\n")
+    extra = ["--workers", workers] if source == "flag" else ["--config", cfg]
+    out = tmp_path / "x"
+    assert run_cli([*argv, *extra, "--seeds", "4", "--out", out]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation"
+    assert f"--workers must be at least 1, got {workers}" in record["message"]
+    assert not out.exists()
+
+
+def test_finish_hashes_each_file_in_chunks(tmp_path, monkeypatch):
+    peaks = []
+    finish = cli._Run.finish
+
+    def traced(run):
+        tracemalloc.start()
+        try:
+            finish(run)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli._Run, "finish", traced)
+    out = tmp_path / "x"
+    assert run_cli(["enumerate", "--n", 19, "--K", 3, "--m", 1, "--r", 1, "--seeds", "1", "--out", out]) == 0
+    members = out / "members_1.csv"
+    assert members.stat().st_size >= 8 << 20
+    assert peaks[0] < 1 << 20  # reading the file whole would hold all of it
+    digest = hashlib.sha256(members.read_bytes()).hexdigest()
+    assert read_manifest(out)["files"]["members_1.csv"] == digest
 
 
 def test_hamiltonian_subcommand(tmp_path):
@@ -392,7 +436,7 @@ def test_theory_scan_prices_the_window_search(tmp_path, capsys, flag, value, nee
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "resource" and record["budget"] == "rate_eval_budget"
     assert needed in record["message"]
-    assert f"over budget {theory.RATE_EVAL_BUDGET}" in record["message"]
+    assert f"over budget {errors.BUDGETS['rate_eval_budget']}" in record["message"]
     assert not (out / "scan.csv").exists()
 
 
@@ -600,6 +644,12 @@ def test_eta_budget_variable_is_not_read(tmp_path, monkeypatch):
                     "--out", tmp_path / "ham"]) == 0
 
 
+def test_override_variable_is_read_only_where_its_budget_is_checked(tmp_path, monkeypatch):
+    monkeypatch.setenv("NLTSLAB_QUBIT_CAP", "lots")
+    assert run_cli(["enumerate", "--n", 6, "--K", 3, "--m", 4, "--seeds", "1", "--out", tmp_path / "enum"]) == 0
+    assert run_cli(["hamiltonian", "--n", 2, "--K", 2, "--m", 1, "--seeds", "1", "--out", tmp_path / "ham"]) == 2
+
+
 @pytest.mark.parametrize("raw", ["2e6", "lots", "1.5"])
 def test_malformed_cap_override_is_a_validation_error(tmp_path, capsys, monkeypatch, raw):
     monkeypatch.setenv("NLTSLAB_PAIR_CAP", raw)
@@ -725,15 +775,15 @@ def test_unreadable_config_is_a_validation_error(tmp_path, capsys, text):
 @pytest.mark.parametrize("argv, env, budget, requested, allowed", [
     (["enumerate", "--n", 10, "--K", 3, "--m", 5, "--seeds", 1], {"NLTSLAB_ENUM_CAP": "5"}, "enum_cap", 10, 5),
     (["enumerate", "--n", 30, "--K", 3, "--m", 10, "--eps", 0.5, "--seeds", 1], {}, "eps_budget",
-     math.comb(30, 15) << 30, landscape.DEFAULT_EPS_BUDGET),
+     math.comb(30, 15) << 30, errors.BUDGETS["eps_budget"]),
     (["ogp", "--n", 8, "--K", 3, "--m", 0, "--nu1", 0.1, "--nu2", 0.3, "--seeds", 1], {"NLTSLAB_PAIR_CAP": "1"},
      "pair_cap", 256, 1),
     (["pspin", "--n", 12, "--d", 2, "--p", 2, "--quantize", "--seeds", 1], {}, "qubit_cap", 24,
-     hamiltonian.DEFAULT_QUBIT_CAP),
-    (["pspin", "--n", 32, "--d", 2, "--p", 2, "--seeds", 1], {}, "spin_cap", 32, pspin.DEFAULT_SPIN_CAP),
-    (["pspin", "--n", 1, "--d", 2, "--p", 2, "--seeds", 1], {}, "retry_budget", None, pspin.DEFAULT_RETRY_BUDGET),
+     errors.BUDGETS["qubit_cap"]),
+    (["pspin", "--n", 32, "--d", 2, "--p", 2, "--seeds", 1], {}, "spin_cap", 32, errors.BUDGETS["spin_cap"]),
+    (["pspin", "--n", 1, "--d", 2, "--p", 2, "--seeds", 1], {}, "retry_budget", None, errors.BUDGETS["retry_budget"]),
     (["theory-scan", "--alpha", 0.75, "--K-list", "8", "--s-step", "1e-9"], {}, "rate_eval_budget", 24250000097,
-     theory.RATE_EVAL_BUDGET),
+     errors.BUDGETS["rate_eval_budget"]),
 ], ids=["enum_cap", "eps_budget", "pair_cap", "qubit_cap", "spin_cap", "retry_budget", "rate_eval_budget"])
 def test_resource_record_carries_the_amounts_and_leaves_no_output(
         tmp_path, capsys, monkeypatch, argv, env, budget, requested, allowed):

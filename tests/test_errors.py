@@ -1,18 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
-from conftest import make_demo_formula
-from nltslab import hamiltonian, ksat, landscape, pspin, theory
-from nltslab.errors import ResourceLimitError, check_budget
+from nltslab import errors, hamiltonian, ksat, landscape, pspin, theory
+from nltslab.errors import ParameterError, ResourceLimitError, check_budget
 
 
-def _layout():
-    return hamiltonian.build_layout(make_demo_formula())
-
-
-def _free_qubits(layout):
-    return sum(len(layout.fibers[i]) for i in layout.active_variables)
+def _layout(n, K, m):
+    return hamiltonian.build_layout(ksat.generate_formula(n, m, K, seed=0))
 
 
 def _spins(n):
@@ -20,28 +16,39 @@ def _spins(n):
     return g, pspin.generate_couplings(g, 1)
 
 
-# each budget: (the refused call, budget name, requested, allowed)
+def _qubits(q):
+    """A layout of q one-qubit fibers, past qubit_cap without going through its check."""
+    return hamiltonian.QubitLayout(num_qubits=q, num_variables=q, constraints=(),
+                                   fibers=tuple((i,) for i in range(q)))
+
+
+# each budget: (a call its table entry refuses, requested)
 BUDGETS = {
-    "enum_cap": (lambda: landscape.enumerate_sat(ksat.generate_formula(12, 3, 2, seed=0), r=0, cap=10), 12, 10),
-    "eps_budget": (lambda: landscape.enumerate_sat_eps(make_demo_formula(), eps=1 / 3, r=0, budget=1),
-                   math.comb(3, 1) << 3, 1),
-    "pair_cap": (lambda: landscape.overlap_histogram(landscape.SolutionSet(n=3, members=[0, 1, 2], r=0), cap=2),
-                 3, 2),
-    "qubit_cap": (lambda: hamiltonian.build_layout(make_demo_formula(), cap=5), 6, 5),
-    "basis_cap": (lambda: next(hamiltonian.w_elements_cat_on(_layout(), (), cap=2)), _free_qubits(_layout()), 2),
-    "sbar_cap": (lambda: hamiltonian.consistent_strings(_layout(), (), cap_log2=3), _free_qubits(_layout()), 3),
-    "eta_budget": (lambda: ksat.eta_exact_excluded(ksat.generate_formula(20, 10, 3, seed=0), 10, budget=100),
-                   math.comb(20, 10), 100),
-    "spin_cap": (lambda: pspin.ground_state_bruteforce(*_spins(10), cap=8), 10, 8),
-    "retry_budget": (lambda: pspin.generate_regular_hypergraph(1, 2, 2, seed=0, retry_budget=10), None, 10),
-    "rate_eval_budget": (lambda: next(theory.scan_rows(0.75, [8], 0.005, 1e-9)), 24250000097,
-                         theory.RATE_EVAL_BUDGET),
+    "enum_cap": (lambda: landscape.enumerate_sat(ksat.generate_formula(31, 3, 2, seed=0), r=0), 31),
+    "eps_budget": (lambda: landscape.enumerate_sat_eps(ksat.generate_formula(30, 10, 3, seed=0), eps=0.5, r=0),
+                   math.comb(30, 15) << 30),
+    "pair_cap": (lambda: landscape.overlap_histogram(
+        landscape.SolutionSet(n=21, members=np.arange((1 << 20) + 1), r=0)), (1 << 20) + 1),
+    "qubit_cap": (lambda: _layout(4, 3, 7), 21),
+    "basis_cap": (lambda: next(hamiltonian.w_elements_cat_on(_layout(6, 3, 6), ())), 18),
+    "sbar_cap": (lambda: hamiltonian.consistent_strings(_qubits(23), ()), 23),
+    "eta_budget": (lambda: ksat.eta_exact_excluded(ksat.generate_formula(30, 10, 3, seed=0), 15),
+                   math.comb(30, 15)),
+    "spin_cap": (lambda: pspin.ground_state_bruteforce(*_spins(32)), 32),
+    "retry_budget": (lambda: pspin.generate_regular_hypergraph(1, 2, 2, seed=0), None),
+    "rate_eval_budget": (lambda: next(theory.scan_rows(0.75, [8], 0.005, 1e-9)), 24250000097),
 }
+
+
+def test_every_table_entry_has_one_case():
+    assert sorted(BUDGETS) == sorted(errors.BUDGETS)
+    assert set(errors.OVERRIDES) <= set(errors.BUDGETS)
 
 
 @pytest.mark.parametrize("budget", sorted(BUDGETS))
 def test_every_budget_reports_its_amounts(budget):
-    call, requested, allowed = BUDGETS[budget]
+    call, requested = BUDGETS[budget]
+    allowed = errors.BUDGETS[budget]
     with pytest.raises(ResourceLimitError) as exc:
         call()
     assert (exc.value.budget_name, exc.value.requested, exc.value.allowed) == (budget, requested, allowed)
@@ -49,7 +56,43 @@ def test_every_budget_reports_its_amounts(budget):
     assert requested is None or str(requested) in str(exc.value)
 
 
-def test_check_budget_refuses_only_above_the_allowance():
-    check_budget("b", 3, 3, "the job", "units")
+# each variable: (a library call it refuses when set to the value, requested)
+OVERRIDDEN = {
+    "NLTSLAB_ENUM_CAP": ("enum_cap", 5, lambda: landscape.enumerate_sat(ksat.generate_formula(10, 3, 2, seed=0), r=0),
+                         10),
+    "NLTSLAB_QUBIT_CAP": ("qubit_cap", 5, lambda: _layout(3, 2, 3), 6),
+    "NLTSLAB_PAIR_CAP": ("pair_cap", 2, lambda: landscape.overlap_histogram(
+        landscape.SolutionSet(n=3, members=[0, 1, 2], r=0)), 3),
+    "NLTSLAB_SPIN_CAP": ("spin_cap", 8, lambda: pspin.ground_state_bruteforce(*_spins(10)), 10),
+}
+
+
+@pytest.mark.parametrize("variable", sorted(OVERRIDDEN))
+def test_override_variable_lowers_its_budget_for_a_library_call(monkeypatch, variable):
+    budget, value, call, requested = OVERRIDDEN[variable]
+    assert errors.OVERRIDES[budget] == variable
+    monkeypatch.setenv(variable, str(value))
+    with pytest.raises(ResourceLimitError) as exc:
+        call()
+    assert (exc.value.budget_name, exc.value.requested, exc.value.allowed) == (budget, requested, value)
+    monkeypatch.setenv(variable, "")  # an empty variable leaves the table entry
+    assert errors.allowance(budget) == errors.BUDGETS[budget]
+
+
+def test_malformed_override_names_the_variable_and_the_value(monkeypatch):
+    monkeypatch.setenv("NLTSLAB_SPIN_CAP", "lots")
+    with pytest.raises(ParameterError, match="NLTSLAB_SPIN_CAP='lots'"):
+        pspin.ground_state_bruteforce(*_spins(4))
+
+
+def test_eta_budget_variable_is_not_read_by_the_library(monkeypatch):
+    monkeypatch.setenv("NLTSLAB_ETA_BUDGET", "1")
+    assert errors.allowance("eta_budget") == errors.BUDGETS["eta_budget"]
+    assert ksat.eta_exact_excluded(ksat.generate_formula(8, 6, 3, seed=0), 2) > 0
+
+
+def test_check_budget_refuses_only_above_the_allowance(monkeypatch):
+    monkeypatch.setitem(errors.BUDGETS, "b", 3)
+    check_budget("b", 3, "the job", "units")
     with pytest.raises(ResourceLimitError, match="^the job needs 4 units, over budget 3$"):
-        check_budget("b", 4, 3, "the job", "units")
+        check_budget("b", 4, "the job", "units")

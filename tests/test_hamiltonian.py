@@ -7,7 +7,7 @@ import pytest
 
 from conftest import dense_h_i, make_demo_formula
 from nltslab import hamiltonian as ham
-from nltslab import ksat
+from nltslab import errors, ksat
 from nltslab.errors import ContractError, ParameterError, ResourceLimitError
 
 GAMMAS = (0.25, 0.5, 0.9)
@@ -71,7 +71,7 @@ def test_layout_qubit_indexing(demo_formula):
 def test_layout_cap():
     f = ksat.generate_formula(10, 10, 3, seed=0)
     with pytest.raises(ResourceLimitError):
-        ham.build_layout(f, cap=20)
+        ham.build_layout(f)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,7 @@ def test_ground_state_leaves_nothing_state_sized_on_its_layout():
     assert held <= 2**16
 
 
-def test_consistent_strings_match_literal_oracle():
+def test_consistent_strings_match_literal_oracle(monkeypatch):
     layout = _kernel_layouts()["non-contiguous"]
     for S in (set(), {0}, {1, 3}, {0, 1, 2, 3}):
         want = [
@@ -380,8 +380,9 @@ def test_consistent_strings_match_literal_oracle():
             if all((z & layout.fiber_masks[i]) in (0, layout.fiber_masks[i]) for i in S)
         ]
         assert ham.consistent_strings(layout, S).tolist() == want
+    monkeypatch.setitem(errors.BUDGETS, "sbar_cap", 5)
     with pytest.raises(ResourceLimitError):
-        ham.consistent_strings(layout, {0}, cap_log2=5)
+        ham.consistent_strings(layout, {0})
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_violations
-from nltslab import ksat
+from nltslab import errors, ksat
 from nltslab.errors import ParameterError, ResourceLimitError
 
 LN2 = math.log(2.0)
@@ -177,26 +177,33 @@ def test_eta_single_exclusion(demo_formula):
     assert ksat.eta_exact_excluded(demo_formula, 1) == pytest.approx(2 / 3)
 
 
-def test_eta_budget():
+def test_eta_budget(monkeypatch):
     f = ksat.generate_formula(20, 10, 3, seed=0)
+    monkeypatch.setitem(errors.BUDGETS, "eta_budget", 100)
     with pytest.raises(ResourceLimitError) as exc:
-        ksat.eta_exact_excluded(f, 10, budget=100)
+        ksat.eta_exact_excluded(f, 10)
     assert exc.value.budget_name == "eta_budget"
 
 
-@given(st.integers(0, 10**6), st.integers(3, 8))
+@given(st.integers(0, 10**6), st.integers(3, 8), st.sampled_from([6, 65, 150]), st.integers(2, 4),
+       st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
-def test_eta_matches_subset_definition(seed, n):
-    """Cross-check against the max over kept sets of m - |C(S)|."""
+def test_eta_matches_subset_definition(seed, n, m, K, excluded):
+    """Cross-check against the max over kept sets of m - |C(S)|, past one 64-clause word,
+    with a tautology and a clause that repeats a variable."""
     from itertools import combinations
 
-    f = ksat.generate_formula(n, 6, 2, seed)
-    excluded = 2
+    lit = ksat.Literal
+    taut = ksat.Clause((lit(0, False), lit(0, True)) + (lit(1, False),) * (K - 2))
+    repeated = ksat.Clause((lit(1, True), lit(1, True)) + (lit(n - 1, False),) * (K - 2))
+    f = ksat.generate_formula(n, m, K, seed)
+    f = ksat.Formula(n=n, K=K, clauses=f.clauses + (taut, repeated))
+    assert taut.is_tautology and len(repeated.variable_set) < K
     expected = max(
         f.m - len(ksat.clauses_within(f, set(range(n)) - set(excl)))
         for excl in combinations(range(n), excluded)
     ) / n
-    assert ksat.eta_exact_excluded(f, excluded) == pytest.approx(expected)
+    assert ksat.eta_exact_excluded(f, excluded) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import literal_violation_counts, naive_enumerate, transitive_closure_clusters
-from nltslab import ksat, landscape
+from nltslab import errors, ksat, landscape
 from nltslab.errors import ContractError, ParameterError, ResourceLimitError
 
 
@@ -70,11 +70,19 @@ def test_enumerate_r_at_least_m(demo_formula):
     assert len(A) == 8
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
     f = ksat.generate_formula(12, 3, 2, seed=0)
+    monkeypatch.setitem(errors.BUDGETS, "enum_cap", 10)
     with pytest.raises(ResourceLimitError) as exc:
-        landscape.enumerate_sat(f, r=0, cap=10)
+        landscape.enumerate_sat(f, r=0)
     assert exc.value.budget_name == "enum_cap"
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_enumerate_sat_refuses_workers_below_one(workers):
+    f = ksat.generate_formula(8, 3, 2, seed=0)
+    with pytest.raises(ParameterError, match=f"workers must be at least 1, got {workers}"):
+        landscape.enumerate_sat(f, r=0, workers=workers)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 10), st.integers(0, 15), st.integers(0, 2))
@@ -164,23 +172,27 @@ def test_enumerate_eps_records_its_work():
                       "table_bytes": (8 + 8) * 8, "members": len(union)}
 
 
-def test_enumerate_eps_budget(demo_formula):
+def test_enumerate_eps_budget(demo_formula, monkeypatch):
+    monkeypatch.setitem(errors.BUDGETS, "eps_budget", 1)
     with pytest.raises(ResourceLimitError):
-        landscape.enumerate_sat_eps(demo_formula, eps=1 / 3, r=0, budget=1)
+        landscape.enumerate_sat_eps(demo_formula, eps=1 / 3, r=0)
 
 
-def test_enumerate_eps_budget_prices_every_mask_word():
+def test_enumerate_eps_budget_prices_every_mask_word(monkeypatch):
     # 132 live clauses fill 3 words: 10 kept sets times 2^10 assignments times 3 word tests
     f = ksat.generate_formula(10, 150, 3, seed=1)
     assert -(-f.clause_arrays[0].size // 64) == 3
     price = 10 * 2**10 * 3
+    monkeypatch.setitem(errors.BUDGETS, "eps_budget", price - 1)
     with pytest.raises(ResourceLimitError) as exc:
-        landscape.enumerate_sat_eps(f, 0.1, 0, budget=price - 1)
+        landscape.enumerate_sat_eps(f, 0.1, 0)
     assert (exc.value.requested, exc.value.allowed) == (price, price - 1)
     assert "mask-word tests" in str(exc.value)
-    landscape.enumerate_sat_eps(f, 0.1, 0, budget=price)
+    monkeypatch.setitem(errors.BUDGETS, "eps_budget", price)
+    landscape.enumerate_sat_eps(f, 0.1, 0)
     # no live clause still costs one word test per set and assignment
-    landscape.enumerate_sat_eps(ksat.Formula(n=10, K=3, clauses=()), 0.1, 0, budget=10 * 2**10)
+    monkeypatch.setitem(errors.BUDGETS, "eps_budget", 10 * 2**10)
+    landscape.enumerate_sat_eps(ksat.Formula(n=10, K=3, clauses=()), 0.1, 0)
 
 
 def _eps_oracle(f: ksat.Formula, eps: float, r: int) -> tuple[list[int], dict]:
@@ -579,10 +591,11 @@ def test_histogram_mass_and_bruteforce(seed, size):
     assert h.counts.tolist() == brute.tolist()
 
 
-def test_histogram_cap():
+def test_histogram_cap(monkeypatch):
     A = _set(10, range(100))
+    monkeypatch.setitem(errors.BUDGETS, "pair_cap", 10)
     with pytest.raises(ResourceLimitError):
-        landscape.overlap_histogram(A, cap=10)
+        landscape.overlap_histogram(A)
 
 
 # ---------------------------------------------------------------------------

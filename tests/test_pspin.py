@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nltslab import hamiltonian as ham
-from nltslab import landscape, pspin
+from nltslab import errors, landscape, pspin
 from nltslab.errors import ParameterError, ResourceLimitError
 
 
@@ -49,14 +49,15 @@ def test_degrees_exact_across_seeds():
         assert degrees == [4] * 9
 
 
-def test_generation_validation():
+def test_generation_validation(monkeypatch):
     with pytest.raises(ParameterError):
         pspin.generate_regular_hypergraph(5, 2, 3, seed=0)  # 10 not divisible by 3
     with pytest.raises(ParameterError):
         pspin.generate_regular_hypergraph(4, 1, 1, seed=0)  # p < 2
+    monkeypatch.setitem(errors.BUDGETS, "retry_budget", 10)
     with pytest.raises(ResourceLimitError):
         # one edge must contain node 0 twice: every draw is rejected
-        pspin.generate_regular_hypergraph(1, 2, 2, seed=0, retry_budget=10)
+        pspin.generate_regular_hypergraph(1, 2, 2, seed=0)
 
 
 def test_generation_deterministic():
@@ -277,11 +278,12 @@ def test_ground_state_negative_per_spin():
         assert emin < 0
 
 
-def test_ground_state_cap():
+def test_ground_state_cap(monkeypatch):
     g = pspin.generate_regular_hypergraph(8, 2, 4, seed=3)
     J = pspin.generate_couplings(g, 4)
+    monkeypatch.setitem(errors.BUDGETS, "spin_cap", 4)
     with pytest.raises(ResourceLimitError):
-        pspin.ground_state_bruteforce(g, J, cap=4)
+        pspin.ground_state_bruteforce(g, J)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +363,7 @@ def test_quantize_measurement_matches_energy_raising_count():
 def test_quantize_locality_bound():
     g = pspin.generate_regular_hypergraph(6, 3, 2, seed=2)
     J = pspin.generate_couplings(g, 1)
-    layout = pspin.quantize(g, J, cap=20)
+    layout = pspin.quantize(g, J)
     assert layout.num_qubits == 6 * 3
     for i in range(g.n):
         support = set(layout.fibers[i])
@@ -374,17 +376,18 @@ def test_quantize_cap():
     g = pspin.generate_regular_hypergraph(8, 3, 4, seed=5)
     J = pspin.generate_couplings(g, 6)
     with pytest.raises(ResourceLimitError):
-        pspin.quantize(g, J, cap=20)
+        pspin.quantize(g, J)
 
 
-def test_sqrt_d_energy_trend():
+def test_sqrt_d_energy_trend(monkeypatch):
     """Per-spin ground energy should roughly double from d=4 to d=16."""
+    # dense degrees make loop-free pairings rare; spend more retries
+    monkeypatch.setitem(errors.BUDGETS, "retry_budget", 10**6)
     medians = {}
     for d in (4, 16):
         vals = []
         for seed in range(20):
-            # dense degrees make loop-free pairings rare; spend more retries
-            g = pspin.generate_regular_hypergraph(20, d, 2, seed=seed, retry_budget=10**6)
+            g = pspin.generate_regular_hypergraph(20, d, 2, seed=seed)
             J = pspin.generate_couplings(g, seed + 500)
             _, emin = pspin.ground_state_bruteforce(g, J)
             vals.append(emin / g.n)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nltslab import theory
+from nltslab import errors, theory
 from nltslab.errors import ParameterError, ResourceLimitError
 
 LN2 = math.log(2.0)
@@ -338,8 +338,8 @@ def test_window_search_evaluates_each_nu2_grid_once(monkeypatch, nu_step, s_step
 
 @pytest.mark.parametrize("nu_step, s_step, calls", [(0.005, 0.005, 4947), (1 / 38, 0.004, 1016)])
 def test_window_search_budget_counts_the_evaluations(monkeypatch, nu_step, s_step, calls):
-    monkeypatch.setattr(theory, "RATE_EVAL_BUDGET", calls)
+    monkeypatch.setitem(errors.BUDGETS, "rate_eval_budget", calls)
     assert next(theory.scan_rows(0.75, [8], nu_step, s_step)) == (8, None, None, None, None)
-    monkeypatch.setattr(theory, "RATE_EVAL_BUDGET", calls - 1)
+    monkeypatch.setitem(errors.BUDGETS, "rate_eval_budget", calls - 1)
     with pytest.raises(ResourceLimitError, match=f"needs {calls} rate evaluations per K, over budget {calls - 1}"):
         next(theory.scan_rows(0.75, [8], nu_step, s_step))
