@@ -10,7 +10,8 @@ and ``pspin --quantize`` build; identical configs and seeds give
 byte-identical data files (manifests may differ only in the wall-time field).
 
 Each subcommand takes ``--config``, ``--out`` and only the flags it reads:
-all but theory-scan and depth-bound take the seed flags, and the three that
+all but theory-scan and depth-bound take the seed flags (``--instances``
+below 1 and an empty ``--seeds`` are refused), and the three that
 enumerate (enumerate, ogp, cluster) take ``--r`` and ``--workers``, which
 is refused below 1, and above 1 with ``enumerate --eps``; ``pspin --gamma`` is
 refused without ``--quantize``, which alone uses 0.5.  The stream of instance
@@ -24,10 +25,12 @@ a key that names no flag of the subcommand is ignored.
 Exit codes: 0 success, 2 validation, 3 resource-cap breach, 4 internal
 assertion.  Each error prints one JSON record on stderr with ``error`` and
 ``message``; a resource record adds ``budget``, ``requested`` and ``allowed``
-(``requested`` is null for a draw that ran out of tries).  ``--out`` is made
-at the first file written, so a refused run leaves none.  The budgets are
-``errors.BUDGETS``; NLTSLAB_ENUM_CAP, NLTSLAB_QUBIT_CAP, NLTSLAB_PAIR_CAP and
-NLTSLAB_SPIN_CAP override theirs, read where the budget is checked.
+(``requested`` is null for a draw that ran out of tries, and all three are
+null when an enumeration worker process dies).  ``--out`` is made at the
+first file written, so a refused run leaves none.  The eight budgets are
+``errors.BUDGETS``, where ``enum_cap`` prices both 2^n cube scans (enumeration
+and the pspin scan); NLTSLAB_ENUM_CAP, NLTSLAB_QUBIT_CAP and NLTSLAB_PAIR_CAP
+override theirs, read where the budget is checked.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import json
 import math
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +131,9 @@ def _int_list(flag: str, raw: str) -> list[int]:
 
 
 def _seed_list(args) -> list[int]:
-    if args.seeds:
+    if args.instances < 1:
+        raise ParameterError(f"--instances must be at least 1, got {args.instances}")
+    if args.seeds is not None:
         return _int_list("--seeds", args.seeds)
     return [stream_seed(args.master_seed, i) for i in range(args.instances)]
 
@@ -273,9 +279,8 @@ def _scan_csv_row(K, window, eps, p, report) -> dict:
     """One scan.csv row; a K without a window fills only its first two columns."""
     if window is None:
         return {"K": K, "window_found": False}
-    ledger = {k: v for k, v in vars(report).items() if k != "margins"}  # c1, c2 and five flags
     return {"K": K, "window_found": True, "nu1": p.nu1, "nu2": p.nu2, "delta": p.delta,
-            "gamma": p.gamma, "lambda": p.lam, "eta": p.eta, "eps": eps, **ledger,
+            "gamma": p.gamma, "lambda": p.lam, "eta": p.eta, "eps": eps, **vars(report),  # c1, c2 and five flags
             "c1_bits": report.c1 / theory.LN2, "c2_bits": report.c2 / theory.LN2,
             "azuma_ok": eps is not None, "feasible": report.all_ok and eps is not None}
 
@@ -453,13 +458,16 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         _emit_error("resource", exc, budget=exc.budget_name, requested=exc.requested, allowed=exc.allowed)
         return EXIT_RESOURCE
+    except BrokenExecutor as exc:  # BrokenProcessPool: an enumeration worker died
+        _emit_error("resource", f"a worker process died: {exc}", budget=None, requested=None, allowed=None)
+        return EXIT_RESOURCE
     except (ContractError, AssertionError) as exc:
         _emit_error("assertion", exc)
         return EXIT_ASSERTION
 
 
-def _emit_error(kind: str, exc: Exception, **extra) -> None:
-    record = {"error": kind, "message": str(exc), **extra}
+def _emit_error(kind: str, message: Exception | str, **extra) -> None:
+    record = {"error": kind, "message": str(message), **extra}
     print(json.dumps(record), file=sys.stderr)
 
 

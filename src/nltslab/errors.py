@@ -11,25 +11,25 @@ import os
 
 #: Every resource allowance, by budget name.
 BUDGETS = {
-    "enum_cap": 30,  # variables of an exhaustive enumeration (2^n assignments)
+    "enum_cap": 30,  # variables or spins of a 2^n cube scan: K-SAT enumeration and the p-spin scan
     # members of a set given to the pair kernels.  It counts members, not work:
     # the tiled histogram (sparse sets, n > 24) and the OGP witness search sweep
     # up to |A|^2/2 pairs, a dense set's Walsh histogram costs n 2^n, and
     # cluster adds its candidate and intra-cluster pairs or one more sweep.
     "pair_cap": 1 << 20,
     "eps_budget": 1 << 34,  # enumerate_sat_eps's mask-word tests: C(n, excluded) 2^n max(1, 64-clause words)
-    "qubit_cap": 20,  # qubits of a dense layout (2^qubits amplitudes)
+    # qubits of a layout, checked when it is built: every state vector, violation
+    # table and consistent-string set on it holds at most 2^qubits entries
+    "qubit_cap": 20,
     "basis_cap": 16,  # free qubits of W(S), log2 of its elements; full-basis enumeration is exponential
-    "sbar_cap": 22,  # flips of consistent_strings, log2 of the set's size
     "eta_budget": 2_000_000,  # excluded-variable sets eta_exact_excluded visits
-    "spin_cap": 30,  # spins of a p-spin cube scan
     "retry_budget": 10_000,  # configuration-model draws of generate_regular_hypergraph
     # rate-exponent evaluations one window search may make: about 2 s of scalar
     # calls on a 2-CPU x86 host, 200 times what the default steps need
     "rate_eval_budget": 1_000_000,
 }
 #: The environment variables that override a budget's entry, such as NLTSLAB_ENUM_CAP.
-OVERRIDES = {name: f"NLTSLAB_{name.upper()}" for name in ("enum_cap", "qubit_cap", "pair_cap", "spin_cap")}
+OVERRIDES = {name: f"NLTSLAB_{name.upper()}" for name in ("enum_cap", "qubit_cap", "pair_cap")}
 
 
 class ParameterError(ValueError):

@@ -72,12 +72,16 @@ class Constraint:
 
 @dataclass(frozen=True)
 class QubitLayout:
+    """Qubits, constraints and fibers.  Building one checks qubit_cap, so every
+    state vector, violation table and string set made from it is bounded."""
+
     num_qubits: int
     num_variables: int
     constraints: tuple[Constraint, ...]
     fibers: tuple[tuple[int, ...], ...]  # D(i), ascending qubit order
 
     def __post_init__(self):
+        check_budget("qubit_cap", self.num_qubits, "the layout", "qubits")
         seen: set[int] = set()
         for fiber in self.fibers:
             for q in fiber:
@@ -163,7 +167,6 @@ def layout_from_blocks(
                 raise ParameterError("block variable index out of range")
             fibers[v].append(qubits[slot])
         constraints.append(Constraint(qubits=qubits, variables=tuple(variables), forbidden=tuple(forbidden)))
-    check_budget("qubit_cap", q, "the layout", "qubits")
     return QubitLayout(
         num_qubits=q,
         num_variables=num_variables,
@@ -302,13 +305,8 @@ def energy(psi: StateVector, gamma: float) -> float:
     return total
 
 
-def ground_state(layout_or_formula, gamma: float) -> StateVector:
+def ground_state(layout: QubitLayout, gamma: float) -> StateVector:
     """Normalized Q(gamma)|CAT>, the shared zero-energy state of every H_i."""
-    layout = (
-        build_layout(layout_or_formula)
-        if isinstance(layout_or_formula, Formula)
-        else layout_or_formula
-    )
     return apply_q_gamma(cat_state(layout), gamma, sign=1).normalized()
 
 
@@ -467,12 +465,14 @@ class ProbabilityBoundReport:
 
 
 def consistent_strings(layout: QubitLayout, S: Iterable[int]) -> np.ndarray:
-    """All basis indices whose fiber values are constant on every active i in S."""
+    """All basis indices whose fiber values are constant on every active i in S.
+
+    At most one flip per qubit, so at most the layout's 2^num_qubits indices.
+    """
     S = frozenset(S)
     flips = []
     for i in layout.active_variables:
         flips += [layout.fiber_masks[i]] if i in S else [1 << q for q in layout.fibers[i]]
-    check_budget("sbar_cap", len(flips), "the consistent-string set", "flips (log2 of its size)")
     return np.sort(_subset_xors(flips))
 
 

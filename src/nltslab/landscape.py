@@ -21,10 +21,10 @@ cluster, falling back to tiles when those are a large share of all pairs.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import math
-import multiprocessing as mp
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -275,8 +275,10 @@ def enumerate_sat(
             for a, b in zip(bounds[:-1], bounds[1:])
             if b > a
         ]
-        with mp.Pool(min(workers, len(tasks))) as pool:
-            parts = pool.map(_scan_range, tasks)
+        # a worker that dies raises BrokenProcessPool here instead of hanging the map;
+        # the executor's module (and multiprocessing) loads only when a pool runs
+        with concurrent.futures.ProcessPoolExecutor(min(workers, len(tasks))) as pool:
+            parts = list(pool.map(_scan_range, tasks))
         members = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
     words, per_word = _table_size(f.n, masks.size)
     table_bytes = words * per_word if 0 < r < masks.size else 0
@@ -678,11 +680,11 @@ def cluster(A: SolutionSet, nu1: float, nu2: float) -> ClusterPartition:
     )
 
 
-def cluster_stats(P: ClusterPartition, c1: float | None = None, c2: float | None = None) -> dict:
-    """Summary of a partition, with optional exp(c1 n) / exp(c2 n) comparisons."""
+def cluster_stats(P: ClusterPartition) -> dict:
+    """Summary of a partition: cluster count and sizes, and its intra/inter distances."""
     sizes = [int(c.size) for c in P.clusters]
     total = sum(sizes)
-    stats = {
+    return {
         "num_clusters": P.num_clusters,
         "max_cluster_size": max(sizes) if sizes else 0,
         "max_cluster_fraction": (max(sizes) / total) if total else 0.0,
@@ -690,11 +692,6 @@ def cluster_stats(P: ClusterPartition, c1: float | None = None, c2: float | None
         "max_intra": P.max_intra,
         "min_inter": P.min_inter,
     }
-    if c1 is not None:
-        stats["max_cluster_below_exp_c1n"] = stats["max_cluster_size"] <= math.exp(c1 * P.n)
-    if c2 is not None:
-        stats["total_above_exp_c2n"] = total >= math.exp(c2 * P.n)
-    return stats
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def ground_state_bruteforce(g: RegularHypergraph, J: CouplingVector) -> tuple[np
     For even p the global flip symmetry halves the search space; the
     lexicographically smallest minimizer always lies in the searched half.
     """
-    check_budget("spin_cap", g.n, "the spin cube scan", "spins")
+    check_budget("enum_cap", g.n, "the spin cube scan", "spins")
     if len(J.values) != g.m:
         raise ParameterError("coupling vector length differs from edge count")
     search = 1 << (g.n - 1) if g.p % 2 == 0 and g.n >= 1 else 1 << g.n

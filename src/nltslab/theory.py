@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, islice, product
 from typing import Iterable
 
@@ -144,7 +144,6 @@ class ConsistencyReport:
     amplification_ok: bool  # (2/gamma)^(4 K eta) <= 2^((c2-c1)/2)
     tail_ok: bool  # gamma^(2 lambda - 3 K eta) < 1/8
     locality_ok: bool  # 4 K eta < 1
-    margins: dict = field(default_factory=dict)
 
     @property
     def all_ok(self) -> bool:
@@ -159,26 +158,14 @@ class ConsistencyReport:
 
 def check_parameter_consistency(p: RegimeParams) -> ConsistencyReport:
     c1, c2 = p.c1, p.c2
-    lhs_amp = (2.0 / p.gamma) ** (4.0 * p.K * p.eta)
-    rhs_amp = 2.0 ** ((c2 - c1) / 2.0)
-    gl = p.gamma ** (2.0 * p.lam)
-    tail = p.gamma ** (2.0 * p.lam - 3.0 * p.K * p.eta)
     return ConsistencyReport(
         c1=c1,
         c2=c2,
         delta_ok=0.0 < p.delta <= p.delta_cap and 0.0 < c1 < c2,
-        gamma_lambda_ok=gl < 1.0 / 8.0,
-        amplification_ok=lhs_amp <= rhs_amp,
-        tail_ok=tail < 1.0 / 8.0,
+        gamma_lambda_ok=p.gamma ** (2.0 * p.lam) < 1.0 / 8.0,
+        amplification_ok=(2.0 / p.gamma) ** (4.0 * p.K * p.eta) <= 2.0 ** ((c2 - c1) / 2.0),
+        tail_ok=p.gamma ** (2.0 * p.lam - 3.0 * p.K * p.eta) < 1.0 / 8.0,
         locality_ok=4.0 * p.K * p.eta < 1.0,
-        margins={
-            "gamma_2lambda": gl,
-            "amplification_lhs": lhs_amp,
-            "amplification_rhs": rhs_amp,
-            "tail": tail,
-            "4K_eta": 4.0 * p.K * p.eta,
-            "c2_minus_c1": c2 - c1,
-        },
     )
 
 
@@ -246,7 +233,7 @@ def scan_rows(alpha: float, K_values: Iterable[int], nu_step: float = NU_STEP, s
         raise ParameterError(f"alpha must lie in (1/2 + 1/5, 1), got {alpha}")
     _check_window_search(nu_step, s_step)
     for K in K_values:
-        window = first_feasible_window(alpha, K, nu_step, s_step, SLACK)
+        window = first_feasible_window(alpha, K, nu_step, s_step)
         if window is None:
             yield K, None, None, None, None
             continue
@@ -278,10 +265,8 @@ def _nu_grid(nu_step: float) -> list[float]:
     return [float(nu) for nu in np.arange(nu_step, 0.5, nu_step) if nu < 0.5]
 
 
-def first_feasible_window(
-    alpha: float, K: int, nu_step: float, s_step: float, slack: float
-) -> tuple[float, float] | None:
-    """Smallest (nu1, nu2) grid pair with nu1 < nu2/2 whose window sup is <= -slack.
+def first_feasible_window(alpha: float, K: int, nu_step: float, s_step: float) -> tuple[float, float] | None:
+    """Smallest (nu1, nu2) grid pair with nu1 < nu2/2 whose window sup is <= -SLACK.
 
     Pairs are tried nu2-major and nu1 ascending; the first one found is
     returned.  For one nu2 the s grid of every window is
@@ -299,6 +284,6 @@ def first_feasible_window(
             continue
         sups = list(accumulate(_window_rates(alpha, K, nus[0], nu2, s_step), max))
         for nu1 in nu1s:
-            if sups[_grid_size(nu1, nu2, s_step) - 1] <= -slack:
+            if sups[_grid_size(nu1, nu2, s_step) - 1] <= -SLACK:
                 return nu1, nu2
     return None

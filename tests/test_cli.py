@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import functools
 import hashlib
@@ -8,7 +9,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import types
 from pathlib import Path
 
 import numpy as np
@@ -163,7 +163,7 @@ def test_enumerate_eps_members_do_not_depend_on_workers(tmp_path, monkeypatch):
     # n = 17 holds two blocks per cube, and eps = 0.05 keeps 17 variable sets;
     # --eps runs in one process, so only --workers 1 runs and no pool starts
     started = []
-    monkeypatch.setattr(landscape, "mp", types.SimpleNamespace(get_context=started.append))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: started.append(args))
     f = ksat.generate_formula(17, 60, 3, 5)
     kept = [frozenset(range(17)) - {v} for v in range(17)]
     oracle = functools.reduce(np.union1d, [np.flatnonzero(literal_violation_counts(f, S) <= 1)
@@ -212,6 +212,55 @@ def test_workers_below_one_is_refused(tmp_path, capsys, argv, workers, source):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "validation"
     assert f"--workers must be at least 1, got {workers}" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("instances", [0, -3])
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", 5, "--K", 3, "--m", 4],
+    ["pspin", "--n", 8, "--d", 2, "--p", 2],
+], ids=["gen", "pspin"])
+def test_instances_below_one_is_refused(tmp_path, capsys, argv, instances, source):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{argv[0]}]\ninstances = {instances}\n")
+    extra = ["--instances", instances] if source == "flag" else ["--config", cfg]
+    out = tmp_path / "x"
+    assert run_cli([*argv, *extra, "--out", out]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation"
+    assert f"--instances must be at least 1, got {instances}" in record["message"]
+    assert not out.exists()
+
+
+_KILLED_WORKER = """
+import os, signal, sys
+from nltslab import cli, landscape
+
+def die(task):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+if __name__ == "__main__":
+    landscape._scan_range = die
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_dead_worker_is_a_resource_error(tmp_path):
+    # every pool task kills its own process; the run must exit 3 instead of waiting forever
+    script = tmp_path / "die.py"
+    script.write_text(_KILLED_WORKER)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = tmp_path / "x"
+    proc = subprocess.run(
+        [sys.executable, str(script), "enumerate", "--n", "18", "--K", "3", "--m", "10", "--workers", "2",
+         "--seeds", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    record = json.loads(proc.stderr.strip())
+    assert record["error"] == "resource" and record["message"].startswith("a worker process died")
+    assert (record["budget"], record["requested"], record["allowed"]) == (None, None, None)
     assert not out.exists()
 
 
@@ -330,7 +379,7 @@ _SCAN_FIELDS = ["K", "window_found", "nu1", "nu2", "delta", "gamma", "lambda", "
 
 @functools.lru_cache(maxsize=None)
 def _oracle_window(alpha, K):
-    return theory.first_feasible_window(alpha, K, 0.005, 0.005, math.log(2.0) / 20.0)
+    return theory.first_feasible_window(alpha, K, 0.005, 0.005)
 
 
 def _oracle_scan(alpha, K_values):
@@ -626,14 +675,15 @@ def test_exit_code_resource_cap(tmp_path, capsys, monkeypatch):
     assert record["budget"] == "enum_cap"
 
 
-def test_pspin_honours_spin_cap_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NLTSLAB_SPIN_CAP", "8")
+def test_pspin_honours_enum_cap_override(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NLTSLAB_ENUM_CAP", "8")
     code = run_cli(["pspin", "--n", 10, "--d", 2, "--p", 2, "--slack", 1,
                     "--seeds", "1", "--out", tmp_path / "x"])
     assert code == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "resource"
-    assert record["budget"] == "spin_cap"
+    assert record["budget"] == "enum_cap"
+    assert record["message"] == "the spin cube scan needs 10 spins, over budget 8"
 
 
 def test_eta_budget_variable_is_not_read(tmp_path, monkeypatch):
@@ -683,13 +733,19 @@ def test_theory_scan_rejects_alpha_outside_the_regime(tmp_path, capsys, alpha):
     assert not (out / "scan.csv").exists()
 
 
-@pytest.mark.parametrize("argv, flag, token", [
-    (["gen", "--n", 5, "--K", 3, "--m", 4, "--seeds", "1,x"], "--seeds", "x"),
-    (["enumerate", "--n", 5, "--K", 3, "--m", 4, "--seeds", "1,,2"], "--seeds", ""),
-    (["theory-scan", "--alpha", 0.75, "--K-list", "8,x"], "--K-list", "x"),
-    (["theory-scan", "--alpha", 0.75, "--K-list", ""], "--K-list", ""),
-], ids=["gen-seeds", "enumerate-empty-seed", "K-list", "empty-K-list"])
-def test_malformed_integer_list_is_a_validation_error(tmp_path, capsys, argv, flag, token):
+@pytest.mark.parametrize("argv, ini, flag, token", [
+    (["gen", "--n", 5, "--K", 3, "--m", 4, "--seeds", "1,x"], None, "--seeds", "x"),
+    (["enumerate", "--n", 5, "--K", 3, "--m", 4, "--seeds", "1,,2"], None, "--seeds", ""),
+    (["theory-scan", "--alpha", 0.75, "--K-list", "8,x"], None, "--K-list", "x"),
+    (["theory-scan", "--alpha", 0.75, "--K-list", ""], None, "--K-list", ""),
+    (["gen", "--n", 5, "--K", 3, "--m", 4, "--seeds", ""], None, "--seeds", ""),
+    (["gen", "--n", 5, "--K", 3, "--m", 4], "[gen]\nseeds =\n", "--seeds", ""),
+], ids=["gen-seeds", "enumerate-empty-seed", "K-list", "empty-K-list", "empty-seeds", "ini-empty-seeds"])
+def test_malformed_integer_list_is_a_validation_error(tmp_path, capsys, argv, ini, flag, token):
+    if ini is not None:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        argv = [*argv, "--config", cfg]
     code = run_cli(argv + ["--out", tmp_path / "x"])
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip())
@@ -780,11 +836,11 @@ def test_unreadable_config_is_a_validation_error(tmp_path, capsys, text):
      "pair_cap", 256, 1),
     (["pspin", "--n", 12, "--d", 2, "--p", 2, "--quantize", "--seeds", 1], {}, "qubit_cap", 24,
      errors.BUDGETS["qubit_cap"]),
-    (["pspin", "--n", 32, "--d", 2, "--p", 2, "--seeds", 1], {}, "spin_cap", 32, errors.BUDGETS["spin_cap"]),
+    (["pspin", "--n", 32, "--d", 2, "--p", 2, "--seeds", 1], {}, "enum_cap", 32, errors.BUDGETS["enum_cap"]),
     (["pspin", "--n", 1, "--d", 2, "--p", 2, "--seeds", 1], {}, "retry_budget", None, errors.BUDGETS["retry_budget"]),
     (["theory-scan", "--alpha", 0.75, "--K-list", "8", "--s-step", "1e-9"], {}, "rate_eval_budget", 24250000097,
      errors.BUDGETS["rate_eval_budget"]),
-], ids=["enum_cap", "eps_budget", "pair_cap", "qubit_cap", "spin_cap", "retry_budget", "rate_eval_budget"])
+], ids=["enum_cap", "eps_budget", "pair_cap", "qubit_cap", "pspin-enum_cap", "retry_budget", "rate_eval_budget"])
 def test_resource_record_carries_the_amounts_and_leaves_no_output(
         tmp_path, capsys, monkeypatch, argv, env, budget, requested, allowed):
     for name, value in env.items():

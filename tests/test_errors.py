@@ -16,12 +16,6 @@ def _spins(n):
     return g, pspin.generate_couplings(g, 1)
 
 
-def _qubits(q):
-    """A layout of q one-qubit fibers, past qubit_cap without going through its check."""
-    return hamiltonian.QubitLayout(num_qubits=q, num_variables=q, constraints=(),
-                                   fibers=tuple((i,) for i in range(q)))
-
-
 # each budget: (a call its table entry refuses, requested)
 BUDGETS = {
     "enum_cap": (lambda: landscape.enumerate_sat(ksat.generate_formula(31, 3, 2, seed=0), r=0), 31),
@@ -31,10 +25,8 @@ BUDGETS = {
         landscape.SolutionSet(n=21, members=np.arange((1 << 20) + 1), r=0)), (1 << 20) + 1),
     "qubit_cap": (lambda: _layout(4, 3, 7), 21),
     "basis_cap": (lambda: next(hamiltonian.w_elements_cat_on(_layout(6, 3, 6), ())), 18),
-    "sbar_cap": (lambda: hamiltonian.consistent_strings(_qubits(23), ()), 23),
     "eta_budget": (lambda: ksat.eta_exact_excluded(ksat.generate_formula(30, 10, 3, seed=0), 15),
                    math.comb(30, 15)),
-    "spin_cap": (lambda: pspin.ground_state_bruteforce(*_spins(32)), 32),
     "retry_budget": (lambda: pspin.generate_regular_hypergraph(1, 2, 2, seed=0), None),
     "rate_eval_budget": (lambda: next(theory.scan_rows(0.75, [8], 0.005, 1e-9)), 24250000097),
 }
@@ -63,7 +55,6 @@ OVERRIDDEN = {
     "NLTSLAB_QUBIT_CAP": ("qubit_cap", 5, lambda: _layout(3, 2, 3), 6),
     "NLTSLAB_PAIR_CAP": ("pair_cap", 2, lambda: landscape.overlap_histogram(
         landscape.SolutionSet(n=3, members=[0, 1, 2], r=0)), 3),
-    "NLTSLAB_SPIN_CAP": ("spin_cap", 8, lambda: pspin.ground_state_bruteforce(*_spins(10)), 10),
 }
 
 
@@ -80,8 +71,8 @@ def test_override_variable_lowers_its_budget_for_a_library_call(monkeypatch, var
 
 
 def test_malformed_override_names_the_variable_and_the_value(monkeypatch):
-    monkeypatch.setenv("NLTSLAB_SPIN_CAP", "lots")
-    with pytest.raises(ParameterError, match="NLTSLAB_SPIN_CAP='lots'"):
+    monkeypatch.setenv("NLTSLAB_ENUM_CAP", "lots")
+    with pytest.raises(ParameterError, match="NLTSLAB_ENUM_CAP='lots'"):
         pspin.ground_state_bruteforce(*_spins(4))
 
 
@@ -89,6 +80,18 @@ def test_eta_budget_variable_is_not_read_by_the_library(monkeypatch):
     monkeypatch.setenv("NLTSLAB_ETA_BUDGET", "1")
     assert errors.allowance("eta_budget") == errors.BUDGETS["eta_budget"]
     assert ksat.eta_exact_excluded(ksat.generate_formula(8, 6, 3, seed=0), 2) > 0
+
+
+def test_spin_cap_variable_is_not_read_by_the_library(monkeypatch):
+    # the p-spin cube scan is priced by enum_cap, so only NLTSLAB_ENUM_CAP lowers it
+    monkeypatch.setenv("NLTSLAB_SPIN_CAP", "1")
+    assert "spin_cap" not in errors.BUDGETS and "NLTSLAB_SPIN_CAP" not in errors.OVERRIDES.values()
+    assert pspin.ground_state_bruteforce(*_spins(4))[1] < 0
+    monkeypatch.setenv("NLTSLAB_ENUM_CAP", "3")
+    with pytest.raises(ResourceLimitError) as exc:
+        pspin.ground_state_bruteforce(*_spins(4))
+    assert (exc.value.budget_name, exc.value.requested, exc.value.allowed) == ("enum_cap", 4, 3)
+    assert str(exc.value) == "the spin cube scan needs 4 spins, over budget 3"
 
 
 def test_check_budget_refuses_only_above_the_allowance(monkeypatch):

@@ -74,6 +74,17 @@ def test_layout_cap():
         ham.build_layout(f)
 
 
+def test_hand_built_layout_past_qubit_cap_is_refused():
+    # the cap is checked before the fibers, so even a layout without fibers is refused by it
+    allowed = errors.BUDGETS["qubit_cap"]
+    q = allowed + 1
+    for fibers in (tuple((i,) for i in range(q)), ()):
+        with pytest.raises(ResourceLimitError) as exc:
+            ham.QubitLayout(num_qubits=q, num_variables=q, constraints=(), fibers=fibers)
+        assert (exc.value.budget_name, exc.value.requested, exc.value.allowed) == ("qubit_cap", q, allowed)
+        assert str(exc.value) == f"the layout needs {q} qubits, over budget {allowed}"
+
+
 # ---------------------------------------------------------------------------
 # CAT state
 # ---------------------------------------------------------------------------
@@ -372,7 +383,7 @@ def test_ground_state_leaves_nothing_state_sized_on_its_layout():
     assert held <= 2**16
 
 
-def test_consistent_strings_match_literal_oracle(monkeypatch):
+def test_consistent_strings_match_literal_oracle():
     layout = _kernel_layouts()["non-contiguous"]
     for S in (set(), {0}, {1, 3}, {0, 1, 2, 3}):
         want = [
@@ -380,9 +391,6 @@ def test_consistent_strings_match_literal_oracle(monkeypatch):
             if all((z & layout.fiber_masks[i]) in (0, layout.fiber_masks[i]) for i in S)
         ]
         assert ham.consistent_strings(layout, S).tolist() == want
-    monkeypatch.setitem(errors.BUDGETS, "sbar_cap", 5)
-    with pytest.raises(ResourceLimitError):
-        ham.consistent_strings(layout, {0})
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +399,7 @@ def test_consistent_strings_match_literal_oracle(monkeypatch):
 
 def test_h_i_annihilates_ground_state(demo_formula):
     for gamma in GAMMAS:
-        psi = ham.ground_state(demo_formula, gamma)
+        psi = ham.ground_state(ham.build_layout(demo_formula), gamma)
         for i in range(demo_formula.n):
             assert np.linalg.norm(ham.apply_h_i(psi, i, gamma).amp) < 1e-12
 
@@ -445,13 +453,13 @@ def test_ground_state_no_clauses_is_cat():
 
 def test_ground_state_energy(demo_formula):
     for gamma in GAMMAS:
-        psi = ham.ground_state(demo_formula, gamma)
+        psi = ham.ground_state(ham.build_layout(demo_formula), gamma)
         assert ham.energy(psi, gamma) <= 1e-10
 
 
 def test_measurement_distribution_small(demo_formula):
     gamma = 0.5
-    psi = ham.ground_state(demo_formula, gamma)
+    psi = ham.ground_state(ham.build_layout(demo_formula), gamma)
     dist = ham.measurement_distribution(psi)
     Z = 4 + 2 * gamma**2 + 2 * gamma**4
     counts = ham.violation_counts(psi.layout)

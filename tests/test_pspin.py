@@ -281,9 +281,10 @@ def test_ground_state_negative_per_spin():
 def test_ground_state_cap(monkeypatch):
     g = pspin.generate_regular_hypergraph(8, 2, 4, seed=3)
     J = pspin.generate_couplings(g, 4)
-    monkeypatch.setitem(errors.BUDGETS, "spin_cap", 4)
-    with pytest.raises(ResourceLimitError):
+    monkeypatch.setitem(errors.BUDGETS, "enum_cap", 4)
+    with pytest.raises(ResourceLimitError) as exc:
         pspin.ground_state_bruteforce(g, J)
+    assert exc.value.budget_name == "enum_cap"
 
 
 # ---------------------------------------------------------------------------
