@@ -7,14 +7,18 @@ histogram kernel ``ogp`` ran with its priced work, the kernels ``cluster``
 chose with their pair counts, or the qubits, dense amplitudes, active
 variables, ``energy`` vector passes and support of the state ``hamiltonian``
 and ``pspin --quantize`` build; identical configs and seeds give
-byte-identical data files (manifests may differ only in the wall-time field).
+byte-identical data files.  The manifest also records ``wall_time_s`` and
+``peak_rss_mb``, the process's peak resident memory in MiB from
+``ru_maxrss`` (null where the ``resource`` module is missing); manifests of
+identical runs may differ only in those two fields.
 
 Each subcommand takes ``--config``, ``--out`` and only the flags it reads:
 all but theory-scan and depth-bound take the seed flags (``--instances``
 below 1 and an empty ``--seeds`` are refused), and the three that
-enumerate (enumerate, ogp, cluster) take ``--r`` and ``--workers``, which
-is refused below 1, and above 1 with ``enumerate --eps``; ``pspin --gamma`` is
-refused without ``--quantize``, which alone uses 0.5.  The stream of instance
+enumerate (enumerate, ogp, cluster) take ``--r``, ``--eps`` (the eps-robust
+set in place of the set at ``--r``) and ``--workers``, which is refused below
+1, and above 1 with ``--eps``; ``pspin --gamma`` is refused without
+``--quantize``, which alone uses 0.5.  The stream of instance
 ``i`` under the 64-bit master seed is the first 8 bytes of
 blake2b("<master>:<i>").
 
@@ -51,12 +55,25 @@ import numpy as np
 from . import __version__, hamiltonian, ksat, landscape, pspin, theory
 from .errors import ContractError, ParameterError, ResourceLimitError
 
+try:
+    import resource
+except ImportError:  # Windows has no getrusage
+    resource = None
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_ASSERTION = 4
 #: Bytes read at a time when hashing an output file into the manifest.
 _HASH_CHUNK = 1 << 18
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident memory in MiB; ru_maxrss counts KiB on Linux, bytes on macOS."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 def stream_seed(master: int, index: int) -> int:
@@ -115,6 +132,7 @@ class _Run:
             "version": __version__,
             "work": self.work,
             "wall_time_s": time.monotonic() - self.t0,
+            "peak_rss_mb": _peak_rss_mb(),
         }
         self.write_json("manifest.json", manifest)  # after the hashes, so it lists no hash of itself
 
@@ -151,15 +169,17 @@ def _formulas(args):
         yield seed, ksat.generate_formula(args.n, _resolve_m(args), args.K, seed)
 
 
-def _enumerated(args, eps: float | None = None):
-    """(seed, formula, set) per seed: ``enumerate_sat`` at ``--r``, or ``enumerate_sat_eps`` given eps."""
+def _enumerated(args):
+    """(seed, formula, set) per seed: ``enumerate_sat`` at ``--r``, or ``enumerate_sat_eps`` given ``--eps``."""
     if args.workers < 1:
         raise ParameterError(f"--workers must be at least 1, got {args.workers}")
+    if args.eps is not None and args.workers > 1:
+        raise ParameterError(f"{args.subcommand} --eps runs in one process, so --workers above 1 is refused with it")
     for seed, f in _formulas(args):
-        if eps is None:
+        if args.eps is None:
             yield seed, f, landscape.enumerate_sat(f, args.r, workers=args.workers)
         else:
-            yield seed, f, landscape.enumerate_sat_eps(f, eps, args.r)
+            yield seed, f, landscape.enumerate_sat_eps(f, args.eps, args.r)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +193,7 @@ def cmd_gen(args, run: _Run):
 
 
 def cmd_enumerate(args, run: _Run):
-    if args.eps is not None and args.workers > 1:
-        raise ParameterError("enumerate --eps runs in one process, so --workers above 1 is refused with it")
-    for seed, f, A in _enumerated(args, args.eps):
+    for seed, f, A in _enumerated(args):
         run.work[seed] = A.work
         landscape.members_to_csv(A, run.path(f"members_{seed}.csv"))
         run.write_json(
@@ -339,6 +357,7 @@ def _add_formula_args(p: argparse.ArgumentParser):
 def _add_enumeration_args(p: argparse.ArgumentParser):
     _add_formula_args(p)
     p.add_argument("--r", type=int, default=0)
+    p.add_argument("--eps", type=float, help="enumerate the eps-robust set A_{eps,r} (needs --workers 1)")
     p.add_argument("--workers", type=int, default=1)
 
 
@@ -351,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "enumerate", "exhaustively enumerate near-satisfying assignments", cmd_enumerate)
     _add_enumeration_args(p)
-    p.add_argument("--eps", type=float)
 
     p = _subcommand(sub, "ogp", "overlap histogram and gap detection", cmd_ogp)
     _add_enumeration_args(p)

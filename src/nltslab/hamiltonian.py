@@ -9,9 +9,12 @@ tautology), a quantized p-spin hyperedge forbids the 2^(p-1) energy-raising
 sign patterns.  All Q operators are diagonal, so everything is applied
 matrix-free; per-amplitude violation counts are accumulated as integers and
 exponentiated once.  Each vector pass (``violation_counts``,
-``apply_q_gamma``, ``project_out_cat``) returns one fresh array and builds no
-other state-sized complex temporary; nothing state-sized is cached on a
-layout, so violation counts are recomputed for each pass that needs them.
+``apply_q_gamma``, ``project_out_cat``) holds its input, returns one fresh
+array and holds at most one more byte per amplitude, besides fixed-size
+chunks: counts are kept in the narrowest unsigned type that holds the
+selected constraint count, complex factors are gathered in chunks of
+``_GATHER_CHUNK`` amplitudes and the fiber mean waits in the output.  Nothing state-sized is cached on a layout, so violation
+counts are recomputed for each pass that needs them.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ MIN_GAMMA = 0.1
 #: vector passes per active variable in ``energy``: two ``violation_counts``,
 #: two ``apply_q_gamma`` and one ``project_out_cat``
 ENERGY_PASSES_PER_VARIABLE = 5
+#: amplitudes per chunk of ``apply_q_gamma``'s factor gather, which indexes with intp
+_GATHER_CHUNK = 1 << 14
 #: measurement_distribution refuses a state whose norm is further than this from 1.
 _NORM_TOL = 1e-12
 #: near_ground_state refuses a state with <psi|H_i|psi> above this for some i in S.
@@ -202,6 +207,8 @@ def violation_counts(layout: QubitLayout, constraint_ids: Iterable[int] | None =
 
     An outer sum of tables over the high nq - L and the low L qubits, where L
     is the split nearest nq/2 that no selected constraint straddles (0 or nq).
+    Counts come in the narrowest unsigned type that holds the number of
+    selected constraints, one byte each below 256.
     """
     nq = layout.num_qubits
     ids = range(len(layout.constraints)) if constraint_ids is None else constraint_ids
@@ -211,7 +218,8 @@ def violation_counts(layout: QubitLayout, constraint_ids: Iterable[int] | None =
         (b for b in range(nq + 1) if all(last < b or first >= b for first, last in spans)),
         key=lambda b: abs(2 * b - nq),
     )
-    lo, hi = np.zeros(1 << L, dtype=np.int64), np.zeros(1 << (nq - L), dtype=np.int64)
+    dtype = np.min_scalar_type(len(selected))
+    lo, hi = np.zeros(1 << L, dtype=dtype), np.zeros(1 << (nq - L), dtype=dtype)
     idx = np.arange(max(lo.size, hi.size), dtype=np.uint64)
     for c in selected:
         table, shift = (lo, 0) if c.global_mask < 1 << L else (hi, L)
@@ -254,8 +262,13 @@ def apply_q_gamma(
     vmax = int(viol.max()) if viol.size else 0
     powers = gamma ** (sign * np.arange(vmax + 1, dtype=np.float64))
     # gathering complex factors (p + 0j) and scaling in place gives the bits of
-    # psi.amp * powers[viol]: one product per component is exactly +-0
-    out = powers.astype(np.complex128)[viol]
+    # psi.amp * powers[viol]: one product per component is exactly +-0; take
+    # indexes with an intp copy of the counts, so gather a chunk at a time
+    factors = powers.astype(np.complex128)
+    out = np.empty_like(psi.amp)
+    for start in range(0, out.size, _GATHER_CHUNK):
+        part = slice(start, start + _GATHER_CHUNK)
+        np.take(factors, viol[part], out=out[part], mode="clip")  # "raise" would buffer out
     out *= psi.amp
     return StateVector(psi.layout, out)
 
@@ -266,17 +279,20 @@ def project_out_cat(psi: StateVector, variable: int) -> StateVector:
     if not fiber:
         # no qubits carry this variable; its CAT projector is trivial
         return StateVector(psi.layout, np.zeros_like(psi.amp))
-    # axis nq-1-q of the (2,)*nq view is qubit q; fix the fiber axes at 0, then at 1
+    # axis nq-1-q of the (2,)*nq view is qubit q; fix the fiber axes at 0, then at 1;
+    # the trailing ... keeps a slab a view when the fiber holds every qubit
     nq = psi.layout.num_qubits
     z0, z1 = [slice(None)] * nq, [slice(None)] * nq
     for q in fiber:
         z0[nq - 1 - q], z1[nq - 1 - q] = 0, 1
-    out = psi.amp.copy()
-    amp, view, z0, z1 = psi.amp.reshape((2,) * nq), out.reshape((2,) * nq), tuple(z0), tuple(z1)
-    s = np.add(amp[z0], amp[z1])
-    s /= 2.0
-    view[z0] -= s
-    view[z1] -= s
+    out = psi.amp.copy()  # strings mixed on the fiber pass through
+    amp, view = psi.amp.reshape((2,) * nq), out.reshape((2,) * nq)
+    a0, a1, mean = amp[(*z0, ...)], amp[(*z1, ...)], view[(*z0, ...)]
+    # the fiber mean s = (a0 + a1) / 2 waits in the output's z0 slab
+    np.add(a0, a1, out=mean)
+    mean /= 2.0
+    np.subtract(a1, mean, out=view[(*z1, ...)])
+    np.subtract(a0, mean, out=mean)
     return StateVector(psi.layout, out)
 
 
@@ -297,7 +313,8 @@ def energy(psi: StateVector, gamma: float) -> float:
     """Sum_i <psi|H_i|psi> (real part; each term is PSD).
 
     A variable with an empty fiber has H_i = 0 and is skipped; every other
-    term takes ``ENERGY_PASSES_PER_VARIABLE`` vector passes.
+    term takes ``ENERGY_PASSES_PER_VARIABLE`` vector passes, so at most psi,
+    one pass's input and output and a count byte per amplitude are held.
     """
     total = 0.0
     for i in psi.layout.active_variables:
@@ -318,14 +335,17 @@ def measurement_distribution(psi: StateVector) -> dict[str, float]:
     nrm = psi.norm()
     if abs(nrm - 1.0) > _NORM_TOL:
         raise ContractError(f"state norm {nrm} deviates from 1 beyond {_NORM_TOL}")
-    probs = np.abs(psi.amp)
+    # square only the support; an amplitude whose square underflows stays out
+    z = np.flatnonzero(psi.amp)
+    probs = np.abs(psi.amp[z])
     np.square(probs, out=probs)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-10:
         raise ContractError(f"probabilities sum to {total}")
-    z = np.flatnonzero(probs)
+    kept = probs != 0.0
+    z, probs = z[kept], probs[kept]
     keys = _bit_rows(z, psi.layout.num_qubits).astype(str).tolist()
-    return dict(zip(keys, probs[z].tolist()))
+    return dict(zip(keys, probs.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +513,7 @@ def check_probability_bound(
     zs = consistent_strings(layout, S)
     # l(z): violations among clauses entirely within S
     cs_ids = sorted(ksat.clauses_within(f, S))
-    ell = violation_counts(layout, cs_ids)[zs]
+    ell = violation_counts(layout, cs_ids)[zs].astype(np.int64)  # so 2 * ell and ell + eta_n cannot wrap
     s0 = int((ell == 0).sum())
     psi_abs = np.abs(psi.amp[zs])
     if s0 == 0:

@@ -37,8 +37,9 @@ def assert_identical_data_files(dir_a, dir_b):
 
 def manifests_differ_only_in_timing(dir_a, dir_b):
     ma, mb = read_manifest(dir_a), read_manifest(dir_b)
-    ma.pop("wall_time_s")
-    mb.pop("wall_time_s")
+    for m in (ma, mb):
+        m.pop("wall_time_s")
+        m.pop("peak_rss_mb")
     # the output directory path is part of the echoed config
     ma["config"].pop("out")
     mb["config"].pop("out")
@@ -195,6 +196,49 @@ def test_enumerate_eps_with_workers_is_refused(tmp_path, capsys, source):
     assert run_cli(["enumerate", "--n", 8, "--K", 3, "--m", 10, *extra, "--seeds", "4", "--out", out]) == 0
 
 
+def test_ogp_eps_matches_the_library(tmp_path):
+    f = ksat.generate_formula(12, 30, 3, 6)
+    A = landscape.enumerate_sat_eps(f, 0.1, 0)
+    holds, witness = landscape.detect_ogp(A, 0.1, 0.3)
+    assert not holds and len(A) != len(landscape.enumerate_sat(f, 0))
+    out = tmp_path / "run"
+    assert run_cli(["ogp", "--n", 12, "--K", 3, "--m", 30, "--eps", 0.1, "--nu1", 0.1, "--nu2", 0.3,
+                    "--seeds", "6", "--out", out]) == 0
+    record = json.loads((out / "ogp_6.json").read_text())
+    assert (record["count"], record["holds"], record["witness"]) == (len(A), holds, list(witness))
+    landscape.histogram_to_csv(landscape.overlap_histogram(A), tmp_path / "library.csv")
+    assert (out / "histogram_6.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+    assert read_manifest(out)["config"]["eps"] == 0.1
+
+
+def test_cluster_eps_matches_the_library(tmp_path):
+    f = ksat.generate_formula(12, 70, 3, 21)
+    A = landscape.enumerate_sat_eps(f, 0.05, 0)
+    assert len(A) == 6 and len(landscape.enumerate_sat(f, 0)) == 0
+    P = landscape.cluster(A, 0.25, 0.55)
+    out = tmp_path / "run"
+    assert run_cli(["cluster", "--n", 12, "--K", 3, "--m", 70, "--eps", 0.05, "--nu1", 0.25, "--nu2", 0.55,
+                    "--seeds", "21", "--out", out]) == 0
+    with open(out / "clusters_21.csv", newline="") as fh:
+        rows = [(int(z), int(ell)) for z, ell in list(csv.reader(fh))[2:]]
+    assert rows == [(int(z), ell) for ell, members in enumerate(P.clusters) for z in members]
+    summary = json.loads((out / "cluster_summary_21.json").read_text())
+    assert summary == {"seed": 21, **landscape.cluster_stats(P)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["ogp", "--n", 8, "--K", 3, "--m", 10, "--nu1", 0.1, "--nu2", 0.3],
+    ["cluster", "--n", 8, "--K", 3, "--m", 10, "--nu1", 0.1, "--nu2", 0.3],
+], ids=["ogp", "cluster"])
+def test_eps_with_workers_is_refused_by_ogp_and_cluster(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert run_cli([*argv, "--eps", 0.2, "--workers", 2, "--seeds", "4", "--out", out]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation"
+    assert f"{argv[0]} --eps" in record["message"] and "--workers" in record["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("workers", [0, -3])
 @pytest.mark.parametrize("argv", [
@@ -295,6 +339,45 @@ def test_hamiltonian_subcommand(tmp_path):
     assert record["qubits"] == 8
     assert record["energy"] <= 1e-10
     assert (out / "state_3.bin").exists()
+
+
+def test_manifest_records_the_peak_resident_memory(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run_cli(["depth-bound", "--d", 10, "--n-bits", 100, "--mu", 0.3, "--out", out]) == 0
+    peak = read_manifest(out)["peak_rss_mb"]
+    assert type(peak) is float and 1.0 < peak <= cli._peak_rss_mb()
+
+    class FakeResource:
+        RUSAGE_SELF = 0
+
+        @staticmethod
+        def getrusage(who):
+            return type("usage", (), {"ru_maxrss": 3 << 20})
+
+    monkeypatch.setattr(cli, "resource", FakeResource)
+    monkeypatch.setattr(cli.sys, "platform", "linux")
+    assert cli._peak_rss_mb() == 3 * 1024  # KiB
+    monkeypatch.setattr(cli.sys, "platform", "darwin")
+    assert cli._peak_rss_mb() == 3.0  # bytes
+    monkeypatch.setattr(cli, "resource", None)
+    out = tmp_path / "no-resource"
+    assert run_cli(["depth-bound", "--d", 10, "--n-bits", 100, "--mu", 0.3, "--out", out]) == 0
+    assert read_manifest(out)["peak_rss_mb"] is None
+
+
+def test_package_runs_as_a_module(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "run"
+    proc = subprocess.run([sys.executable, "-m", "nltslab", "depth-bound", "--d", "10", "--n-bits", "100",
+                           "--mu", "0.3", "--out", str(out)], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli(["depth-bound", "--d", 10, "--n-bits", 100, "--mu", 0.3, "--out", tmp_path / "lib"]) == 0
+    assert_identical_data_files(out, tmp_path / "lib")
+    proc = subprocess.run([sys.executable, "-m", "nltslab", "depth-bound", "--d", "10"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and "required" in proc.stderr
 
 
 def test_quantum_manifest_records_the_state_and_its_energy_passes(tmp_path):

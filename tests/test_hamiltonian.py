@@ -229,8 +229,18 @@ def test_violation_counts_match_literal_oracle(name):
     for ids in selections:
         got = ham.violation_counts(layout, ids)
         want = literal_violation_counts(layout, everything if ids is None else ids)
-        assert got.dtype == np.int64
+        assert got.dtype == np.uint8  # one byte per amplitude below 256 constraints
         assert np.array_equal(got, want), ids
+
+
+def test_violation_counts_widen_past_255_constraints():
+    # 300 copies of one constraint on qubit 0: a uint8 count would wrap to 44
+    copies = tuple(ham.Constraint(qubits=(0,), variables=(0,), forbidden=(0,)) for _ in range(300))
+    layout = ham.QubitLayout(num_qubits=2, num_variables=2, constraints=copies, fibers=((0,), (1,)))
+    got = ham.violation_counts(layout)
+    assert got.dtype == np.uint16
+    assert got.tolist() == [300, 0, 300, 0]
+    assert ham.violation_counts(layout, range(255)).dtype == np.uint8
 
 
 @pytest.mark.parametrize("name", sorted(_kernel_layouts()))
@@ -346,23 +356,63 @@ def test_energy_makes_five_passes_per_active_variable(monkeypatch):
     assert not calls
 
 
-def test_energy_peak_memory_is_two_and_a_half_states():
-    # 18 qubits with fibers of 1 to 3 qubits; a pass holds its input, its
-    # output and, in apply_q_gamma, an int64 count per amplitude (half a state)
-    f = ksat.generate_formula(9, 9, 2, seed=3)
-    layout = ham.build_layout(f)
-    psi = ham.ground_state(layout, 0.5)
-    assert layout.num_qubits == 18 and min(len(x) for x in layout.fibers if x) == 1
-    state = layout.dim * 16
+def _peak_states(call) -> float:
+    """tracemalloc peak of ``call()`` in 18-qubit states (4 MiB each)."""
     tracemalloc.start()
     try:
-        ham.energy(psi, 0.5)
+        call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the rest is numpy's iterator buffers on the strided fiber views (256 KiB)
-    # and the split tables
-    assert peak <= 2.5 * state + 2**19
+    return peak / (2**18 * 16)
+
+
+@pytest.fixture(scope="module")
+def psi18():
+    # 18 qubits with fibers of 1 to 3 qubits
+    layout = ham.build_layout(ksat.generate_formula(9, 9, 2, seed=3))
+    assert layout.num_qubits == 18 and min(len(x) for x in layout.fibers if x) == 1
+    return ham.ground_state(layout, 0.5)
+
+
+def test_energy_peak_memory_is_two_and_a_quarter_states(psi18):
+    # a pass holds its input, its fresh output, a one-byte count per amplitude
+    # (1/16 of a state) and one gather chunk; measured 2.10 states
+    assert _peak_states(lambda: ham.energy(psi18, 0.5)) <= 2.25
+
+
+def test_q_gamma_peak_memory_is_its_output_and_a_count_byte(psi18):
+    # the output, a uint8 count per amplitude (1/16 of a state) and the intp
+    # indices of one 2^14-amplitude gather chunk; measured 1.094 states
+    for ids in (None, psi18.layout.incidence[3]):
+        assert _peak_states(lambda: ham.apply_q_gamma(psi18, 0.5, -1, ids)) <= 1.125, ids
+
+
+def test_q_gamma_matches_plain_formula_across_gather_chunks(psi18):
+    layout = psi18.layout
+    assert layout.dim == 16 * ham._GATHER_CHUNK
+    psi = _signed_zero_state(layout, seed=18)
+    for ids in (None, *layout.incidence):
+        got = ham.apply_q_gamma(psi, 0.5, -1, ids).amp
+        assert np.array_equal(_bits(got), _bits(plain_q_gamma(psi, 0.5, -1, ids))), ids
+
+
+def test_project_out_cat_peak_memory_is_its_output(psi18):
+    # the fiber mean waits in the output; the rest is numpy's iterator buffers
+    # on the strided fiber views (384 KiB, 0.09 of a state); measured 1.095
+    for i in psi18.layout.active_variables:
+        assert _peak_states(lambda: ham.project_out_cat(psi18, i)) <= 1.125, i
+
+
+def test_measurement_distribution_holds_nothing_per_amplitude(psi18):
+    # only the 2^9 support entries are squared; measured 0.01 of a state
+    assert _peak_states(lambda: ham.measurement_distribution(psi18)) <= 0.05
+
+
+def test_measurement_distribution_drops_amplitudes_whose_square_underflows(demo_layout):
+    amp = np.zeros(demo_layout.dim, dtype=np.complex128)
+    amp[5], amp[9], amp[12] = 1e-200, 1.0, 1e-200j
+    assert ham.measurement_distribution(ham.StateVector(demo_layout, amp)) == {"100100": 1.0}
 
 
 def test_ground_state_leaves_nothing_state_sized_on_its_layout():
