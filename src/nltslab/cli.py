@@ -239,14 +239,22 @@ def _quantum_work(psi: hamiltonian.StateVector) -> dict:
             "support": int(np.count_nonzero(psi.amp))}
 
 
+def _write_measurement(run: _Run, seed: int, psi: hamiltonian.StateVector) -> int:
+    """Write ``measurement_<seed>.csv``, rows sorted by bit string; returns the support size."""
+    nq = psi.layout.num_qubits
+    z, probs = hamiltonian.measurement_support(psi)
+    rows = hamiltonian.measurement_rows(z, probs, nq)
+    run.write_csv(f"measurement_{seed}.csv", ["# nltslab measurement v1", f"qubits={nq}"],
+                  ["bits", "probability"], ([bits, repr(p)] for bits, p in rows))
+    return int(z.size)
+
+
 def cmd_hamiltonian(args, run: _Run):
     for seed, f in _formulas(args):
         layout = hamiltonian.build_layout(f)
         psi = hamiltonian.ground_state(layout, args.gamma)
         run.work[seed] = _quantum_work(psi)
-        dist = hamiltonian.measurement_distribution(psi)
-        run.write_csv(f"measurement_{seed}.csv", ["# nltslab measurement v1", f"qubits={layout.num_qubits}"],
-                      ["bits", "probability"], ([bits, repr(dist[bits])] for bits in sorted(dist)))
+        support = _write_measurement(run, seed, psi)
         if args.dump_state:
             sname = f"state_{seed}.bin"
             hamiltonian.save_state(psi, run.path(sname, f"{sname}.json"), gamma=args.gamma)
@@ -254,7 +262,7 @@ def cmd_hamiltonian(args, run: _Run):
             f"hamiltonian_{seed}.json",
             {"seed": seed, "qubits": layout.num_qubits, "gamma": args.gamma,
              "energy": hamiltonian.energy(psi, args.gamma),
-             "support": len(dist)},
+             "support": support},
         )
 
 

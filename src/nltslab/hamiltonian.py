@@ -9,12 +9,16 @@ tautology), a quantized p-spin hyperedge forbids the 2^(p-1) energy-raising
 sign patterns.  All Q operators are diagonal, so everything is applied
 matrix-free; per-amplitude violation counts are accumulated as integers and
 exponentiated once.  Each vector pass (``violation_counts``,
-``apply_q_gamma``, ``project_out_cat``) holds its input, returns one fresh
-array and holds at most one more byte per amplitude, besides fixed-size
-chunks: counts are kept in the narrowest unsigned type that holds the
-selected constraint count, complex factors are gathered in chunks of
-``_GATHER_CHUNK`` amplitudes and the fiber mean waits in the output.  Nothing state-sized is cached on a layout, so violation
-counts are recomputed for each pass that needs them.
+``apply_q_gamma``, ``project_out_cat``) holds its input, at most one output
+state and at most one more byte per amplitude, besides fixed-size chunks:
+counts are kept in the narrowest unsigned type that holds the selected
+constraint count, complex factors are gathered and multiplied in chunks of
+``_GATHER_CHUNK`` amplitudes and the fiber mean is taken in chunks of about
+``_MEAN_CHUNK``.  ``apply_q_gamma`` and ``project_out_cat`` return a fresh
+state, or write into their input given ``out=psi``; ``apply_h_i`` makes one
+fresh state and runs its other two passes in it.  Nothing state-sized is
+cached on a layout, so violation counts are recomputed for each pass that
+needs them.  The measurement distribution is held per support entry.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +47,14 @@ MIN_GAMMA = 0.1
 ENERGY_PASSES_PER_VARIABLE = 5
 #: amplitudes per chunk of ``apply_q_gamma``'s factor gather, which indexes with intp
 _GATHER_CHUNK = 1 << 14
-#: measurement_distribution refuses a state whose norm is further than this from 1.
+#: amplitudes, about, per chunk of ``project_out_cat``'s fiber mean; numpy also
+#: buffers each strided operand up to a chunk, so a larger chunk raises the peak
+_MEAN_CHUNK = 1 << 12
+#: support entries per chunk of ``measurement_rows``' strings
+_ROW_CHUNK = 1 << 12
+#: _REVERSED_BYTE[b] is the byte b with its 8 bits in reverse order
+_REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+#: measurement_support refuses a state whose norm is further than this from 1.
 _NORM_TOL = 1e-12
 #: near_ground_state refuses a state with <psi|H_i|psi> above this for some i in S.
 _VERIFY_TOL = 1e-10
@@ -245,59 +256,118 @@ def _check_gamma(gamma: float, sign: int):
         )
 
 
+def _in_place_array(psi: StateVector, out: StateVector | None) -> np.ndarray | None:
+    """The array an in-place pass writes (``psi.amp``), or None for a fresh output.
+
+    Only ``psi`` itself is accepted as ``out``, and only with a C-contiguous,
+    writeable array: a reshape of a strided array is a copy, so writes into
+    it would be lost.
+    """
+    if out is None:
+        return None
+    if out is not psi:
+        raise ParameterError("out must be None or the input state itself")
+    if not (psi.amp.flags.c_contiguous and psi.amp.flags.writeable):
+        raise ParameterError("an in-place pass needs a C-contiguous, writeable amplitude array")
+    return psi.amp
+
+
 def apply_q_gamma(
     psi: StateVector,
     gamma: float,
     sign: int = 1,
     constraint_ids: Iterable[int] | None = None,
+    *,
+    out: StateVector | None = None,
 ) -> StateVector:
     """Diagonal map: amplitude of z scaled by gamma^(sign * violations_J(z)).
 
-    J is ``constraint_ids``, every constraint when None.
+    J is ``constraint_ids``, every constraint when None.  ``out=psi`` scales
+    psi in place and returns it; None returns a fresh state.
     """
     if sign not in (1, -1):
         raise ParameterError("sign must be +1 or -1")
     _check_gamma(gamma, sign)
+    target = _in_place_array(psi, out)
     viol = violation_counts(psi.layout, constraint_ids)
     vmax = int(viol.max()) if viol.size else 0
     powers = gamma ** (sign * np.arange(vmax + 1, dtype=np.float64))
-    # gathering complex factors (p + 0j) and scaling in place gives the bits of
+    # a complex factor (p + 0j) times the amplitude gives the bits of
     # psi.amp * powers[viol]: one product per component is exactly +-0; take
-    # indexes with an intp copy of the counts, so gather a chunk at a time
+    # indexes with an intp copy of the counts, so gather a chunk at a time,
+    # into the fresh output or, in place, into a chunk buffer
     factors = powers.astype(np.complex128)
-    out = np.empty_like(psi.amp)
-    for start in range(0, out.size, _GATHER_CHUNK):
+    fresh = target is None
+    if fresh:
+        target = np.empty_like(psi.amp)
+    else:
+        buf = np.empty(min(_GATHER_CHUNK, target.size), dtype=np.complex128)
+    for start in range(0, target.size, _GATHER_CHUNK):
         part = slice(start, start + _GATHER_CHUNK)
-        np.take(factors, viol[part], out=out[part], mode="clip")  # "raise" would buffer out
-    out *= psi.amp
-    return StateVector(psi.layout, out)
+        chunk = target[part] if fresh else buf[: min(_GATHER_CHUNK, target.size - start)]
+        np.take(factors, viol[part], out=chunk, mode="clip")  # "raise" would buffer out
+        np.multiply(chunk, psi.amp[part], out=target[part])
+    return out if out is not None else StateVector(psi.layout, target)
 
 
-def project_out_cat(psi: StateVector, variable: int) -> StateVector:
-    """(I - |CAT(i)><CAT(i)|) applied on the fiber D(i)."""
+def _fiber_slabs(amp: np.ndarray, num_qubits: int, fiber: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Views of ``amp`` with every fiber qubit at 0, and at 1.
+
+    Adjacent qubits of one kind share an axis (the first axis holds the top
+    qubits), so a slab has one axis per run of qubits off the fiber; the
+    trailing ... keeps it a view when the fiber holds every qubit.
+    """
+    runs: list[list] = []  # [on the fiber, qubits], from the top qubit down
+    on = set(fiber)
+    for q in reversed(range(num_qubits)):
+        if runs and runs[-1][0] == (q in on):
+            runs[-1][1] += 1
+        else:
+            runs.append([q in on, 1])
+    view = amp.reshape([1 << size for _, size in runs])
+    z0 = tuple(0 if fib else slice(None) for fib, _ in runs)
+    z1 = tuple(-1 if fib else slice(None) for fib, _ in runs)
+    return view[(*z0, ...)], view[(*z1, ...)]
+
+
+def project_out_cat(psi: StateVector, variable: int, *, out: StateVector | None = None) -> StateVector:
+    """(I - |CAT(i)><CAT(i)|) applied on the fiber D(i).
+
+    ``out=psi`` projects psi in place and returns it; None returns a fresh state.
+    """
+    target = _in_place_array(psi, out)
+    if target is None:
+        target = psi.amp.copy()  # strings mixed on the fiber pass through
     fiber = psi.layout.fibers[variable]
     if not fiber:
         # no qubits carry this variable; its CAT projector is trivial
-        return StateVector(psi.layout, np.zeros_like(psi.amp))
-    # axis nq-1-q of the (2,)*nq view is qubit q; fix the fiber axes at 0, then at 1;
-    # the trailing ... keeps a slab a view when the fiber holds every qubit
-    nq = psi.layout.num_qubits
-    z0, z1 = [slice(None)] * nq, [slice(None)] * nq
-    for q in fiber:
-        z0[nq - 1 - q], z1[nq - 1 - q] = 0, 1
-    out = psi.amp.copy()  # strings mixed on the fiber pass through
-    amp, view = psi.amp.reshape((2,) * nq), out.reshape((2,) * nq)
-    a0, a1, mean = amp[(*z0, ...)], amp[(*z1, ...)], view[(*z0, ...)]
-    # the fiber mean s = (a0 + a1) / 2 waits in the output's z0 slab
-    np.add(a0, a1, out=mean)
-    mean /= 2.0
-    np.subtract(a1, mean, out=view[(*z1, ...)])
-    np.subtract(a0, mean, out=mean)
-    return StateVector(psi.layout, out)
+        target[...] = 0.0
+    else:
+        s0, s1 = _fiber_slabs(target, psi.layout.num_qubits, fiber)
+        # the fiber mean s = (a0 + a1) / 2, a chunk of about _MEAN_CHUNK
+        # amplitudes at a time along the slabs' longest axis
+        if s0.ndim == 0:
+            blocks = [(...,)]
+        else:
+            axis = int(np.argmax(s0.shape))
+            rows = max(1, _MEAN_CHUNK * s0.shape[axis] // s0.size)
+            head = (slice(None),) * axis
+            blocks = [(*head, slice(start, start + rows)) for start in range(0, s0.shape[axis], rows)]
+        for block in blocks:
+            c0, c1 = s0[block], s1[block]
+            mean = c0 + c1
+            mean /= 2.0
+            c1 -= mean
+            c0 -= mean
+    return out if out is not None else StateVector(psi.layout, target)
 
 
 def apply_h_i(psi: StateVector, variable: int, gamma: float) -> StateVector:
-    """H_i = Q_{x_i,g}^{-1} (I - |CAT(i)><CAT(i)|) Q_{x_i,g}^{-1}, matrix-free."""
+    """H_i = Q_{x_i,g}^{-1} (I - |CAT(i)><CAT(i)|) Q_{x_i,g}^{-1}, matrix-free.
+
+    The first pass makes one fresh state and the other two write into it, so
+    psi is never written and one state is held beside it.
+    """
     layout = psi.layout
     if not 0 <= variable < layout.num_variables:
         raise ParameterError("variable index out of range")
@@ -305,16 +375,16 @@ def apply_h_i(psi: StateVector, variable: int, gamma: float) -> StateVector:
         return StateVector(layout, np.zeros_like(psi.amp))
     ids = layout.incidence[variable]
     out = apply_q_gamma(psi, gamma, sign=-1, constraint_ids=ids)
-    out = project_out_cat(out, variable)
-    return apply_q_gamma(out, gamma, sign=-1, constraint_ids=ids)
+    project_out_cat(out, variable, out=out)
+    return apply_q_gamma(out, gamma, sign=-1, constraint_ids=ids, out=out)
 
 
 def energy(psi: StateVector, gamma: float) -> float:
     """Sum_i <psi|H_i|psi> (real part; each term is PSD).
 
     A variable with an empty fiber has H_i = 0 and is skipped; every other
-    term takes ``ENERGY_PASSES_PER_VARIABLE`` vector passes, so at most psi,
-    one pass's input and output and a count byte per amplitude are held.
+    term takes ``ENERGY_PASSES_PER_VARIABLE`` vector passes in one scratch
+    state, so psi, that state and a count byte per amplitude are held.
     """
     total = 0.0
     for i in psi.layout.active_variables:
@@ -327,25 +397,61 @@ def ground_state(layout: QubitLayout, gamma: float) -> StateVector:
     return apply_q_gamma(cat_state(layout), gamma, sign=1).normalized()
 
 
-def measurement_distribution(psi: StateVector) -> dict[str, float]:
-    """|amplitude|^2 per computational basis string (zero entries omitted).
+def measurement_support(psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices of nonzero |amplitude|^2, ascending, and those probabilities.
 
-    String position q holds the value of qubit q = (j, k) with q = j*K + k.
+    Only the support is squared, a chunk at a time, so an index and a float
+    are held per support entry; an amplitude whose square underflows is left out.
     """
     nrm = psi.norm()
     if abs(nrm - 1.0) > _NORM_TOL:
         raise ContractError(f"state norm {nrm} deviates from 1 beyond {_NORM_TOL}")
-    # square only the support; an amplitude whose square underflows stays out
     z = np.flatnonzero(psi.amp)
-    probs = np.abs(psi.amp[z])
+    probs = np.empty(z.size)
+    for start in range(0, z.size, _GATHER_CHUNK):
+        part = slice(start, start + _GATHER_CHUNK)
+        np.abs(psi.amp[z[part]], out=probs[part])
     np.square(probs, out=probs)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-10:
         raise ContractError(f"probabilities sum to {total}")
     kept = probs != 0.0
-    z, probs = z[kept], probs[kept]
-    keys = _bit_rows(z, psi.layout.num_qubits).astype(str).tolist()
-    return dict(zip(keys, probs.tolist()))
+    if not kept.all():
+        z, probs = z[kept], probs[kept]
+    return z, probs
+
+
+def _bit_strings(z: np.ndarray, num_qubits: int) -> list[str]:
+    """Basis strings of the indices z: position q holds qubit q = (j, k), q = j*K + k."""
+    return _bit_rows(z, num_qubits).astype(str).tolist()
+
+
+def measurement_rows(z: np.ndarray, probs: np.ndarray, num_qubits: int) -> Iterator[tuple[str, float]]:
+    """(basis string, probability) of each support entry, in the order sorted()
+    gives the strings; strings are made ``_ROW_CHUNK`` at a time.
+
+    Position q of a string is qubit q, so the strings sort as the indices
+    with their 64 bits reversed: each byte reversed by table, then the bytes
+    swapped in place.  An index below 2^num_qubits keeps its low 64 -
+    num_qubits reversed bits 0, so they do not change the order.
+    """
+    key = _REVERSED_BYTE[np.ascontiguousarray(z, dtype="<i8").view(np.uint8)].view("<u8")
+    key.byteswap(inplace=True)
+    order = np.argsort(key)
+    del key
+    for start in range(0, order.size, _ROW_CHUNK):
+        pick = order[start : start + _ROW_CHUNK]
+        yield from zip(_bit_strings(z[pick], num_qubits), probs[pick].tolist())
+
+
+def measurement_distribution(psi: StateVector) -> dict[str, float]:
+    """|amplitude|^2 per computational basis string (zero entries omitted), in index order.
+
+    It holds a Python string and float per support entry; ``measurement_rows``
+    writes the same entries a chunk at a time.
+    """
+    z, probs = measurement_support(psi)
+    return dict(zip(_bit_strings(z, psi.layout.num_qubits), probs.tolist()))
 
 
 # ---------------------------------------------------------------------------

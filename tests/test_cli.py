@@ -341,6 +341,28 @@ def test_hamiltonian_subcommand(tmp_path):
     assert (out / "state_3.bin").exists()
 
 
+def test_hamiltonian_at_full_support_holds_no_string_per_amplitude(tmp_path):
+    # 18 one-slot variables put every basis string in the support; a dict of
+    # a string and a float per entry peaked at 11.7 states; measured 3.3 (psi,
+    # then an index, a probability, a sort key and a position per entry)
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        code = run_cli(["hamiltonian", "--n", 1000, "--K", 1, "--m", 18, "--seeds", "2", "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads((out / "hamiltonian_2.json").read_text())["support"] == 2**18
+    assert peak <= 4 * 2**18 * 16
+    layout = hamiltonian.build_layout(ksat.generate_formula(1000, 18, 1, 2))
+    dist = hamiltonian.measurement_distribution(hamiltonian.ground_state(layout, 0.5))
+    with open(out / "measurement_2.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[:2] == [["# nltslab measurement v1", "qubits=18"], ["bits", "probability"]]
+    assert rows[2:] == [[bits, repr(dist[bits])] for bits in sorted(dist)]
+
+
 def test_manifest_records_the_peak_resident_memory(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert run_cli(["depth-bound", "--d", 10, "--n-bits", 100, "--mu", 0.3, "--out", out]) == 0

@@ -322,18 +322,74 @@ def test_vector_passes_match_plain_formulas_bit_for_bit(name):
     psi = _signed_zero_state(layout, seed=layout.num_qubits)
     assert np.signbit(psi.amp.real[psi.amp.real == 0]).any()
     selections = [None, (), *layout.incidence]
+    before = psi.amp.tobytes()
+
+    def in_place(pass_, *args):
+        scratch = ham.StateVector(layout, psi.amp.copy())
+        assert pass_(scratch, *args, out=scratch) is scratch
+        return scratch.amp
+
     for gamma in (ham.MIN_GAMMA, 0.5, 1.0):
         for sign in (1, -1):
             for ids in selections:
                 got = ham.apply_q_gamma(psi, gamma, sign, ids).amp
                 assert np.array_equal(_bits(got), _bits(plain_q_gamma(psi, gamma, sign, ids))), (gamma, sign, ids)
+                got = in_place(ham.apply_q_gamma, gamma, sign, ids)
+                assert np.array_equal(_bits(got), _bits(plain_q_gamma(psi, gamma, sign, ids))), (gamma, sign, ids)
         for i in range(layout.num_variables):
             got = ham.apply_h_i(psi, i, gamma).amp
             assert np.array_equal(_bits(got), _bits(plain_h_i(psi, i, gamma))), (gamma, i)
+            assert psi.amp.tobytes() == before
         assert _bits(ham.energy(psi, gamma)) == _bits(plain_energy(psi, gamma)), gamma
+        assert psi.amp.tobytes() == before
     for i in range(layout.num_variables):
         got = ham.project_out_cat(psi, i).amp
         assert np.array_equal(_bits(got), _bits(plain_projection(psi, i))), i
+        got = in_place(ham.project_out_cat, i)
+        assert np.array_equal(_bits(got), _bits(plain_projection(psi, i))), i
+
+
+def test_in_place_passes_accept_only_their_own_contiguous_writeable_input():
+    layout = _kernel_layouts()["non-contiguous"]
+    psi = _rand_state(layout, seed=4)
+    # the non-contiguous amp of test_state_dump_bytes_are_little_endian_doubles
+    strided = ham.StateVector(layout, _signed_zero_state(layout, seed=1).amp.repeat(2)[::2])
+    assert not strided.amp.flags.c_contiguous
+    frozen = _rand_state(layout, seed=5)
+    frozen.amp.flags.writeable = False
+    other_layout = _rand_state(_kernel_layouts()["demo"])
+    twin = ham.StateVector(layout, psi.amp.copy())
+    for state, out in ((psi, other_layout), (psi, twin), (psi, psi.amp), (strided, strided), (frozen, frozen)):
+        before = state.amp.tobytes()
+        with pytest.raises(ParameterError):
+            ham.apply_q_gamma(state, 0.5, -1, out=out)
+        with pytest.raises(ParameterError):
+            ham.project_out_cat(state, 0, out=out)
+        assert state.amp.tobytes() == before
+    # the fresh forms take any of them
+    for state in (strided, frozen):
+        assert np.array_equal(ham.project_out_cat(state, 0).amp, index_projection(state, 0))
+
+
+def test_in_place_projection_on_an_empty_fiber_zeroes_psi():
+    layout = _kernel_layouts()["ksat-tautology"]
+    assert not layout.fibers[5]
+    psi = _rand_state(layout, seed=3)
+    amp = psi.amp
+    assert ham.project_out_cat(psi, 5, out=psi) is psi
+    assert psi.amp is amp
+    assert np.array_equal(_bits(amp), _bits(np.zeros_like(amp)))
+
+
+def test_projection_on_a_fiber_of_every_qubit():
+    # one variable in every slot: each slab is a single amplitude
+    layout = ham.layout_from_blocks([((0, 0, 0), (1, 6))], num_variables=1)
+    assert layout.fibers == ((0, 1, 2),)
+    psi = _signed_zero_state(layout, seed=3)
+    want = index_projection(psi, 0)
+    assert np.array_equal(_bits(ham.project_out_cat(psi, 0).amp), _bits(want))
+    assert ham.project_out_cat(psi, 0, out=psi) is psi
+    assert np.array_equal(_bits(psi.amp), _bits(want))
 
 
 def test_energy_makes_five_passes_per_active_variable(monkeypatch):
@@ -375,10 +431,11 @@ def psi18():
     return ham.ground_state(layout, 0.5)
 
 
-def test_energy_peak_memory_is_two_and_a_quarter_states(psi18):
-    # a pass holds its input, its fresh output, a one-byte count per amplitude
-    # (1/16 of a state) and one gather chunk; measured 2.10 states
-    assert _peak_states(lambda: ham.energy(psi18, 0.5)) <= 2.25
+def test_energy_peak_memory_is_one_and_a_quarter_states(psi18):
+    # H_i's three passes share one scratch state; a pass adds a one-byte count
+    # per amplitude (1/16 of a state) and one gather chunk with its intp
+    # indices; measured 1.16 states
+    assert _peak_states(lambda: ham.energy(psi18, 0.5)) <= 1.25
 
 
 def test_q_gamma_peak_memory_is_its_output_and_a_count_byte(psi18):
@@ -398,10 +455,19 @@ def test_q_gamma_matches_plain_formula_across_gather_chunks(psi18):
 
 
 def test_project_out_cat_peak_memory_is_its_output(psi18):
-    # the fiber mean waits in the output; the rest is numpy's iterator buffers
-    # on the strided fiber views (384 KiB, 0.09 of a state); measured 1.095
+    # the output, one 2^12-amplitude mean chunk and numpy's iterator buffers
+    # on the strided slab chunks (0.06 of a state in all); measured 1.064
     for i in psi18.layout.active_variables:
         assert _peak_states(lambda: ham.project_out_cat(psi18, i)) <= 1.125, i
+
+
+def test_in_place_passes_hold_no_state(psi18):
+    # a count byte per amplitude and fixed-size chunks; measured 0.157 and 0.064
+    scratch = ham.StateVector(psi18.layout, psi18.amp.copy())
+    for ids in (None, psi18.layout.incidence[3]):
+        assert _peak_states(lambda: ham.apply_q_gamma(scratch, 0.5, -1, ids, out=scratch)) <= 0.25, ids
+    for i in psi18.layout.active_variables:
+        assert _peak_states(lambda: ham.project_out_cat(scratch, i, out=scratch)) <= 0.125, i
 
 
 def test_measurement_distribution_holds_nothing_per_amplitude(psi18):
@@ -555,6 +621,8 @@ def test_measurement_distribution_matches_per_bit_oracle(nq):
     want = per_bit_distribution(psi)
     assert list(dist.items()) == list(want.items())
     assert all(type(p) is float for p in dist.values())
+    z, probs = ham.measurement_support(psi)
+    assert list(ham.measurement_rows(z, probs, nq)) == sorted(want.items())
 
 
 def test_measurement_distribution_norm_check(demo_layout):
