@@ -17,10 +17,9 @@ all but theory-scan and depth-bound take the seed flags (``--instances``
 below 1 and an empty ``--seeds`` are refused), and the three that
 enumerate (enumerate, ogp, cluster) take ``--r``, ``--eps`` (the eps-robust
 set in place of the set at ``--r``) and ``--workers``, which is refused below
-1, and above 1 with ``--eps``; ``pspin --gamma`` is refused without
-``--quantize``, which alone uses 0.5.  The stream of instance
-``i`` under the 64-bit master seed is the first 8 bytes of
-blake2b("<master>:<i>").
+1; ``pspin --gamma`` is refused without ``--quantize``, which alone uses 0.5.
+The stream of instance ``i`` under the 64-bit master seed is the first 8
+bytes of blake2b("<master>:<i>").
 
 ``--config`` names an INI file whose section for the subcommand acts as flags
 placed before argv's own, so argv wins and argparse parses everything once;
@@ -173,13 +172,11 @@ def _enumerated(args):
     """(seed, formula, set) per seed: ``enumerate_sat`` at ``--r``, or ``enumerate_sat_eps`` given ``--eps``."""
     if args.workers < 1:
         raise ParameterError(f"--workers must be at least 1, got {args.workers}")
-    if args.eps is not None and args.workers > 1:
-        raise ParameterError(f"{args.subcommand} --eps runs in one process, so --workers above 1 is refused with it")
     for seed, f in _formulas(args):
         if args.eps is None:
             yield seed, f, landscape.enumerate_sat(f, args.r, workers=args.workers)
         else:
-            yield seed, f, landscape.enumerate_sat_eps(f, args.eps, args.r)
+            yield seed, f, landscape.enumerate_sat_eps(f, args.eps, args.r, workers=args.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +206,10 @@ def cmd_enumerate(args, run: _Run):
 
 def cmd_ogp(args, run: _Run):
     for seed, _, A in _enumerated(args):
+        holds, witness = landscape.detect_ogp(A, args.nu1, args.nu2)  # refuses (nu1, nu2) before any file
         hist = landscape.overlap_histogram(A)
         run.work[seed] = hist.work
         landscape.histogram_to_csv(hist, run.path(f"histogram_{seed}.csv"))
-        holds, witness = landscape.detect_ogp(A, args.nu1, args.nu2)
         run.write_json(
             f"ogp_{seed}.json",
             {"seed": seed, "count": len(A), "nu1": args.nu1, "nu2": args.nu2,
@@ -250,6 +247,7 @@ def _write_measurement(run: _Run, seed: int, psi: hamiltonian.StateVector) -> in
 
 
 def cmd_hamiltonian(args, run: _Run):
+    hamiltonian.check_gamma(args.gamma, sign=-1)  # energy's inverse, before the first file is written
     for seed, f in _formulas(args):
         layout = hamiltonian.build_layout(f)
         psi = hamiltonian.ground_state(layout, args.gamma)
@@ -270,6 +268,7 @@ def cmd_pspin(args, run: _Run):
     if args.gamma is not None and not args.quantize:
         raise ParameterError("pspin --gamma is read only with --quantize")
     gamma = 0.5 if args.gamma is None else args.gamma
+    hamiltonian.check_gamma(gamma, sign=-1)  # energy's inverse, before the first file is written
     for seed in _seed_list(args):
         g = pspin.generate_regular_hypergraph(args.n, args.d, args.p, seed)
         J = pspin.generate_couplings(g, stream_seed(seed, 1))
@@ -365,7 +364,7 @@ def _add_formula_args(p: argparse.ArgumentParser):
 def _add_enumeration_args(p: argparse.ArgumentParser):
     _add_formula_args(p)
     p.add_argument("--r", type=int, default=0)
-    p.add_argument("--eps", type=float, help="enumerate the eps-robust set A_{eps,r} (needs --workers 1)")
+    p.add_argument("--eps", type=float, help="enumerate the eps-robust set A_{eps,r}")
     p.add_argument("--workers", type=int, default=1)
 
 

@@ -54,7 +54,9 @@ _MEAN_CHUNK = 1 << 12
 _ROW_CHUNK = 1 << 12
 #: _REVERSED_BYTE[b] is the byte b with its 8 bits in reverse order
 _REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
-#: measurement_support refuses a state whose norm is further than this from 1.
+#: measurement_support refuses a state whose norm is further from 1 than this
+#: plus 2^-52 per support entry, which bounds the rounding of a norm of N
+#: normalized amplitudes, about (N/4 + 1) 2^-52 (Higham 2002, section 3.1).
 _NORM_TOL = 1e-12
 #: near_ground_state refuses a state with <psi|H_i|psi> above this for some i in S.
 _VERIFY_TOL = 1e-10
@@ -158,10 +160,16 @@ class StateVector:
         return float(np.linalg.norm(self.amp))
 
     def normalized(self) -> "StateVector":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ParameterError("cannot normalize the zero vector")
-        return StateVector(self.layout, self.amp / nrm)
+        return _normalize(StateVector(self.layout, self.amp.copy()))
+
+
+def _normalize(psi: StateVector) -> StateVector:
+    """Divide psi by its norm in place and return it."""
+    nrm = psi.norm()
+    if nrm == 0.0:
+        raise ParameterError("cannot normalize the zero vector")
+    psi.amp /= nrm
+    return psi
 
 
 def layout_from_blocks(
@@ -245,7 +253,8 @@ def cat_state(layout: QubitLayout) -> StateVector:
     return basis_element_vector(layout, cat_basis_element(layout))
 
 
-def _check_gamma(gamma: float, sign: int):
+def check_gamma(gamma: float, sign: int = 1):
+    """Refuse a gamma that Q(gamma)^sign cannot apply: outside (0, 1], or below MIN_GAMMA for the inverse."""
     if not 0.0 < gamma <= 1.0:
         if gamma == 0.0 and sign == -1:
             raise ParameterError("gamma=0 is not invertible")
@@ -287,7 +296,7 @@ def apply_q_gamma(
     """
     if sign not in (1, -1):
         raise ParameterError("sign must be +1 or -1")
-    _check_gamma(gamma, sign)
+    check_gamma(gamma, sign)
     target = _in_place_array(psi, out)
     viol = violation_counts(psi.layout, constraint_ids)
     vmax = int(viol.max()) if viol.size else 0
@@ -393,8 +402,9 @@ def energy(psi: StateVector, gamma: float) -> float:
 
 
 def ground_state(layout: QubitLayout, gamma: float) -> StateVector:
-    """Normalized Q(gamma)|CAT>, the shared zero-energy state of every H_i."""
-    return apply_q_gamma(cat_state(layout), gamma, sign=1).normalized()
+    """Normalized Q(gamma)|CAT>, the shared zero-energy state of every H_i, built in one state."""
+    psi = cat_state(layout)
+    return _normalize(apply_q_gamma(psi, gamma, out=psi))
 
 
 def measurement_support(psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
@@ -403,10 +413,10 @@ def measurement_support(psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
     Only the support is squared, a chunk at a time, so an index and a float
     are held per support entry; an amplitude whose square underflows is left out.
     """
-    nrm = psi.norm()
-    if abs(nrm - 1.0) > _NORM_TOL:
-        raise ContractError(f"state norm {nrm} deviates from 1 beyond {_NORM_TOL}")
     z = np.flatnonzero(psi.amp)
+    nrm, tol = psi.norm(), _NORM_TOL + z.size * np.finfo(np.float64).eps
+    if abs(nrm - 1.0) > tol:
+        raise ContractError(f"state norm {nrm} deviates from 1 beyond {tol}")
     probs = np.empty(z.size)
     for start in range(0, z.size, _GATHER_CHUNK):
         part = slice(start, start + _GATHER_CHUNK)
@@ -493,8 +503,8 @@ def _scatter(pattern: int, fiber: tuple[int, ...]) -> int:
     return sum(((pattern >> k) & 1) << q for k, q in enumerate(fiber))
 
 
-def _basis_support(layout: QubitLayout, w: BasisElement) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, unnormalized +-1 coefficients) of |w> in the computational basis."""
+def _basis_support(layout: QubitLayout, w: BasisElement) -> tuple[np.ndarray, np.ndarray | None]:
+    """Indices of |w> in the computational basis, and per index 1 where its sign is -1 (None if none is)."""
     active = layout.active_variables
     if len(w.patterns) != len(active):
         raise ParameterError(
@@ -504,21 +514,26 @@ def _basis_support(layout: QubitLayout, w: BasisElement) -> tuple[np.ndarray, np
     base = 0
     for pat, i in zip(w.patterns, active):
         base |= _scatter(pat, layout.fibers[i])
-    idx = _subset_xors([layout.fiber_masks[i] for i in active]) ^ np.uint64(base)
-    minus = _subset_xors([sign == -1 for sign in w.signs])
-    return idx, 1.0 - 2.0 * minus
+    idx = _subset_xors([layout.fiber_masks[i] for i in active])
+    idx ^= np.uint64(base)
+    return idx, _subset_xors([sign == -1 for sign in w.signs]) if -1 in w.signs else None
 
 
 def basis_element_vector(layout: QubitLayout, w: BasisElement) -> StateVector:
-    idx, coef = _basis_support(layout, w)
+    """|w> as a dense state: the scale scattered onto its support, negated where its sign is -1."""
+    idx, minus = _basis_support(layout, w)
+    scale = INV_SQRT2 ** len(layout.active_variables)
     amp = np.zeros(layout.dim, dtype=np.complex128)
-    amp[idx] = coef * INV_SQRT2 ** len(layout.active_variables)
+    amp[idx] = scale
+    if minus is not None:
+        amp[idx[minus == 1]] = -scale
     return StateVector(layout, amp)
 
 
 def basis_coefficient(psi: StateVector, w: BasisElement) -> complex:
     """<w|psi> without materializing the full |w> vector."""
-    idx, coef = _basis_support(psi.layout, w)
+    idx, minus = _basis_support(psi.layout, w)
+    coef = 1.0 if minus is None else 1.0 - 2.0 * minus
     scale = INV_SQRT2 ** len(psi.layout.active_variables)
     return complex(np.sum(coef * psi.amp[idx]) * scale)
 
@@ -564,7 +579,8 @@ def near_ground_state(
             raise ParameterError(f"missing local factor for variable {i} outside S")
         factors.append((0, 1) if i in S else off_factors[i])
     w = BasisElement(patterns=tuple(c[0] for c in factors), signs=tuple(c[1] for c in factors))
-    psi = apply_q_gamma(basis_element_vector(layout, w), gamma, sign=1).normalized()
+    psi = basis_element_vector(layout, w)
+    _normalize(apply_q_gamma(psi, gamma, out=psi))
     for i in S:
         if 0 <= i < layout.num_variables and layout.fibers[i]:
             e_i = float(np.real(np.vdot(psi.amp, apply_h_i(psi, i, gamma).amp)))

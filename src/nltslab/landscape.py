@@ -1,12 +1,12 @@
 """Exhaustive enumeration of (near-)satisfying assignments and their geometry.
 
-Assignments are enumerated as packed integers in blocks; each block is an
-independent work unit, so enumeration parallelizes over a process pool and
-merges deterministically (ascending order).  Satisfying assignments (r = 0)
-pass an early-exit clause filter; near-satisfying ones (r > 0) are counted
-64 clauses at a time from split tables over the low and high variables.
-The eps-robust union over excluded variable sets reads the same tables in
-one pass over the cube: each excluded set is a mask of the clauses that
+Assignments are enumerated as packed integers in ranges of the cube; each
+range is an independent work unit, so _cube_scan runs both scans below in
+one process or over a process pool, merging in ascending order.  Satisfying
+assignments (r = 0) pass an early-exit clause filter; near-satisfying ones
+(r > 0) are counted 64 clauses at a time from split tables over the low and
+high variables.  The eps-robust union over excluded variable sets reads the
+same tables in one pass: each excluded set is a mask of the clauses that
 avoid it, tested against every assignment's violated-clause words.
 Every pair histogram goes through _pair_counts, which picks one of two
 kernels on n and |A| alone: for a dense set at n <= 24 the counts are the
@@ -250,6 +250,25 @@ def _restricted_clause_arrays(f: Formula, S: Iterable[int] | None):
     return masks[sel], values[sel]
 
 
+def _cube_scan(scan, args: tuple, n: int, workers: int) -> np.ndarray:
+    """Module-level scan((start, stop, *args)) over the n-bit cube, in this process or on a pool.
+
+    A pool runs up to 8 tasks per worker, split on whole high halves of the
+    split tables (multiples of 2^ceil(n/2)), and concatenates them in order.
+    """
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
+    total = 1 << n
+    if workers == 1 or total <= BLOCK_SIZE:
+        return scan((0, total, *args))
+    L = (n + 1) // 2
+    bounds = np.linspace(0, total >> L, min(workers * 8, total // BLOCK_SIZE) + 1, dtype=np.int64) << L
+    tasks = [(int(a), int(b), *args) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    # a dead worker raises BrokenProcessPool here, not a hang; the executor's module loads only here
+    with concurrent.futures.ProcessPoolExecutor(min(workers, len(tasks))) as pool:
+        return np.concatenate(list(pool.map(scan, tasks)))
+
+
 def enumerate_sat(
     f: Formula,
     r: int,
@@ -260,93 +279,76 @@ def enumerate_sat(
     check_budget("enum_cap", f.n, "enumeration", "variables")
     if r < 0:
         raise ParameterError("violation budget r must be nonnegative")
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
     masks, values = _restricted_clause_arrays(f, S)
-    total = 1 << f.n
-    if workers <= 1 or total <= BLOCK_SIZE:
-        members = _scan_range((0, total, masks, values, r, f.n))
-    else:
-        n_tasks = min(workers * 8, max(1, total // BLOCK_SIZE))
-        L = (f.n + 1) // 2  # task bounds fall on whole high halves of the tables
-        bounds = np.linspace(0, total >> L, n_tasks + 1, dtype=np.int64) << L
-        tasks = [
-            (int(a), int(b), masks, values, r, f.n)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        # a worker that dies raises BrokenProcessPool here instead of hanging the map;
-        # the executor's module (and multiprocessing) loads only when a pool runs
-        with concurrent.futures.ProcessPoolExecutor(min(workers, len(tasks))) as pool:
-            parts = list(pool.map(_scan_range, tasks))
-        members = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+    members = _cube_scan(_scan_range, (masks, values, r, f.n), f.n, workers)
     words, per_word = _table_size(f.n, masks.size)
     table_bytes = words * per_word if 0 < r < masks.size else 0
-    work = {"filter": "split_tables" if table_bytes else "early_exit", "assignments": total,
+    work = {"filter": "split_tables" if table_bytes else "early_exit", "assignments": 1 << f.n,
             "table_bytes": table_bytes, "members": int(members.size)}
     return SolutionSet(n=f.n, members=members, r=r, work=work)
+
+
+def _scan_eps_range(args) -> np.ndarray:
+    """Packed assignments in [start, stop) violating at most r of the clauses some excluded set keeps.
+
+    Each excluded set is a mask of the clauses that avoid it, in 64-clause
+    words.  The range, on multiples of 2^L, is walked in blocks of whole high
+    halves whose violated-clause words (hi & lo on the tabled words, one
+    compare per clause past them) and temporaries fit _TABLE_BUDGET, as the
+    masks' groups do.  x is kept when its words ANDed with some mask hold at most r bits.
+    """
+    start, stop, masks, values, excluded, r, n = args
+    if r >= masks.size:  # no set keeps more than r clauses
+        return np.arange(start, stop, dtype=np.uint64)
+    lo, hi = _clause_tables(n, masks, values)
+    tabled, L, words = lo.shape[0], (n + 1) // 2, -(-masks.size // 64)
+    E = np.fromiter((sum(1 << v for v in e) for e in combinations(range(n), excluded)), dtype=np.uint64)
+    group = max(1, _TABLE_BUDGET // (16 * 64 * words))  # 16 bytes per set and clause slot
+    kept = np.concatenate([_packed((masks & E[g : g + group, None]) == 0, words) for g in range(0, E.size, group)])
+    count = np.min_scalar_type(64 * words)
+    halves = max(1, _TABLE_BUDGET // (48 * words) >> L)  # 17 bytes per row and word, plus 30 per row
+    parts = []
+    for a in range(start >> L, stop >> L, halves):
+        b = min(a + halves, stop >> L)
+        x = np.arange(a << L, b << L, dtype=np.uint64)
+        viol = np.zeros((words, x.size), dtype=np.uint64)
+        viol[:tabled] = (hi[:, a:b, None] & lo[:, None]).reshape(tabled, x.size)
+        for c in range(64 * tabled, masks.size):
+            viol[c // 64] |= ((x & masks[c]) == values[c]).astype(np.uint64) << np.uint64(c % 64)
+        keep = np.zeros(x.size, dtype=bool)
+        at, found = np.arange(x.size), 0  # the rows still tested; those kept since the last drop
+        for mask in kept:
+            hit = at[np.add.reduce(np.bitwise_count(viol & mask[:, None]), axis=0, dtype=count) <= r]
+            keep[hit] = True
+            found += hit.size
+            if found * 8 > at.size:  # compress, unlike viol[:, live], stays C-ordered
+                live = ~keep[at]
+                at, viol, found = at[live], viol.compress(live, axis=1), 0
+        parts.append(x[keep])
+    return np.concatenate(parts)
 
 
 def enumerate_sat_eps(
     f: Formula,
     eps: float,
     r: int,
+    workers: int = 1,
 ) -> SolutionSet:
-    """Union over all S of size n - ceil(eps*n) of enumerate_sat(f, r, S), in one pass in this process.
-
-    Each excluded set E is a mask of the clauses that avoid it, in 64-clause
-    words, built in groups of sets whose temporaries fit _TABLE_BUDGET.  The
-    cube is walked once, in blocks of whole high halves whose violated-clause
-    words (hi & lo on the tabled words, one compare per clause past them) and
-    temporaries fit it too.  x is kept when its violated words ANDed with some
-    mask hold at most r bits, so members come out ascending and distinct, and
-    eps_budget's price, C(n, k) 2^n max(1, words), is one AND and popcount per
-    mask word, set and assignment.
-    """
+    """Union over all S of size n - ceil(eps*n) of enumerate_sat(f, r, S), in one _scan_eps_range pass."""
     if not 0.0 <= eps < 1.0:
         raise ParameterError("eps must be in [0, 1)")
     n, excluded = f.n, math.ceil(eps * f.n)
     n_subsets = math.comb(n, excluded)
     masks, values, _ = f.clause_arrays
-    words = -(-masks.size // 64)
-    check_budget("eps_budget", (n_subsets << n) * max(1, words), f"enumerate_sat_eps over {n_subsets} kept sets",
-                 "mask-word tests")
+    check_budget("eps_budget", (n_subsets << n) * max(1, -(-masks.size // 64)),
+                 f"enumerate_sat_eps over {n_subsets} kept sets", "mask-word tests")
     check_budget("enum_cap", n, "enumeration", "variables")
     if r < 0:
         raise ParameterError("violation budget r must be nonnegative")
-    work = {"filter": "clause_masks", "assignments": 1 << n, "excluded_sets": n_subsets, "table_bytes": 0}
-    if r >= masks.size:  # no set keeps more than r clauses
-        members = np.arange(1 << n, dtype=np.uint64)
-    else:
-        lo, hi = _clause_tables(n, masks, values)
-        work["table_bytes"] = lo.nbytes + hi.nbytes
-        tabled, L = lo.shape[0], (n + 1) // 2
-        E = np.fromiter((sum(1 << v for v in e) for e in combinations(range(n), excluded)), dtype=np.uint64,
-                        count=n_subsets)
-        group = max(1, _TABLE_BUDGET // (16 * 64 * words))  # 16 bytes per set and clause slot
-        kept = np.concatenate([_packed((masks & E[g : g + group, None]) == 0, words)
-                               for g in range(0, n_subsets, group)])
-        count = np.min_scalar_type(64 * words)
-        halves = max(1, _TABLE_BUDGET // (48 * words) >> L)  # 17 bytes per row and word, plus 30 per row
-        parts = []
-        for a in range(0, 1 << (n - L), halves):
-            x = np.arange(a << L, min(a + halves, 1 << (n - L)) << L, dtype=np.uint64)
-            viol = np.zeros((words, x.size), dtype=np.uint64)
-            viol[:tabled] = (hi[:, a : a + halves, None] & lo[:, None]).reshape(tabled, x.size)
-            for c in range(64 * tabled, masks.size):
-                viol[c // 64] |= ((x & masks[c]) == values[c]).astype(np.uint64) << np.uint64(c % 64)
-            keep = np.zeros(x.size, dtype=bool)
-            at, found = np.arange(x.size), 0  # the rows still tested; those kept since the last drop
-            for mask in kept:
-                hit = at[np.add.reduce(np.bitwise_count(viol & mask[:, None]), axis=0, dtype=count) <= r]
-                keep[hit] = True
-                found += hit.size
-                if found * 8 > at.size:  # compress, unlike viol[:, live], stays C-ordered
-                    live = ~keep[at]
-                    at, viol, found = at[live], viol.compress(live, axis=1), 0
-            parts.append(x[keep])
-        members = np.concatenate(parts)
-    work["members"] = int(members.size)
+    members = _cube_scan(_scan_eps_range, (masks, values, excluded, r, n), n, workers)
+    words, per_word = _table_size(n, masks.size)
+    work = {"filter": "clause_masks", "assignments": 1 << n, "excluded_sets": n_subsets,
+            "table_bytes": words * per_word if r < masks.size else 0, "members": int(members.size)}
     return SolutionSet(n=n, members=members, r=r, work=work)
 
 

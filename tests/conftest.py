@@ -6,6 +6,7 @@ as dense matrices, and clustering uses boolean matrix closure.  Agreement
 between the two implementations is the point of most tests.
 """
 
+import concurrent.futures
 import os
 from pathlib import Path
 
@@ -54,6 +55,19 @@ def make_demo_formula() -> ksat.Formula:
 @pytest.fixture
 def demo_formula() -> ksat.Formula:
     return make_demo_formula()
+
+
+@pytest.fixture
+def pools(monkeypatch) -> list[int]:
+    """The max_workers of each process pool started; the pools are real."""
+    started, executor = [], concurrent.futures.ProcessPoolExecutor
+
+    def recorded(max_workers):
+        started.append(max_workers)
+        return executor(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+    return started
 
 
 def naive_violations(f: ksat.Formula, bits) -> int:

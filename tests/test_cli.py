@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import functools
 import hashlib
@@ -160,11 +159,9 @@ def test_enumerate_manifest_records_the_filter(tmp_path, r, filt):
                             "duplicates"}
 
 
-def test_enumerate_eps_members_do_not_depend_on_workers(tmp_path, monkeypatch):
+def test_enumerate_eps_members_do_not_depend_on_workers(tmp_path, pools):
     # n = 17 holds two blocks per cube, and eps = 0.05 keeps 17 variable sets;
-    # --eps runs in one process, so only --workers 1 runs and no pool starts
-    started = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: started.append(args))
+    # --workers 2 and 3 each start one pool of two processes over the two blocks
     f = ksat.generate_formula(17, 60, 3, 5)
     kept = [frozenset(range(17)) - {v} for v in range(17)]
     oracle = functools.reduce(np.union1d, [np.flatnonzero(literal_violation_counts(f, S) <= 1)
@@ -172,28 +169,13 @@ def test_enumerate_eps_members_do_not_depend_on_workers(tmp_path, monkeypatch):
     for workers in (1, 2, 3):
         code = run_cli(["enumerate", "--n", 17, "--K", 3, "--m", 60, "--r", 1, "--eps", 0.05,
                         "--workers", workers, "--seeds", "5", "--out", tmp_path / str(workers)])
-        assert code == (0 if workers == 1 else 2)
-    assert not (tmp_path / "2").exists() and not (tmp_path / "3").exists()
+        assert code == 0
+        assert pools == [2] * (workers - 1)
     with open(tmp_path / "1" / "members_5.csv", newline="") as fh:
         members = [int(row[0]) for row in list(csv.reader(fh))[2:]]
     assert members == oracle.tolist()
-    assert started == []
-
-
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_enumerate_eps_with_workers_is_refused(tmp_path, capsys, source):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("[enumerate]\nworkers = 2\n")
-    extra = ["--workers", 2] if source == "flag" else ["--config", cfg]
-    out = tmp_path / "x"
-    assert run_cli(["enumerate", "--n", 8, "--K", 3, "--m", 10, "--eps", 0.2, *extra,
-                    "--seeds", "4", "--out", out]) == 2
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "validation"
-    assert "--eps" in record["message"] and "--workers" in record["message"]
-    assert not out.exists()
-    # without --eps the same workers are accepted
-    assert run_cli(["enumerate", "--n", 8, "--K", 3, "--m", 10, *extra, "--seeds", "4", "--out", out]) == 0
+    for workers in (2, 3):
+        assert_identical_data_files(tmp_path / "1", tmp_path / str(workers))
 
 
 def test_ogp_eps_matches_the_library(tmp_path):
@@ -227,16 +209,14 @@ def test_cluster_eps_matches_the_library(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["ogp", "--n", 8, "--K", 3, "--m", 10, "--nu1", 0.1, "--nu2", 0.3],
-    ["cluster", "--n", 8, "--K", 3, "--m", 10, "--nu1", 0.1, "--nu2", 0.3],
+    ["ogp", "--n", 18, "--K", 3, "--m", 80, "--r", 1, "--nu1", 0.1, "--nu2", 0.3, "--seeds", "4"],
+    ["cluster", "--n", 17, "--K", 3, "--m", 100, "--nu1", 0.06, "--nu2", 0.2, "--seeds", "1"],  # two clusters
 ], ids=["ogp", "cluster"])
-def test_eps_with_workers_is_refused_by_ogp_and_cluster(tmp_path, capsys, argv):
-    out = tmp_path / "x"
-    assert run_cli([*argv, "--eps", 0.2, "--workers", 2, "--seeds", "4", "--out", out]) == 2
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "validation"
-    assert f"{argv[0]} --eps" in record["message"] and "--workers" in record["message"]
-    assert not out.exists()
+def test_eps_geometry_does_not_depend_on_workers(tmp_path, argv):
+    # n = 18 and 17 split the cube into four and two tasks; no file may depend on the pool
+    for workers in (1, 2):
+        assert run_cli([*argv, "--eps", 0.05, "--workers", workers, "--out", tmp_path / str(workers)]) == 0
+    assert_identical_data_files(tmp_path / "1", tmp_path / "2")
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -305,6 +285,22 @@ def test_dead_worker_is_a_resource_error(tmp_path):
     record = json.loads(proc.stderr.strip())
     assert record["error"] == "resource" and record["message"].startswith("a worker process died")
     assert (record["budget"], record["requested"], record["allowed"]) == (None, None, None)
+    assert not out.exists()
+
+
+def test_dead_eps_worker_is_a_resource_error(tmp_path):
+    script = tmp_path / "die.py"
+    script.write_text(_KILLED_WORKER.replace("_scan_range", "_scan_eps_range"))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = tmp_path / "x"
+    proc = subprocess.run(
+        [sys.executable, str(script), "enumerate", "--n", "18", "--K", "3", "--m", "10", "--eps", "0.1",
+         "--workers", "2", "--seeds", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    record = json.loads(proc.stderr.strip())
+    assert record["error"] == "resource" and record["message"].startswith("a worker process died")
     assert not out.exists()
 
 
@@ -965,7 +961,12 @@ def test_resource_record_carries_the_amounts_and_leaves_no_output(
     ["gen", "--n", 10, "--K", 3, "--alpha", "inf", "--seeds", "1"],
     ["depth-bound", "--d", "nan", "--n-bits", 10, "--mu", 0.4],
     ["depth-bound", "--d", "inf", "--n-bits", 10, "--mu", 0.4],
-], ids=["no-m-or-alpha", "gamma-without-quantize", "alpha-nan", "alpha-inf", "d-nan", "d-inf"])
+    # (nu1, nu2) and energy's gamma floor are checked before the first file is written
+    ["ogp", "--n", 8, "--K", 3, "--m", 10, "--nu1", 0.5, "--nu2", 0.3, "--seeds", "1"],
+    ["hamiltonian", "--n", 4, "--K", 2, "--m", 4, "--gamma", 0.05, "--seeds", "1"],
+    ["pspin", "--n", 4, "--d", 2, "--p", 2, "--quantize", "--gamma", 0.05, "--seeds", "1"],
+], ids=["no-m-or-alpha", "gamma-without-quantize", "alpha-nan", "alpha-inf", "d-nan", "d-inf",
+        "ogp-nu1-above-nu2", "hamiltonian-gamma-below-floor", "pspin-gamma-below-floor"])
 def test_validation_error_leaves_no_output(tmp_path, capsys, argv):
     out = tmp_path / "x"
     assert run_cli([*argv, "--out", out]) == 2

@@ -438,6 +438,15 @@ def test_energy_peak_memory_is_one_and_a_quarter_states(psi18):
     assert _peak_states(lambda: ham.energy(psi18, 0.5)) <= 1.25
 
 
+def test_ground_state_at_full_support_peaks_at_one_and_a_half_states():
+    # the state and its uint64 support indices while |CAT> is scattered, then
+    # Q(gamma) and the division in place; the parent's fresh Q(gamma)|CAT>
+    # and .normalized() copies measured 2.548 states, this 1.519
+    layout = ham.build_layout(ksat.generate_formula(1000, 18, 1, 2))
+    assert layout.num_qubits == len(layout.active_variables) == 18
+    assert _peak_states(lambda: ham.ground_state(layout, 0.3)) <= 1.6
+
+
 def test_q_gamma_peak_memory_is_its_output_and_a_count_byte(psi18):
     # the output, a uint8 count per amplitude (1/16 of a state) and the intp
     # indices of one 2^14-amplitude gather chunk; measured 1.094 states
@@ -630,6 +639,18 @@ def test_measurement_distribution_norm_check(demo_layout):
     amp[0] = 0.5
     with pytest.raises(ContractError):
         ham.measurement_distribution(ham.StateVector(demo_layout, amp))
+
+
+def test_norm_check_allows_the_rounding_of_a_full_support_norm():
+    # 20 one-slot clauses put all 2^20 strings in the support; this norm is
+    # 1 + 1.08e-12, inside its rounding bound 1e-12 + 2^20 2^-52 = 2.3e-10
+    psi = ham.ground_state(ham.build_layout(ksat.generate_formula(1000, 20, 1, 1)), 0.3)
+    assert abs(psi.norm() - 1.0) > 1e-12
+    z, probs = ham.measurement_support(psi)
+    assert z.size == 1 << 20 and abs(probs.sum() - 1.0) <= 1e-10
+    psi.amp *= 1.0 + 1e-6
+    with pytest.raises(ContractError, match="deviates from 1"):
+        ham.measurement_support(psi)
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,26 @@ def test_enumerate_pool_without_clauses(workers):
     assert pooled.tolist() == list(range(1 << 18))
 
 
+@pytest.mark.parametrize("n, m, eps, r, workers, tasks", [
+    (17, 150, 0.05, 3, 2, 2),  # 131 live clauses: three mask words, each task a block
+    (18, 70, 0.05, 1, 2, 4),  # 64 live clauses fill one word; 4 blocks
+    (19, 90, 0.05, 0, 3, 8),  # 83 live clauses at r = 0; 8 blocks, 3 workers ask for 24 tasks
+    (17, 3, 0.05, 6, 2, 2),  # r >= the 4 live clauses: the whole cube, split
+])
+def test_pooled_eps_pass_matches_the_union_oracle(pools, n, m, eps, r, workers, tasks):
+    f = _kernel_formula(n, m, seed=n + m + r)
+    A = landscape.enumerate_sat_eps(f, eps, r, workers=workers)
+    assert pools == [min(workers, tasks)]
+    assert (A.members.tolist(), A.work) == _eps_oracle(f, eps, r)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_enumerate_sat_eps_refuses_workers_below_one(workers):
+    f = ksat.generate_formula(8, 3, 2, seed=0)
+    with pytest.raises(ParameterError, match=f"workers must be at least 1, got {workers}"):
+        landscape.enumerate_sat_eps(f, 0.2, 0, workers=workers)
+
+
 # ---------------------------------------------------------------------------
 # the split-table kernel of r > 0 enumeration against literal-by-literal oracles
 # ---------------------------------------------------------------------------
