@@ -30,10 +30,13 @@ assertion.  Each error prints one JSON record on stderr with ``error`` and
 ``message``; a resource record adds ``budget``, ``requested`` and ``allowed``
 (``requested`` is null for a draw that ran out of tries, and all three are
 null when an enumeration worker process dies).  ``--out`` is made at the
-first file written, so a refused run leaves none.  The eight budgets are
-``errors.BUDGETS``, where ``enum_cap`` prices both 2^n cube scans (enumeration
-and the pspin scan); NLTSLAB_ENUM_CAP, NLTSLAB_QUBIT_CAP and NLTSLAB_PAIR_CAP
-override theirs, read where the budget is checked.
+first file written.  A run that exits nonzero removes every file it wrote, and
+``--out`` if it made it and left it empty, so data files only ever sit next to
+the manifest that hashes them and a refused run leaves no output directory.
+The eight budgets are ``errors.BUDGETS``, where ``enum_cap`` prices both 2^n
+cube scans (enumeration and the pspin scan); NLTSLAB_ENUM_CAP,
+NLTSLAB_QUBIT_CAP and NLTSLAB_PAIR_CAP override theirs, read where the budget
+is checked.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ class _Run:
         self.config = config
         self.t0 = time.monotonic()
         self.names: set[str] = set()
+        self.made_outdir = not outdir.exists()
         self.work: dict[int, dict] = {}  # per seed: kernels chosen and their work counts
 
     def path(self, name: str, *sidecars: str) -> Path:
@@ -134,6 +138,13 @@ class _Run:
             "peak_rss_mb": _peak_rss_mb(),
         }
         self.write_json("manifest.json", manifest)  # after the hashes, so it lists no hash of itself
+
+    def discard(self) -> None:
+        """On failure: remove every file this run wrote, and ``--out`` if this run made it and it is now empty."""
+        for name in self.names:
+            (self.outdir / name).unlink(missing_ok=True)
+        if self.made_outdir and self.outdir.is_dir() and not any(self.outdir.iterdir()):
+            self.outdir.rmdir()
 
 
 def _int_list(flag: str, raw: str) -> list[int]:
@@ -205,8 +216,9 @@ def cmd_enumerate(args, run: _Run):
 
 
 def cmd_ogp(args, run: _Run):
+    landscape.check_nu(args.nu1, args.nu2)
     for seed, _, A in _enumerated(args):
-        holds, witness = landscape.detect_ogp(A, args.nu1, args.nu2)  # refuses (nu1, nu2) before any file
+        holds, witness = landscape.detect_ogp(A, args.nu1, args.nu2)
         hist = landscape.overlap_histogram(A)
         run.work[seed] = hist.work
         landscape.histogram_to_csv(hist, run.path(f"histogram_{seed}.csv"))
@@ -218,6 +230,7 @@ def cmd_ogp(args, run: _Run):
 
 
 def cmd_cluster(args, run: _Run):
+    landscape.check_nu(args.nu1, args.nu2, clustering=True)
     for seed, _, A in _enumerated(args):
         P = landscape.cluster(A, args.nu1, args.nu2)
         run.work[seed] = P.work
@@ -272,8 +285,9 @@ def cmd_pspin(args, run: _Run):
     for seed in _seed_list(args):
         g = pspin.generate_regular_hypergraph(args.n, args.d, args.p, seed)
         J = pspin.generate_couplings(g, stream_seed(seed, 1))
-        # both caps are checked before the cube scan and before any file is written
+        # both caps and a negative slack are checked before the cube scans and before any file is written
         layout = pspin.quantize(g, J) if args.quantize else None
+        A = None if args.slack is None else pspin.near_ground_set(g, J, args.slack)
         sigma, emin = pspin.ground_state_bruteforce(g, J)
         pspin.save_hypergraph(g, run.path(f"hypergraph_{seed}.json"))
         record = {
@@ -283,8 +297,7 @@ def cmd_pspin(args, run: _Run):
             "ground_energy_per_spin": emin / g.n,
             "ground_state": [int(s) for s in sigma],
         }
-        if args.slack is not None:
-            A = pspin.near_ground_set(g, J, args.slack)
+        if A is not None:
             landscape.members_to_csv(A, run.path(f"near_ground_{seed}.csv"))
             record["near_ground_count"] = len(A)
         if layout is not None:
@@ -474,8 +487,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv[:1] + _config_flags(argv, parser) + argv[1:])
         config_echo = {k: v for k, v in vars(args).items() if k not in ("func",)}
         run = _Run(Path(args.out), args.subcommand, config_echo)
-        args.func(args, run)
-        run.finish()
+        try:
+            args.func(args, run)
+            run.finish()
+        except BaseException:
+            run.discard()
+            raise
         return EXIT_OK
     except ParameterError as exc:
         _emit_error("validation", exc)

@@ -502,10 +502,17 @@ def _thresholds(n: int, nu1: float, nu2: float) -> tuple[int, int]:
     return math.floor(nu1 * n), math.ceil(nu2 * n)
 
 
-def _detect_ogp(A: SolutionSet, nu1: float, nu2: float):
-    """detect_ogp's (holds, witness), plus the histogram it was decided on."""
+def check_nu(nu1: float, nu2: float, clustering: bool = False) -> None:
+    """Refuse a gap outside 0 < nu1 < nu2 < 1, and for clustering one without nu1 < nu2/2."""
+    if clustering and not nu1 < nu2 / 2:
+        raise ParameterError(f"clustering needs nu1 < nu2/2, got nu1={nu1}, nu2={nu2}")
     if not 0.0 < nu1 < nu2 < 1.0:
         raise ParameterError(f"need 0 < nu1 < nu2 < 1, got nu1={nu1}, nu2={nu2}")
+
+
+def _detect_ogp(A: SolutionSet, nu1: float, nu2: float):
+    """detect_ogp's (holds, witness), plus the histogram it was decided on."""
+    check_nu(nu1, nu2)
     t1, t2 = _thresholds(A.n, nu1, nu2)
     hist = overlap_histogram(A)
     if hist.counts[t1 + 1 : t2].sum() == 0:
@@ -637,8 +644,7 @@ def cluster(A: SolutionSet, nu1: float, nu2: float) -> ClusterPartition:
     candidate pairs priced, the close pairs the label pass found (buckets count
     a pair once per chunk it shares) and the intra-cluster pairs.
     """
-    if not nu1 < nu2 / 2:
-        raise ParameterError(f"clustering needs nu1 < nu2/2, got nu1={nu1}, nu2={nu2}")
+    check_nu(nu1, nu2, clustering=True)
     ok, witness, hist = _detect_ogp(A, nu1, nu2)
     if not ok:
         raise ContractError(

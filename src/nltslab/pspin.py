@@ -3,8 +3,9 @@
 Hypergraphs come from the configuration model: n*d stubs are shuffled and
 grouped into m = n*d/p hyperedges, resampling whole draws until no edge
 repeats a node.  Spin configurations are packed bit masks (bit i = 1 means
-sigma_i = -1), so each energy term is a parity, and the parities of all edges
-are read from two half-cube tables.
+sigma_i = -1), so each energy term is a parity.  Whether each edge's term is
+-1 is read from two half-cube tables, and both cube scans (the ground state
+and the near-ground set) read one walk over the cube's blocks.
 """
 
 from __future__ import annotations
@@ -113,29 +114,32 @@ def energy(g: RegularHypergraph, J: CouplingVector, sigma: Sequence[int]) -> int
 def _energies_packed(g: RegularHypergraph, J: CouplingVector, zs: np.ndarray) -> np.ndarray:
     """Vectorized energies for packed configurations (bit i set = spin -1).
 
-    Bit e of a 64-edge word W(z) is the parity of z on edge e.  W splits over
-    the low L = ceil(n/2) and the high n - L spins, W(z) = T_lo[z mod 2^L] ^
-    T_hi[z >> L], where each table XOR-doubles the spins' edge-incidence
-    words.  Then H = sum(J) - 2 (popcount(W & P) - popcount(W & N)), with P
-    and N the words of the +1 and -1 couplings.
+    Bit e of a 64-edge word W(z) is set exactly where edge e's term
+    J_e * prod sigma is -1.  W splits over the low L = ceil(n/2) and the high
+    n - L spins, W(z) = T_lo[z mod 2^L] ^ T_hi[z >> L]: each table XOR-doubles
+    the spins' edge-incidence words (the parities), and T_lo also carries the
+    word's J_e = -1 bits.  Then H = m - 2 sum_words popcount(W).
     """
     L = (g.n + 1) // 2
     zs = np.asarray(zs, dtype=np.uint64)
     lo = (zs & np.uint64((1 << L) - 1)).astype(np.intp)
     hi = (zs >> np.uint64(L)).astype(np.intp)
-    total = np.full(zs.size, sum(J.values), dtype=np.int64)
+    total = np.full(zs.size, g.m, dtype=np.int64)
     for w in range(0, g.m, 64):
-        edges, signs = g.hyperedges[w : w + 64], J.values[w : w + 64]
         incidence = [0] * g.n
-        for e, edge in enumerate(edges):
+        for e, edge in enumerate(g.hyperedges[w : w + 64]):
             for v in edge:
                 incidence[v] |= 1 << e
-        pos = np.uint64(sum(1 << e for e, j in enumerate(signs) if j == 1))
-        neg = np.uint64(sum(1 << e for e, j in enumerate(signs) if j == -1))
-        W = _subset_xors(incidence[:L])[lo] ^ _subset_xors(incidence[L:])[hi]
-        total -= 2 * np.bitwise_count(W & pos).astype(np.int64)
-        total += 2 * np.bitwise_count(W & neg).astype(np.int64)
+        t_lo = _subset_xors(incidence[:L])
+        t_lo ^= np.uint64(sum(1 << e for e, j in enumerate(J.values[w : w + 64]) if j == -1))
+        total -= 2 * np.bitwise_count(t_lo[lo] ^ _subset_xors(incidence[L:])[hi])
     return total
+
+
+def _energy_blocks(g: RegularHypergraph, J: CouplingVector, stop: int):
+    """(offset, energies) for each BLOCK_SIZE block of the configurations [0, stop), in order."""
+    for lo in range(0, stop, BLOCK_SIZE):
+        yield lo, _energies_packed(g, J, np.arange(lo, min(lo + BLOCK_SIZE, stop), dtype=np.uint64))
 
 
 def ground_state_bruteforce(g: RegularHypergraph, J: CouplingVector) -> tuple[np.ndarray, int]:
@@ -148,33 +152,17 @@ def ground_state_bruteforce(g: RegularHypergraph, J: CouplingVector) -> tuple[np
     if len(J.values) != g.m:
         raise ParameterError("coupling vector length differs from edge count")
     search = 1 << (g.n - 1) if g.p % 2 == 0 and g.n >= 1 else 1 << g.n
-    best_e: int | None = None
-    best_z = 0
-    for lo in range(0, search, BLOCK_SIZE):
-        zs = np.arange(lo, min(lo + BLOCK_SIZE, search), dtype=np.uint64)
-        en = _energies_packed(g, J, zs)
-        k = int(np.argmin(en))
-        if best_e is None or en[k] < best_e:
-            best_e = int(en[k])
-            best_z = int(zs[k])
-    assert best_e is not None
-    return packed_to_spins(best_z, g.n), best_e
+    emin, zmin = min((int(en.min()), lo + int(en.argmin())) for lo, en in _energy_blocks(g, J, search))
+    return packed_to_spins(zmin, g.n), emin
 
 
 def near_ground_set(g: RegularHypergraph, J: CouplingVector, slack: int) -> SolutionSet:
     """All sigma with H(sigma) <= min + slack, as packed bits for the landscape tools."""
     if slack < 0:
         raise ParameterError("slack must be nonnegative")
-    _, emin = ground_state_bruteforce(g, J)
-    threshold = emin + slack
-    parts = []
-    total = 1 << g.n
-    for lo in range(0, total, BLOCK_SIZE):
-        zs = np.arange(lo, min(lo + BLOCK_SIZE, total), dtype=np.uint64)
-        en = _energies_packed(g, J, zs)
-        parts.append(zs[en <= threshold])
-    members = np.concatenate(parts)
-    return SolutionSet(n=g.n, members=members, r=int(slack))
+    threshold = ground_state_bruteforce(g, J)[1] + slack
+    members = [np.flatnonzero(en <= threshold) + lo for lo, en in _energy_blocks(g, J, 1 << g.n)]
+    return SolutionSet(n=g.n, members=np.concatenate(members).astype(np.uint64), r=int(slack))
 
 
 def quantize(g: RegularHypergraph, J: CouplingVector) -> QubitLayout:

@@ -965,13 +965,51 @@ def test_resource_record_carries_the_amounts_and_leaves_no_output(
     ["ogp", "--n", 8, "--K", 3, "--m", 10, "--nu1", 0.5, "--nu2", 0.3, "--seeds", "1"],
     ["hamiltonian", "--n", 4, "--K", 2, "--m", 4, "--gamma", 0.05, "--seeds", "1"],
     ["pspin", "--n", 4, "--d", 2, "--p", 2, "--quantize", "--gamma", 0.05, "--seeds", "1"],
+    ["pspin", "--n", 8, "--d", 2, "--p", 2, "--slack", -1, "--seeds", "1"],
 ], ids=["no-m-or-alpha", "gamma-without-quantize", "alpha-nan", "alpha-inf", "d-nan", "d-inf",
-        "ogp-nu1-above-nu2", "hamiltonian-gamma-below-floor", "pspin-gamma-below-floor"])
+        "ogp-nu1-above-nu2", "hamiltonian-gamma-below-floor", "pspin-gamma-below-floor", "pspin-negative-slack"])
 def test_validation_error_leaves_no_output(tmp_path, capsys, argv):
     out = tmp_path / "x"
     assert run_cli([*argv, "--out", out]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "validation"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("sub, nu1, nu2", [("ogp", 0.5, 0.4), ("cluster", 0.3, 0.4)], ids=["ogp", "cluster"])
+def test_nu_is_refused_before_enumerating(tmp_path, capsys, monkeypatch, sub, nu1, nu2, source):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before checking (nu1, nu2)")
+
+    monkeypatch.setattr(landscape, "enumerate_sat", refuse)
+    with pytest.raises(errors.ParameterError) as want:
+        landscape.check_nu(nu1, nu2, clustering=sub == "cluster")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{sub}]\nnu1 = {nu1}\nnu2 = {nu2}\n")
+    extra = ["--nu1", nu1, "--nu2", nu2] if source == "flag" else ["--config", cfg]
+    out = tmp_path / "x"
+    assert run_cli([sub, "--n", 8, "--K", 3, "--m", 10, *extra, "--seeds", "1", "--out", out]) == 2
+    assert json.loads(capsys.readouterr().err.strip()) == {"error": "validation", "message": str(want.value)}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize("argv, env, code", [
+    (["ogp", "--n", 12, "--K", 3, "--m", 30, "--nu1", 0.1, "--nu2", 0.3], {"NLTSLAB_PAIR_CAP": "40"}, 3),
+    (["cluster", "--n", 10, "--K", 3, "--m", 40, "--nu1", 0.1, "--nu2", 0.3], {}, 4),  # seed 2 breaks the OGP
+], ids=["resource", "assertion"])
+def test_run_failing_at_a_later_seed_removes_the_files_it_wrote(tmp_path, monkeypatch, argv, env, code, existing):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "x"
+    if existing:
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+    assert run_cli([*argv, "--seeds", "1,2", "--out", out]) == code
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    else:
+        assert not out.exists()
 
 
 def test_depth_bound_at_zero_distance_writes_null(tmp_path):

@@ -287,6 +287,30 @@ def test_ground_state_cap(monkeypatch):
     assert exc.value.budget_name == "enum_cap"
 
 
+def test_scans_walk_the_cube_in_blocks(monkeypatch):
+    g = pspin.generate_regular_hypergraph(18, 3, 2, seed=5)
+    J = pspin.generate_couplings(g, 6)
+    kernel, calls = pspin._energies_packed, []
+
+    def counting(g, J, zs):
+        calls.append(zs)
+        return kernel(g, J, zs)
+
+    def blocks(stop):
+        return [np.arange(lo, lo + (1 << 16), dtype=np.uint64) for lo in range(0, stop, 1 << 16)]
+
+    def assert_calls(want):
+        assert len(calls) == len(want)
+        assert all(zs.dtype == np.uint64 and np.array_equal(zs, w) for zs, w in zip(calls, want))
+        calls.clear()
+
+    monkeypatch.setattr(pspin, "_energies_packed", counting)
+    pspin.ground_state_bruteforce(g, J)  # even p: the half cube
+    assert_calls(blocks(1 << 17))
+    pspin.near_ground_set(g, J, 2)
+    assert_calls(blocks(1 << 17) + blocks(1 << 18))
+
+
 # ---------------------------------------------------------------------------
 # near-ground sets
 # ---------------------------------------------------------------------------
