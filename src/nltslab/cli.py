@@ -30,9 +30,11 @@ assertion.  Each error prints one JSON record on stderr with ``error`` and
 ``message``; a resource record adds ``budget``, ``requested`` and ``allowed``
 (``requested`` is null for a draw that ran out of tries, and all three are
 null when an enumeration worker process dies).  ``--out`` is made at the
-first file written.  A run that exits nonzero removes every file it wrote, and
-``--out`` if it made it and left it empty, so data files only ever sit next to
-the manifest that hashes them and a refused run leaves no output directory.
+first file written, and each file into a ``.staging-*`` directory inside it.
+Only a run that exits 0 moves its files into ``--out``, the manifest last; one
+that exits nonzero removes its stage, and ``--out`` if it made it and left it
+empty.  A run killed from outside leaves its files in the stage, so data files
+only ever sit next to the manifest that hashes them.
 The eight budgets are ``errors.BUDGETS``, where ``enum_cap`` prices both 2^n
 cube scans (enumeration and the pspin scan); NLTSLAB_ENUM_CAP,
 NLTSLAB_QUBIT_CAP and NLTSLAB_PAIR_CAP override theirs, read where the budget
@@ -47,7 +49,9 @@ import csv
 import hashlib
 import json
 import math
+import shutil
 import sys
+import tempfile
 import time
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -84,22 +88,23 @@ def stream_seed(master: int, index: int) -> int:
 
 
 class _Run:
-    """Owns the output files: makes ``--out`` at the first and hashes them all into the manifest at finish."""
+    """Owns the output files: stages them inside ``--out``, then hashes them into the manifest and publishes them."""
 
     def __init__(self, outdir: Path, subcommand: str, config: dict):
         self.outdir = outdir
         self.subcommand = subcommand
         self.config = config
         self.t0 = time.monotonic()
-        self.names: set[str] = set()
+        self.stage: Path | None = None  # made inside --out at the first file; every file is written there
         self.made_outdir = not outdir.exists()
         self.work: dict[int, dict] = {}  # per seed: kernels chosen and their work counts
 
-    def path(self, name: str, *sidecars: str) -> Path:
-        """Where to write ``name``; it and the sidecars its writer adds go into the manifest."""
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        self.names.update((name, *sidecars))
-        return self.outdir / name
+    def path(self, name: str) -> Path:
+        """Where to write ``name``: this run's stage, so it and any sidecar its writer adds reach the manifest."""
+        if self.stage is None:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+            self.stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.outdir))
+        return self.stage / name
 
     def write_json(self, name: str, obj) -> None:
         self.path(name).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -122,12 +127,12 @@ class _Run:
 
     def finish(self) -> None:
         files = {}
-        for name in self.names:
+        for path in self.stage.iterdir():
             digest = hashlib.sha256()
-            with open(self.outdir / name, "rb") as fh:
+            with open(path, "rb") as fh:
                 while chunk := fh.read(_HASH_CHUNK):  # so no file is held in memory whole
                     digest.update(chunk)
-            files[name] = digest.hexdigest()
+            files[path.name] = digest.hexdigest()
         manifest = {
             "subcommand": self.subcommand,
             "config": self.config,
@@ -138,11 +143,14 @@ class _Run:
             "peak_rss_mb": _peak_rss_mb(),
         }
         self.write_json("manifest.json", manifest)  # after the hashes, so it lists no hash of itself
+        for name in [*files, "manifest.json"]:  # publish: one rename each, the manifest last
+            (self.stage / name).replace(self.outdir / name)
+        self.stage.rmdir()
 
     def discard(self) -> None:
-        """On failure: remove every file this run wrote, and ``--out`` if this run made it and it is now empty."""
-        for name in self.names:
-            (self.outdir / name).unlink(missing_ok=True)
+        """On failure: remove this run's stage, and ``--out`` if this run made it and it is now empty."""
+        if self.stage:
+            shutil.rmtree(self.stage)
         if self.made_outdir and self.outdir.is_dir() and not any(self.outdir.iterdir()):
             self.outdir.rmdir()
 
@@ -162,7 +170,10 @@ def _seed_list(args) -> list[int]:
     if args.instances < 1:
         raise ParameterError(f"--instances must be at least 1, got {args.instances}")
     if args.seeds is not None:
-        return _int_list("--seeds", args.seeds)
+        seeds = _int_list("--seeds", args.seeds)
+        if min(seeds) < 0:
+            raise ParameterError(f"--seeds entries must be at least 0, got {min(seeds)} in {args.seeds!r}")
+        return seeds
     return [stream_seed(args.master_seed, i) for i in range(args.instances)]
 
 
@@ -196,8 +207,7 @@ def _enumerated(args):
 
 def cmd_gen(args, run: _Run):
     for seed, f in _formulas(args):
-        name = f"formula_{seed}.cnf"
-        ksat.save_formula(f, run.path(name, f"{name}.json"), alpha=args.alpha if args.m is None else None)
+        ksat.save_formula(f, run.path(f"formula_{seed}.cnf"), alpha=args.alpha if args.m is None else None)
 
 
 def cmd_enumerate(args, run: _Run):
@@ -267,8 +277,7 @@ def cmd_hamiltonian(args, run: _Run):
         run.work[seed] = _quantum_work(psi)
         support = _write_measurement(run, seed, psi)
         if args.dump_state:
-            sname = f"state_{seed}.bin"
-            hamiltonian.save_state(psi, run.path(sname, f"{sname}.json"), gamma=args.gamma)
+            hamiltonian.save_state(psi, run.path(f"state_{seed}.bin"), gamma=args.gamma)
         run.write_json(
             f"hamiltonian_{seed}.json",
             {"seed": seed, "qubits": layout.num_qubits, "gamma": args.gamma,

@@ -82,10 +82,7 @@ class Constraint:
 
     @cached_property
     def global_values(self) -> tuple[int, ...]:
-        out = []
-        for pat in self.forbidden:
-            out.append(sum(((pat >> k) & 1) << q for k, q in enumerate(self.qubits)))
-        return tuple(out)
+        return tuple(_scatter(pat, self.qubits) for pat in self.forbidden)
 
 
 @dataclass(frozen=True)

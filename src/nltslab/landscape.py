@@ -210,16 +210,15 @@ def _scan_range(args) -> np.ndarray:
     The result is cast to uint64 once per range.
     """
     start, stop, masks, values, r, n = args
-    tables = _clause_tables(n, masks, values) if 0 < r < masks.size else None
+    if r >= masks.size:  # every assignment violates at most r clauses
+        return np.arange(start, stop, dtype=np.uint64)
+    tables = _clause_tables(n, masks, values) if r > 0 else None
     fits32 = stop <= 1 << 32 and not (masks >> np.uint64(32)).any()
     word = np.uint32 if fits32 else np.uint64
     masks, values = masks.astype(word), values.astype(word)
     out: list[np.ndarray] = []
     for lo in range(start, stop, BLOCK_SIZE):
         cand = np.arange(lo, min(lo + BLOCK_SIZE, stop), dtype=word)
-        if r >= masks.size:
-            out.append(cand)
-            continue
         if r == 0:
             for mask, val in zip(masks, values):
                 cand = cand[(cand & mask) != val]

@@ -31,6 +31,8 @@ class RegularHypergraph:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ParameterError(f"a hypergraph needs at least 1 node, got n = {self.n}")
         degrees = [0] * self.n
         for e in self.hyperedges:
             if len(e) != self.p or len(set(e)) != self.p:
@@ -59,6 +61,8 @@ def generate_regular_hypergraph(n: int, d: int, p: int, seed: int) -> RegularHyp
     """Configuration-model pairing, rejecting samples with a repeated node in an edge."""
     if p < 2:
         raise ParameterError("uniformity p must be at least 2")
+    if n < 1 or d < 0:
+        raise ParameterError(f"need n >= 1 nodes and degree d >= 0, got n = {n}, d = {d}")
     if (n * d) % p != 0:
         raise ParameterError(f"n*d = {n * d} not divisible by p = {p}")
     rng = np.random.default_rng(seed)
@@ -151,7 +155,7 @@ def ground_state_bruteforce(g: RegularHypergraph, J: CouplingVector) -> tuple[np
     check_budget("enum_cap", g.n, "the spin cube scan", "spins")
     if len(J.values) != g.m:
         raise ParameterError("coupling vector length differs from edge count")
-    search = 1 << (g.n - 1) if g.p % 2 == 0 and g.n >= 1 else 1 << g.n
+    search = 1 << (g.n - 1) if g.p % 2 == 0 else 1 << g.n
     emin, zmin = min((int(en.min()), lo + int(en.argmin())) for lo, en in _energy_blocks(g, J, search))
     return packed_to_spins(zmin, g.n), emin
 

@@ -257,6 +257,29 @@ def test_instances_below_one_is_refused(tmp_path, capsys, argv, instances, sourc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", 4, "--K", 2, "--m", 3],
+    ["pspin", "--n", 4, "--d", 2, "--p", 2],
+], ids=["gen", "pspin"])
+def test_negative_seed_is_refused(tmp_path, capsys, argv, source):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{argv[0]}]\nseeds = 3,-5\n")
+    extra = ["--seeds", "3,-5"] if source == "flag" else ["--config", cfg]
+    out = tmp_path / "x"
+    assert run_cli([*argv, *extra, "--out", out]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation"
+    assert "--seeds" in record["message"] and "-5" in record["message"]
+    assert not out.exists()
+
+
+def test_a_negative_master_seed_is_hashed(tmp_path):
+    out = tmp_path / "x"
+    assert run_cli(["gen", "--n", 4, "--K", 2, "--m", 3, "--master-seed", -1, "--out", out]) == 0
+    assert (out / f"formula_{cli.stream_seed(-1, 0)}.cnf").exists()
+
+
 _KILLED_WORKER = """
 import os, signal, sys
 from nltslab import cli, landscape
@@ -335,6 +358,7 @@ def test_hamiltonian_subcommand(tmp_path):
     assert record["qubits"] == 8
     assert record["energy"] <= 1e-10
     assert (out / "state_3.bin").exists()
+    assert {"state_3.bin", "state_3.bin.json"} <= set(read_manifest(out)["files"])  # the writer's sidecar too
 
 
 def test_hamiltonian_at_full_support_holds_no_string_per_amplitude(tmp_path):
@@ -966,8 +990,12 @@ def test_resource_record_carries_the_amounts_and_leaves_no_output(
     ["hamiltonian", "--n", 4, "--K", 2, "--m", 4, "--gamma", 0.05, "--seeds", "1"],
     ["pspin", "--n", 4, "--d", 2, "--p", 2, "--quantize", "--gamma", 0.05, "--seeds", "1"],
     ["pspin", "--n", 8, "--d", 2, "--p", 2, "--slack", -1, "--seeds", "1"],
+    ["pspin", "--n", 0, "--d", 4, "--p", 2, "--seeds", "1"],
+    ["pspin", "--n", -1, "--d", 2, "--p", 2, "--seeds", "1"],
+    ["pspin", "--n", 4, "--d", -2, "--p", 2, "--seeds", "1"],
 ], ids=["no-m-or-alpha", "gamma-without-quantize", "alpha-nan", "alpha-inf", "d-nan", "d-inf",
-        "ogp-nu1-above-nu2", "hamiltonian-gamma-below-floor", "pspin-gamma-below-floor", "pspin-negative-slack"])
+        "ogp-nu1-above-nu2", "hamiltonian-gamma-below-floor", "pspin-gamma-below-floor", "pspin-negative-slack",
+        "pspin-no-nodes", "pspin-negative-n", "pspin-negative-d"])
 def test_validation_error_leaves_no_output(tmp_path, capsys, argv):
     out = tmp_path / "x"
     assert run_cli([*argv, "--out", out]) == 2
@@ -1012,6 +1040,51 @@ def test_run_failing_at_a_later_seed_removes_the_files_it_wrote(tmp_path, monkey
         assert not out.exists()
 
 
+def test_failed_run_leaves_an_earlier_run_in_out_as_it_was(tmp_path, monkeypatch):
+    out = tmp_path / "x"
+    argv = ["ogp", "--n", 12, "--K", 3, "--m", 30, "--nu1", 0.1, "--nu2", 0.3, "--out", out]
+    assert run_cli([*argv, "--seeds", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"histogram_1.csv", "ogp_1.json", "manifest.json"}
+    monkeypatch.setenv("NLTSLAB_PAIR_CAP", "40")  # seed 1 passes, seed 2 is over the cap
+    assert run_cli([*argv, "--seeds", "1,2"]) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+_KILLED_AFTER_FIRST_SEED = """
+import os, sys
+from nltslab import cli, ksat
+
+draw = ksat.generate_formula
+drawn = []
+
+def draw_then_die(*args):
+    if drawn:  # the first seed's files are written
+        os._exit(9)
+    drawn.append(1)
+    return draw(*args)
+
+if __name__ == "__main__":
+    ksat.generate_formula = draw_then_die
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_run_killed_after_its_first_seed_leaves_no_file_in_out(tmp_path):
+    script = tmp_path / "die.py"
+    script.write_text(_KILLED_AFTER_FIRST_SEED)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = tmp_path / "x"
+    proc = subprocess.run(
+        [sys.executable, str(script), "gen", "--n", "6", "--K", "3", "--m", "5", "--seeds", "1,2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 9, proc.stderr
+    [stage] = out.iterdir()  # the partial files sit in the stage, never beside a manifest
+    assert stage.is_dir() and stage.name.startswith(".staging-")
+    assert sorted(p.name for p in stage.iterdir()) == ["formula_1.cnf", "formula_1.cnf.json"]
+
+
 def test_depth_bound_at_zero_distance_writes_null(tmp_path):
     out = tmp_path / "x"
     assert run_cli(["depth-bound", "--d", 0, "--n-bits", 10, "--mu", 0.4, "--out", out]) == 0
@@ -1037,6 +1110,7 @@ def test_gen_alpha_sets_the_clause_count(tmp_path):
     assert _clause_count_of(out / "formula_5.cnf") == ksat.clause_count(0.9, 3, 10)
     sidecar = json.loads((out / "formula_5.cnf.json").read_text())
     assert sidecar["alpha"] == 0.9 and sidecar["m"] == ksat.clause_count(0.9, 3, 10)
+    assert set(read_manifest(out)["files"]) == {"formula_5.cnf", "formula_5.cnf.json"}
 
 
 def test_m_wins_over_alpha(tmp_path):

@@ -60,6 +60,23 @@ def test_generation_validation(monkeypatch):
         pspin.generate_regular_hypergraph(1, 2, 2, seed=0)
 
 
+def test_sizes_below_one_node_or_a_negative_degree_are_refused(tmp_path):
+    for n, d in [(0, 4), (-1, 2), (4, -2)]:
+        with pytest.raises(ParameterError, match="n >= 1"):
+            pspin.generate_regular_hypergraph(n, d, 2, seed=0)
+    with pytest.raises(ParameterError, match="at least 1 node"):
+        pspin.RegularHypergraph(n=0, d=0, p=2, hyperedges=())
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 0, "d": 3, "p": 3, "hyperedges": []}')
+    with pytest.raises(ParameterError, match="at least 1 node"):
+        pspin.load_hypergraph(path)
+    # degree 0 stays valid: no edges, and every configuration has energy 0
+    g = pspin.generate_regular_hypergraph(3, 0, 2, seed=0)
+    assert g.m == 0
+    sigma, emin = pspin.ground_state_bruteforce(g, pspin.generate_couplings(g, 1))
+    assert emin == 0 and list(sigma) == [1, 1, 1]
+
+
 def test_generation_deterministic():
     a = pspin.generate_regular_hypergraph(8, 3, 4, seed=5)
     b = pspin.generate_regular_hypergraph(8, 3, 4, seed=5)
