@@ -4,7 +4,7 @@ Every subcommand writes its data files plus a ``manifest.json`` listing each
 file with a content hash and, under ``work``, per seed the filter
 ``enumerate`` ran with its assignments, table bytes and member count, the
 histogram kernel ``ogp`` ran with its priced work, the kernels ``cluster``
-chose with their pair counts, or the qubits, dense amplitudes, active
+ran with their pair counts, or the qubits, dense amplitudes, active
 variables, ``energy`` vector passes and support of the state ``hamiltonian``
 and ``pspin --quantize`` build; identical configs and seeds give
 byte-identical data files.  The manifest also records ``wall_time_s`` and
@@ -31,11 +31,12 @@ assertion.  Each error prints one JSON record on stderr with ``error`` and
 (``requested`` is null for a draw that ran out of tries, and all three are
 null when an enumeration worker process dies).  ``--out`` is made at the
 first file written, and each file into a ``.staging-*`` directory inside it.
-Only a run that exits 0 moves its files into ``--out``, the manifest last; one
-that exits nonzero removes its stage, and ``--out`` if it made it and left it
-empty.  A run killed from outside leaves its files in the stage, so data files
-only ever sit next to the manifest that hashes them.
-The eight budgets are ``errors.BUDGETS``, where ``enum_cap`` prices both 2^n
+Only a run that exits 0 moves its files into ``--out``, then removes the files
+that the manifest already there lists and it did not write, and moves its own
+manifest in last; one that exits nonzero removes its stage, and ``--out`` if
+it made it and left it empty.  A run killed from outside leaves its files in
+the stage, so data files only ever sit next to the manifest that hashes them.
+The seven budgets are ``errors.BUDGETS``, where ``enum_cap`` prices both 2^n
 cube scans (enumeration and the pspin scan); NLTSLAB_ENUM_CAP,
 NLTSLAB_QUBIT_CAP and NLTSLAB_PAIR_CAP override theirs, read where the budget
 is checked.
@@ -143,8 +144,13 @@ class _Run:
             "peak_rss_mb": _peak_rss_mb(),
         }
         self.write_json("manifest.json", manifest)  # after the hashes, so it lists no hash of itself
-        for name in [*files, "manifest.json"]:  # publish: one rename each, the manifest last
+        stale = _listed(self.outdir / "manifest.json") - files.keys()
+        for name in files:  # publish: one rename each; the earlier run's other files go before the manifest
             (self.stage / name).replace(self.outdir / name)
+        for path in (self.outdir / name for name in stale):
+            if path.is_file():
+                path.unlink()
+        (self.stage / "manifest.json").replace(self.outdir / "manifest.json")
         self.stage.rmdir()
 
     def discard(self) -> None:
@@ -153,6 +159,15 @@ class _Run:
             shutil.rmtree(self.stage)
         if self.made_outdir and self.outdir.is_dir() and not any(self.outdir.iterdir()):
             self.outdir.rmdir()
+
+
+def _listed(manifest: Path) -> set[str]:
+    """The file names an earlier run's manifest lists; none if it is missing or unreadable."""
+    try:
+        return {name for name in json.loads(manifest.read_text())["files"]
+                if name == Path(name).name}  # a bare name, never a path out of --out
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
 
 
 def _int_list(flag: str, raw: str) -> list[int]:
@@ -334,7 +349,7 @@ def _scan_csv_row(K, window, eps, p, report) -> dict:
 
 def cmd_theory_scan(args, run: _Run):
     K_values = _int_list("--K-list", args.K_list)
-    rows = [_scan_csv_row(*row) for row in theory.scan_rows(args.alpha, K_values, args.nu_step, args.s_step)]
+    rows = [_scan_csv_row(*row) for row in theory.scan_rows(args.alpha, K_values)]
     run.write_table("scan.csv", "theory-scan", _SCAN_FIELDS, rows)
     feasible = [r for r in rows if r.get("feasible")]
     run.write_json("scan_summary.json", {
@@ -426,8 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "theory-scan", "parameter feasibility scan", cmd_theory_scan, seeded=False)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--K-list", default="4,8,16,32,64")
-    p.add_argument("--nu-step", type=float, default=theory.NU_STEP)
-    p.add_argument("--s-step", type=float, default=theory.S_STEP)
 
     p = _subcommand(sub, "depth-bound", "circuit depth lower bound", cmd_depth_bound, seeded=False)
     p.add_argument("--d", type=float, required=True, help="separation distance in bits")

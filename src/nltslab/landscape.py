@@ -480,9 +480,12 @@ def _walsh_priced(size: int, n: int) -> bool:
     return n <= _WALSH_MAX_N and math.comb(size, 2) >= _WALSH_CROSSOVER * (n << n)
 
 
-def _pair_counts(members: np.ndarray, n: int) -> np.ndarray:
-    """Int64 counts[d] of the unordered pairs of `members` at distance d, by the kernel _walsh_priced picks."""
-    return (_walsh_counts if _walsh_priced(members.size, n) else _tile_counts)(members, n)
+def _pair_counts(members: np.ndarray, n: int) -> tuple[str, np.ndarray]:
+    """The kernel _walsh_priced picks, "walsh" or "tiles", and the int64 counts[d]
+    of the unordered pairs of `members` at distance d that it gives."""
+    if _walsh_priced(members.size, n):
+        return "walsh", _walsh_counts(members, n)
+    return "tiles", _tile_counts(members, n)
 
 
 def overlap_histogram(A: SolutionSet) -> OverlapHistogram:
@@ -492,9 +495,10 @@ def overlap_histogram(A: SolutionSet) -> OverlapHistogram:
     the Walsh kernel, or pairs = C(|A|, 2) for the tiles.
     """
     check_budget("pair_cap", len(A), "the pair loop", "members")
-    work = ({"kernel": "walsh", "transform_ops": A.n << A.n} if _walsh_priced(len(A), A.n)
-            else {"kernel": "tiles", "pairs": math.comb(len(A), 2)})
-    return OverlapHistogram(n=A.n, counts=_pair_counts(A.members, A.n), work=work)
+    kernel, counts = _pair_counts(A.members, A.n)
+    work = ({"kernel": kernel, "transform_ops": A.n << A.n} if kernel == "walsh"
+            else {"kernel": kernel, "pairs": math.comb(len(A), 2)})
+    return OverlapHistogram(n=A.n, counts=counts, work=work)
 
 
 def _thresholds(n: int, nu1: float, nu2: float) -> tuple[int, int]:
@@ -635,13 +639,15 @@ def cluster(A: SolutionSet, nu1: float, nu2: float) -> ClusterPartition:
       (multi-index hashing), or from every pair tile when those candidates
       exceed _BUCKET_SHARE of all pairs;
     - the intra-cluster histogram comes from the pairs inside each cluster, by
-      offsets in cluster order or by tiles under the same rule.  max_intra is
-      its largest distance and min_inter the least d at which the OGP
-      histogram holds more pairs than it.
+      offsets in cluster order or, under the same rule, by _pair_counts on
+      each cluster.  max_intra is its largest distance and min_inter the least
+      d at which the OGP histogram holds more pairs than it.
 
-    `work` records the OGP histogram's kernel and both kernel choices, the
-    candidate pairs priced, the close pairs the label pass found (buckets count
-    a pair once per chunk it shares) and the intra-cluster pairs.
+    `work` records the OGP histogram's kernel, the label kernel, the kernels
+    the intra-cluster histogram ran ("buckets", or _pair_counts' choices
+    joined by "+"), the candidate pairs priced, the close pairs the label pass
+    found (buckets count a pair once per chunk it shares) and the
+    intra-cluster pairs.
     """
     check_nu(nu1, nu2, clustering=True)
     ok, witness, hist = _detect_ogp(A, nu1, nu2)
@@ -664,16 +670,20 @@ def cluster(A: SolutionSet, nu1: float, nu2: float) -> ClusterPartition:
     sizes = _run_sizes(labels[order])
     clusters = tuple(np.split(members[order], np.cumsum(sizes)[:-1])) if members.size else ()
     work["intra_pairs"] = _pairs_in_runs(sizes)
-    work["certificate_kernel"] = _choose(work["intra_pairs"], total)
     intra = np.zeros(n + 1, dtype=np.int64)
-    if work["certificate_kernel"] == "buckets":
+    if _choose(work["intra_pairs"], total) == "buckets":
+        work["certificate_kernel"] = "buckets"
         sorted_words = words[order]
         for k, s in _run_pairs(sizes):
             intra += np.bincount(np.bitwise_count(sorted_words[k] ^ sorted_words[k + s]), minlength=n + 1)
     else:
+        kernels = set()
         for c in clusters:
             if c.size > 1:
-                intra += _pair_counts(c, n)
+                kernel, counts_c = _pair_counts(c, n)
+                kernels.add(kernel)
+                intra += counts_c
+        work["certificate_kernel"] = "+".join(sorted(kernels))
     max_intra = int(np.flatnonzero(intra)[-1]) if intra.any() else -1
     inter = np.flatnonzero(counts > intra)
     min_inter = int(inter[0]) if inter.size else -1

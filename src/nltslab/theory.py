@@ -9,6 +9,7 @@ the dropped term.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, islice, product
@@ -16,11 +17,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError, allowance, check_budget
+from .errors import ParameterError
 
 LN2 = math.log(2.0)
 
-#: The regime scan's default nu and s grid steps, the margin below zero the
+#: The window search's nu and s grid steps, the margin below zero the
 #: window's rate exponent must clear, and the parameter-ledger grids.
 NU_STEP = S_STEP = 0.005
 SLACK = LN2 / 20.0
@@ -156,6 +157,14 @@ class ConsistencyReport:
         )
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent for base > 0, inf where the float overflows (K past about 10^5)."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def check_parameter_consistency(p: RegimeParams) -> ConsistencyReport:
     c1, c2 = p.c1, p.c2
     return ConsistencyReport(
@@ -163,50 +172,31 @@ def check_parameter_consistency(p: RegimeParams) -> ConsistencyReport:
         c2=c2,
         delta_ok=0.0 < p.delta <= p.delta_cap and 0.0 < c1 < c2,
         gamma_lambda_ok=p.gamma ** (2.0 * p.lam) < 1.0 / 8.0,
-        amplification_ok=(2.0 / p.gamma) ** (4.0 * p.K * p.eta) <= 2.0 ** ((c2 - c1) / 2.0),
-        tail_ok=p.gamma ** (2.0 * p.lam - 3.0 * p.K * p.eta) < 1.0 / 8.0,
+        amplification_ok=_power(2.0 / p.gamma, 4.0 * p.K * p.eta) <= 2.0 ** ((c2 - c1) / 2.0),
+        tail_ok=_power(p.gamma, 2.0 * p.lam - 3.0 * p.K * p.eta) < 1.0 / 8.0,
         locality_ok=4.0 * p.K * p.eta < 1.0,
     )
 
 
-def _grid_size(nu1: float, nu2: float, s_step: float) -> int:
+def _grid_size(nu1: float, nu2: float) -> int:
     """Points in the s grid of [1 - nu2, 1 - nu1], by np.arange's length rule."""
-    return math.ceil((1.0 - nu1 + s_step / 2 - (1.0 - nu2)) / s_step)
+    return math.ceil((1.0 - nu1 + S_STEP / 2 - (1.0 - nu2)) / S_STEP)
 
 
-def _window_rates(alpha: float, K: int, nu1: float, nu2: float, s_step: float) -> list[float]:
+def _window_rates(alpha: float, K: int, nu1: float, nu2: float) -> list[float]:
     """C(alpha, s, K) on the s grid of [1 - nu2, 1 - nu1], clipped to [0, 1]."""
-    grid = np.clip(np.arange(1.0 - nu2, 1.0 - nu1 + s_step / 2, s_step), 0.0, 1.0)
+    grid = np.clip(np.arange(1.0 - nu2, 1.0 - nu1 + S_STEP / 2, S_STEP), 0.0, 1.0)
     return [rate_exponent(alpha, float(s), K) for s in grid]
 
 
-def window_sup_rate(alpha: float, K: int, nu1: float, nu2: float, s_step: float = S_STEP) -> float:
+def window_sup_rate(alpha: float, K: int, nu1: float, nu2: float) -> float:
     """Grid sup of C(alpha, s, K) over s in [1 - nu2, 1 - nu1]."""
-    return max(_window_rates(alpha, K, nu1, nu2, s_step))
-
-
-def _check_window_search(nu_step: float, s_step: float) -> None:
-    """Reject grid steps outside (0, 0.5), and window searches that would make
-    more than rate_eval_budget rate evaluations for a K without a window."""
-    for flag, step in (("--nu-step", nu_step), ("--s-step", s_step)):
-        if not 0.0 < step < 0.5:
-            raise ParameterError(f"{flag} must lie in (0, 0.5), got {step!r}")
-    what = f"the window search at --nu-step {nu_step!r}, --s-step {s_step!r}"
-    nu_count = math.ceil((0.5 - nu_step) / nu_step)  # np.arange's length rule
-    # every nu2 but the first two and a last one cut at 0.5 costs one evaluation or more
-    allowed = allowance("rate_eval_budget")
-    if nu_count - 3 > allowed:
-        raise ResourceLimitError("rate_eval_budget", nu_count - 3, allowed,
-                                 f"{what} needs at least {nu_count - 3} rate evaluations per K, "
-                                 f"over budget {allowed}")
-    nus = _nu_grid(nu_step)
-    needed = sum(_grid_size(nus[0], nu2, s_step) for nu2 in nus if nus[0] < nu2 / 2.0)
-    check_budget("rate_eval_budget", needed, what, "rate evaluations per K")
+    return max(_window_rates(alpha, K, nu1, nu2))
 
 
 def derive_eps(eta: float, K: int) -> float | None:
     """Largest geometric-grid eps making the Azuma tail strictly negative."""
-    eps = min(eta / (4.0 * K * 2.0**K), 0.25)
+    eps = min(math.ldexp(eta / (4.0 * K), -K), 0.25)  # eta / (4 K 2^K); 0.0, not an overflow, at large K
     for _ in range(600):
         if eps <= 0.0 or eps < 5e-300:
             return None
@@ -217,7 +207,7 @@ def derive_eps(eta: float, K: int) -> float | None:
     return None
 
 
-def scan_rows(alpha: float, K_values: Iterable[int], nu_step: float = NU_STEP, s_step: float = S_STEP):
+def scan_rows(alpha: float, K_values: Iterable[int]):
     """Every scan row (K, window, eps, params, report), feasible or not; generator.
 
     A K whose rate exponent never drops below -SLACK on a grid window yields
@@ -225,15 +215,18 @@ def scan_rows(alpha: float, K_values: Iterable[int], nu_step: float = NU_STEP, s
     DELTA_GRID x GAMMA_GRID x LAMBDA_GRID x ETA_GRID yields one row with
     window = (nu1, nu2), the derived eps (None when no grid eps certifies the
     Azuma tail; params then carry nan) and the parameter-ledger report.
-    Before any row, an alpha outside (0.7, 1) or a step outside (0, 0.5)
-    raises ParameterError, and a window search of more than rate_eval_budget
-    rate evaluations raises ResourceLimitError.
+    Before any row, an alpha outside (0.7, 1) or a K below 1 or past the
+    largest float raises ParameterError.
     """
     if not 0.5 + 0.2 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (1/2 + 1/5, 1), got {alpha}")
-    _check_window_search(nu_step, s_step)
+    K_values = list(K_values)
+    bad = [K for K in K_values if not 1 <= K <= sys.float_info.max]  # a larger int overflows a float
+    if bad:
+        raise ParameterError(f"--K-list entries must lie in [1, {sys.float_info.max:.3g}], "
+                             f"got {bad[0]} in {K_values}")
     for K in K_values:
-        window = first_feasible_window(alpha, K, nu_step, s_step)
+        window = first_feasible_window(alpha, K)
         if window is None:
             yield K, None, None, None, None
             continue
@@ -250,7 +243,7 @@ def scan_rows(alpha: float, K_values: Iterable[int], nu_step: float = NU_STEP, s
 def scan_regime(alpha: float, K_values: Iterable[int], max_results: int = 200) -> list[RegimeParams]:
     """The first max_results feasible (K, nu1, nu2, eps, lambda, gamma, eta, delta) tuples.
 
-    The scan runs scan_rows on the module grids and steps.  A tuple is
+    The scan runs scan_rows on the module grids.  A tuple is
     feasible when the rate exponent stays below -SLACK on the [1-nu2, 1-nu1]
     window, the Azuma coverage event certifies at the derived eps, and all
     parameter-ledger constraints hold.  The scan stops at the max_results-th.
@@ -260,30 +253,26 @@ def scan_regime(alpha: float, K_values: Iterable[int], max_results: int = 200) -
     return list(islice(feasible, max_results))
 
 
-def _nu_grid(nu_step: float) -> list[float]:
-    """The nu grid of the window search: np.arange(nu_step, 0.5, nu_step) below 0.5."""
-    return [float(nu) for nu in np.arange(nu_step, 0.5, nu_step) if nu < 0.5]
-
-
-def first_feasible_window(alpha: float, K: int, nu_step: float, s_step: float) -> tuple[float, float] | None:
+def first_feasible_window(alpha: float, K: int) -> tuple[float, float] | None:
     """Smallest (nu1, nu2) grid pair with nu1 < nu2/2 whose window sup is <= -SLACK.
 
     Pairs are tried nu2-major and nu1 ascending; the first one found is
-    returned.  For one nu2 the s grid of every window is
-    np.arange(1 - nu2, 1 - nu1 + s_step/2, s_step), whose points are
+    returned.  nu runs over np.arange(NU_STEP, 0.5, NU_STEP) below 0.5.  For
+    one nu2 the s grid of every window is
+    np.arange(1 - nu2, 1 - nu1 + S_STEP/2, S_STEP), whose points are
     start + i*step whatever the stop, so each window is a prefix of the
     window of the smallest nu1.  That grid is evaluated once, and its running
     maximum is read at each window's last index.  A prefix maximum is exact,
     so each sup, and hence the window found, is the same float that a
     window-by-window search with window_sup_rate gives.
     """
-    nus = _nu_grid(nu_step)
+    nus = [float(nu) for nu in np.arange(NU_STEP, 0.5, NU_STEP) if nu < 0.5]
     for nu2 in nus:
         nu1s = nus[: bisect_left(nus, nu2 / 2.0)]  # every nu1 < nu2/2, ascending
         if not nu1s:
             continue
-        sups = list(accumulate(_window_rates(alpha, K, nus[0], nu2, s_step), max))
+        sups = list(accumulate(_window_rates(alpha, K, nus[0], nu2), max))
         for nu1 in nu1s:
-            if sups[_grid_size(nu1, nu2, s_step) - 1] <= -SLACK:
+            if sups[_grid_size(nu1, nu2) - 1] <= -SLACK:
                 return nu1, nu2
     return None

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nltslab import errors, hamiltonian, ksat, landscape, pspin, theory
+from nltslab import errors, hamiltonian, ksat, landscape, pspin
 from nltslab.errors import ParameterError, ResourceLimitError, check_budget
 
 
@@ -28,7 +28,6 @@ BUDGETS = {
     "eta_budget": (lambda: ksat.eta_exact_excluded(ksat.generate_formula(30, 10, 3, seed=0), 15),
                    math.comb(30, 15)),
     "retry_budget": (lambda: pspin.generate_regular_hypergraph(1, 2, 2, seed=0), None),
-    "rate_eval_budget": (lambda: next(theory.scan_rows(0.75, [8], 0.005, 1e-9)), 24250000097),
 }
 
 

@@ -1007,7 +1007,9 @@ def test_cluster_kernels_match_brute_force(monkeypatch, case, kernel):
     P = landscape.cluster(A, *_nus(n, t1, t2))
     assert [c.tolist() for c in P.clusters] == [c.tolist() for c in clusters]
     assert (P.max_intra, P.min_inter) == (max_intra, min_inter)
-    assert P.work["label_kernel"] == P.work["certificate_kernel"] == kernel
+    assert P.work["label_kernel"] == kernel
+    # forced off buckets, the certificate runs _pair_counts only on clusters that hold a pair
+    assert P.work["certificate_kernel"] == (kernel if kernel == "buckets" or P.work["intra_pairs"] else "")
     assert P.work["intra_pairs"] == sum(math.comb(c.size, 2) for c in clusters)
     if case == "t1=0-singletons":
         assert P.max_intra == -1 and len(P.clusters) == len(A)
@@ -1086,14 +1088,14 @@ def test_walsh_kernel_matches_tiles_and_brute_force(n):
     members = _dense_set(np.random.default_rng(n), n)
     got = landscape._walsh_counts(members, n).tolist()
     assert got == landscape._tile_counts(members, n).tolist() == _brute_counts(members, n)
-    assert landscape._pair_counts(members, n).tolist() == got
+    assert landscape._pair_counts(members, n)[1].tolist() == got
 
 
 def test_walsh_kernel_at_n_24():
     n = 24
     members = _dense_set(np.random.default_rng(n), n)
     assert landscape._walsh_priced(members.size, n)
-    assert landscape._pair_counts(members, n).tolist() == landscape._tile_counts(members, n).tolist()
+    assert landscape._pair_counts(members, n)[1].tolist() == landscape._tile_counts(members, n).tolist()
     # two disjoint 20-dimensional subcubes whose top bits differ in h = 3 places;
     # |A| = 2^21 takes the transform's partial sums to 2^21
     k, h = 20, 3
@@ -1101,7 +1103,7 @@ def test_walsh_kernel_at_n_24():
     members = np.concatenate([low, low | np.uint64(0b0111 << k)])
     cube = [2 * (1 << (k - 1)) * math.comb(k, d) if 0 < d <= k else 0 for d in range(n + 1)]
     cross = [(1 << k) * math.comb(k, d - h) if h <= d <= h + k else 0 for d in range(n + 1)]
-    assert landscape._pair_counts(members, n).tolist() == [a + b for a, b in zip(cube, cross)]
+    assert landscape._pair_counts(members, n)[1].tolist() == [a + b for a, b in zip(cube, cross)]
 
 
 def test_walsh_kernel_on_the_full_cube():
@@ -1144,7 +1146,7 @@ def test_n_above_24_falls_back_to_tiles(monkeypatch):
     members = np.sort(np.random.default_rng(25).choice(1 << 25, size=300, replace=False)).astype(np.uint64)
     assert landscape._walsh_priced(members.size, 24) and not landscape._walsh_priced(members.size, 25)
     monkeypatch.setattr(landscape, "_walsh_counts", None)  # calling it would raise
-    assert landscape._pair_counts(members, 25).tolist() == _brute_counts(members, 25)
+    assert landscape._pair_counts(members, 25)[1].tolist() == _brute_counts(members, 25)
     assert landscape.overlap_histogram(_set(25, members)).work["kernel"] == "tiles"
 
 
@@ -1163,6 +1165,21 @@ def test_dense_set_clusters_on_the_walsh_histogram(monkeypatch):
         assert P.work["histogram_kernel"] == kernel
         assert [c.tolist() for c in P.clusters] == [[int(z), int(z) | 1] for z in even]
         assert (P.max_intra, P.min_inter) == (1, 3)
+
+
+def test_cluster_records_the_certificate_kernel_that_ran(monkeypatch):
+    # the Hamming ball of radius 4 at n = 18 is one cluster of 4,048 members, so
+    # its intra-cluster histogram takes the Walsh kernel, as the OGP one does
+    n = 18
+    ball = [sum(1 << b for b in bits) for r in range(5) for bits in combinations(range(n), r)]
+    calls = []
+    walsh = landscape._walsh_counts
+    monkeypatch.setattr(landscape, "_walsh_counts", lambda m, n: calls.append(m.size) or walsh(m, n))
+    P = landscape.cluster(_set(n, ball), 0.445, 0.95)
+    assert calls == [4048, 4048]
+    assert len(P.clusters) == 1 and (P.max_intra, P.min_inter) == (8, -1)
+    assert P.work["histogram_kernel"] == P.work["certificate_kernel"] == "walsh"
+    assert P.work["label_kernel"] == "tiles"
 
 
 def test_walsh_kernel_refuses_a_count_that_is_not_a_multiple_of_2_to_the_n(monkeypatch):

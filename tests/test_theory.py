@@ -1,12 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nltslab import errors, theory
-from nltslab.errors import ParameterError, ResourceLimitError
+from nltslab import theory
+from nltslab.errors import ParameterError
 
 LN2 = math.log(2.0)
 
@@ -52,14 +53,14 @@ def test_rate_exponent_value():
 
 
 def test_rate_exponent_window_sup_negative_at_large_K():
-    window = theory.first_feasible_window(0.75, 64, 0.005, 0.005)
+    window = theory.first_feasible_window(0.75, 64)
     assert window is not None
     nu1, nu2 = window
     assert theory.window_sup_rate(0.75, 64, nu1, nu2) <= -LN2 / 10.0
 
 
 def test_rate_exponent_window_max_decreases_in_K():
-    window = theory.first_feasible_window(0.75, 64, 0.005, 0.005)
+    window = theory.first_feasible_window(0.75, 64)
     nu1, nu2 = window
     sups = [theory.window_sup_rate(0.75, K, nu1, nu2) for K in (16, 32, 64, 128)]
     assert all(a > b for a, b in zip(sups, sups[1:]))
@@ -163,6 +164,25 @@ def test_derive_eps_certifies():
             assert ok and value < 0.0
 
 
+def _first_certified_eps(eta, K):
+    """derive_eps's walk down its grid from eta / (4 K 2^K), taken as a product of floats."""
+    eps = min(eta / (4.0 * K * 2.0**K), 0.25)
+    while eps >= 5e-300:
+        value, ok = theory.azuma_tail(eta, eps, K)
+        if ok and value < 0.0:
+            return eps
+        eps /= 8.0
+    return None
+
+
+def test_derive_eps_starts_from_eta_over_4K_2_to_the_K_without_overflow():
+    for K in range(1, 65):
+        for eta in theory.ETA_GRID:
+            assert theory.derive_eps(eta, K) == _first_certified_eps(eta, K), (K, eta)
+    for K in (1023, 1024, 2000, 10**6):  # 2.0**K overflows from 1024 on
+        assert theory.derive_eps(1e-4, K) is None
+
+
 # ---------------------------------------------------------------------------
 # depth bound
 # ---------------------------------------------------------------------------
@@ -246,6 +266,13 @@ def test_scan_alpha_validation():
         theory.scan_regime(0.5, [8])
 
 
+def test_scan_rows_refuses_a_K_below_1_or_past_float_range_before_any_row(monkeypatch):
+    monkeypatch.setattr(theory, "first_feasible_window", None)  # calling it would raise TypeError
+    for K_values, bad in (([8, 0], 0), (iter([64, -1, 8]), -1), ([8, int(sys.float_info.max), 2**1024 - 1], 2**1024 - 1)):
+        with pytest.raises(ParameterError, match=rf"--K-list entries must lie in \[1, 1.8e\+308\], got {bad} in"):
+            next(theory.scan_rows(0.75, K_values))
+
+
 def test_scan_small_K_empty():
     assert theory.scan_regime(0.9, [4]) == []
     assert theory.scan_regime(0.75, [4, 8]) == []
@@ -264,7 +291,7 @@ def test_scan_rows_yield_every_grid_point():
     rows = list(theory.scan_rows(0.75, [8, 64]))
     assert rows[0] == (8, None, None, None, None)  # no window at K = 8
     assert len(rows) == 1 + 3**4
-    assert {row[1] for row in rows[1:]} == {theory.first_feasible_window(0.75, 64, 0.005, 0.005)}
+    assert {row[1] for row in rows[1:]} == {theory.first_feasible_window(0.75, 64)}
     feasible = [p for _, _, eps, p, report in rows if eps is not None and report.all_ok]
     assert 0 < len(feasible) < 3**4
     assert theory.scan_regime(0.75, [8, 64]) == feasible
@@ -303,43 +330,39 @@ def _oracle_window(alpha, K, nu_step, s_step, slack):
     return None, None
 
 
-# the default steps, equal coarser ones, a finer s grid, a finer nu grid, and 1/38, whose nu
-# arange ends at 0.5 itself
+# the module grid, then patched grids, since the prefix argument holds on any grid: equal
+# coarser steps, a finer s grid, a finer nu grid, and 1/38, whose nu arange ends at 0.5 itself
 @pytest.mark.parametrize("nu_step, s_step", [
     (0.005, 0.005), (0.01, 0.01), (0.02, 0.007), (0.01, 0.02), (1 / 38, 0.004),
 ])
-def test_first_feasible_window_matches_the_loop_nest_oracle(nu_step, s_step):
+def test_first_feasible_window_matches_the_loop_nest_oracle(monkeypatch, nu_step, s_step):
+    assert (theory.NU_STEP, theory.S_STEP) == (0.005, 0.005)
+    monkeypatch.setattr(theory, "NU_STEP", nu_step)
+    monkeypatch.setattr(theory, "S_STEP", s_step)
     found = missing = 0
     for alpha in (0.71, 0.75, 0.85, 0.95, 0.99):
         for K in (3, 8, 16, 32, 64, 128):
             want, sup = _oracle_window(alpha, K, nu_step, s_step, LN2 / 20)
-            got = theory.first_feasible_window(alpha, K, nu_step, s_step)
+            got = theory.first_feasible_window(alpha, K)
             assert got == want, (alpha, K)
             if got is None:
                 missing += 1
                 continue
             found += 1
             assert all(type(nu) is float for nu in got)
-            assert theory.window_sup_rate(alpha, K, *got, s_step) == sup, (alpha, K)
+            assert theory.window_sup_rate(alpha, K, *got) == sup, (alpha, K)
     assert found and missing  # both outcomes are compared
     assert np.arange(1 / 38, 0.5, 1 / 38)[-1] == 0.5  # the nu2 >= 0.5 guard is reached
 
 
-# K = 8 has no window at alpha = 0.75, so the search evaluates every nu2's grid; at 1/38 the
-# nu2 = 0.5 grid would add 119 more calls
+# K = 8 has no window at alpha = 0.75, so the search evaluates every nu2's grid; on the
+# patched 1/38 grid the nu2 = 0.5 grid would add 119 more calls
 @pytest.mark.parametrize("nu_step, s_step, calls", [(0.005, 0.005, 4947), (1 / 38, 0.004, 1016)])
 def test_window_search_evaluates_each_nu2_grid_once(monkeypatch, nu_step, s_step, calls):
+    monkeypatch.setattr(theory, "NU_STEP", nu_step)
+    monkeypatch.setattr(theory, "S_STEP", s_step)
     seen = []
     rate = theory.rate_exponent
     monkeypatch.setattr(theory, "rate_exponent", lambda *args: seen.append(args) or rate(*args))
-    assert theory.first_feasible_window(0.75, 8, nu_step, s_step) is None
-    assert len(seen) == calls  # window by window, the default steps made 122,497
-
-
-@pytest.mark.parametrize("nu_step, s_step, calls", [(0.005, 0.005, 4947), (1 / 38, 0.004, 1016)])
-def test_window_search_budget_counts_the_evaluations(monkeypatch, nu_step, s_step, calls):
-    monkeypatch.setitem(errors.BUDGETS, "rate_eval_budget", calls)
-    assert next(theory.scan_rows(0.75, [8], nu_step, s_step)) == (8, None, None, None, None)
-    monkeypatch.setitem(errors.BUDGETS, "rate_eval_budget", calls - 1)
-    with pytest.raises(ResourceLimitError, match=f"needs {calls} rate evaluations per K, over budget {calls - 1}"):
-        next(theory.scan_rows(0.75, [8], nu_step, s_step))
+    assert theory.first_feasible_window(0.75, 8) is None
+    assert len(seen) == calls  # window by window, the module grid made 122,497
