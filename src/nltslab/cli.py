@@ -30,12 +30,14 @@ assertion.  Each error prints one JSON record on stderr with ``error`` and
 ``message``; a resource record adds ``budget``, ``requested`` and ``allowed``
 (``requested`` is null for a draw that ran out of tries, and all three are
 null when an enumeration worker process dies).  ``--out`` is made at the
-first file written, and each file into a ``.staging-*`` directory inside it.
-Only a run that exits 0 moves its files into ``--out``, then removes the files
-that the manifest already there lists and it did not write, and moves its own
-manifest in last; one that exits nonzero removes its stage, and ``--out`` if
-it made it and left it empty.  A run killed from outside leaves its files in
-the stage, so data files only ever sit next to the manifest that hashes them.
+first file written, and each file into a ``.staging-<pid>-<random>``
+directory inside it.  Only a run that exits 0 moves its files into ``--out``,
+then removes the files that the manifest already there lists and it did not
+write, and moves its own manifest in last; one that exits nonzero removes its
+stage, and ``--out`` if it made it and left it empty.  A run killed from
+outside leaves its files in the stage, so data files only ever sit next to the
+manifest that hashes them; the next run that exits 0 into that ``--out``
+removes every stage whose pid names no live process.
 The seven budgets are ``errors.BUDGETS``, where ``enum_cap`` prices both 2^n
 cube scans (enumeration and the pspin scan); NLTSLAB_ENUM_CAP,
 NLTSLAB_QUBIT_CAP and NLTSLAB_PAIR_CAP override theirs, read where the budget
@@ -50,6 +52,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
@@ -104,7 +107,7 @@ class _Run:
         """Where to write ``name``: this run's stage, so it and any sidecar its writer adds reach the manifest."""
         if self.stage is None:
             self.outdir.mkdir(parents=True, exist_ok=True)
-            self.stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.outdir))
+            self.stage = Path(tempfile.mkdtemp(prefix=f".staging-{os.getpid()}-", dir=self.outdir))
         return self.stage / name
 
     def write_json(self, name: str, obj) -> None:
@@ -152,6 +155,8 @@ class _Run:
                 path.unlink()
         (self.stage / "manifest.json").replace(self.outdir / "manifest.json")
         self.stage.rmdir()
+        for stage in _dead_stages(self.outdir):  # left by runs killed from outside
+            shutil.rmtree(stage, ignore_errors=True)
 
     def discard(self) -> None:
         """On failure: remove this run's stage, and ``--out`` if this run made it and it is now empty."""
@@ -159,6 +164,24 @@ class _Run:
             shutil.rmtree(self.stage)
         if self.made_outdir and self.outdir.is_dir() and not any(self.outdir.iterdir()):
             self.outdir.rmdir()
+
+
+def _dead_stages(outdir: Path) -> list[Path]:
+    """The ``.staging-<pid>-*`` directories in ``outdir`` whose pid names no live process.
+
+    A stage whose pid is live, or that has no pid field, is not listed.
+    """
+    if os.name != "posix":  # os.kill(pid, 0) probes a process only on POSIX
+        return []
+    dead = []
+    for stage in outdir.glob(".staging-*-*"):
+        try:
+            os.kill(int(stage.name.split("-")[1]), 0)
+        except ProcessLookupError:
+            dead.append(stage)
+        except (ValueError, OverflowError, OSError):  # no pid field, past any pid, or another user's live run
+            pass
+    return dead
 
 
 def _listed(manifest: Path) -> set[str]:

@@ -384,7 +384,7 @@ def test_criterion_10a_performance_single_worker():
 
 
 @pytest.mark.skipif(usable_cpus() < 2, reason="4-worker scaling needs at least 2 usable CPUs")
-def test_criterion_10b_performance_scaling():
+def test_criterion_10b_performance_scaling(pools):
     # 3.0x with 4 workers is 75% parallel efficiency; below 4 usable CPUs the
     # same efficiency is asked of the CPUs that can run.
     cpus = usable_cpus()
@@ -413,7 +413,8 @@ def test_criterion_10b_performance_scaling():
         "criterion 10b performance (4-worker scaling)",
         speedup >= bar,
         f"speedup {speedup:.2f}x (need {bar:.2f}x on {cpus} usable CPUs) "
-        f"on {len(A_ref)} solutions; t1/t4 per round (s): {rounds}",
+        f"on {len(A_ref)} solutions; t1/t4 per round (s): {rounds}; "
+        f"processes started per 4-worker call: {', '.join(map(str, pools))}",
     )
 
 

@@ -159,9 +159,10 @@ def test_enumerate_manifest_records_the_filter(tmp_path, r, filt):
                             "duplicates"}
 
 
-def test_enumerate_eps_members_do_not_depend_on_workers(tmp_path, pools):
+def test_enumerate_eps_members_do_not_depend_on_workers(tmp_path, pools, monkeypatch):
     # n = 17 holds two blocks per cube, and eps = 0.05 keeps 17 variable sets;
     # --workers 2 and 3 each start one pool of two processes over the two blocks
+    monkeypatch.setattr(landscape, "usable_cpus", lambda: 64)  # so the tasks, not the host, size the pool
     f = ksat.generate_formula(17, 60, 3, 5)
     kept = [frozenset(range(17)) - {v} for v in range(17)]
     oracle = functools.reduce(np.union1d, [np.flatnonzero(literal_violation_counts(f, S) <= 1)
@@ -1114,6 +1115,34 @@ def test_run_killed_after_its_first_seed_leaves_no_file_in_out(tmp_path):
     [stage] = out.iterdir()  # the partial files sit in the stage, never beside a manifest
     assert stage.is_dir() and stage.name.startswith(".staging-")
     assert sorted(p.name for p in stage.iterdir()) == ["formula_1.cnf", "formula_1.cnf.json"]
+
+
+def test_a_successful_run_removes_the_stage_a_killed_run_left(tmp_path):
+    script = tmp_path / "die.py"
+    script.write_text(_KILLED_AFTER_FIRST_SEED)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = tmp_path / "x"
+    proc = subprocess.Popen(
+        [sys.executable, str(script), "gen", "--n", "6", "--K", "3", "--m", "5", "--seeds", "1,2", "--out", str(out)],
+        env=env,
+    )
+    assert proc.wait(timeout=60) == 9
+    [stage] = out.iterdir()
+    assert stage.name.startswith(f".staging-{proc.pid}-")
+    assert run_cli(["gen", "--n", 6, "--K", 3, "--m", 5, "--seeds", "1", "--out", out]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["formula_1.cnf", "formula_1.cnf.json", "manifest.json"]
+
+
+def test_a_successful_run_keeps_stages_of_live_or_unnamed_runs(tmp_path):
+    out = tmp_path / "x"
+    kept = [out / f".staging-{os.getppid()}-live", out / ".staging-nopid", out / ".staging-x-nopid"]
+    for stage in kept:
+        stage.mkdir(parents=True)
+        (stage / "formula_9.cnf").write_text("partial\n")
+    assert run_cli(["gen", "--n", 6, "--K", 3, "--m", 5, "--seeds", "1", "--out", out]) == 0
+    assert all((stage / "formula_9.cnf").read_text() == "partial\n" for stage in kept)
+    assert sorted(p.name for p in out.iterdir() if not p.name.startswith(".")) == [
+        "formula_1.cnf", "formula_1.cnf.json", "manifest.json"]
 
 
 def test_depth_bound_at_zero_distance_writes_null(tmp_path):

@@ -345,6 +345,51 @@ def test_scan_range_keeps_clause_bits_above_32():
     assert got.tolist() == list(range(landscape.BLOCK_SIZE))
 
 
+@pytest.mark.parametrize("live", [1, 5, 6, 7, 13])
+def test_grouped_r0_filter_matches_the_oracle_at_each_live_clause_count(live):
+    # below, at, one past and two groups plus one past _CLAUSE_GROUP = 6 live
+    # clauses, a tautology among them; n = 17 holds two blocks
+    L, C = ksat.Literal, ksat.Clause
+    drawn = tuple(c for c in ksat.generate_formula(17, 30, 3, seed=live).clauses if c.mask_value is not None)[:live]
+    tautology = C((L(3, False), L(9, False), L(3, True)))
+    f = ksat.Formula(n=17, K=3, clauses=drawn[: live // 2] + (tautology,) + drawn[live // 2 :])
+    assert landscape._CLAUSE_GROUP == 6 and f.clause_arrays[0].size == live
+    oracle = _oracle_members(f, 0)
+    assert 0 < len(oracle) < 1 << 17
+    A = landscape.enumerate_sat(f, 0)
+    assert (A.members.tolist(), A.work["filter"]) == (oracle, "early_exit")
+
+
+@pytest.mark.parametrize("patterns", [8, 4])
+def test_grouped_r0_filter_empties_a_block_inside_a_group(patterns):
+    # 3 drawn clauses, then every sign pattern on x0..x2 (no assignment
+    # survives) or on x0, x1 joined with ~x16 (the block x16 = 1 dies), then 4
+    # drawn clauses: the last pattern is clause 10 or 6, inside the group 6-11
+    L, C = ksat.Literal, ksat.Clause
+    width = patterns.bit_length() - 1
+    tail = () if patterns == 8 else (L(16, True),)
+    signs = [C(tuple(L(v, bool(p >> v & 1)) for v in range(width)) + tail) for p in range(patterns)]
+    drawn = ksat.generate_formula(17, 7, 3, seed=3).clauses
+    f = ksat.Formula(n=17, K=3, clauses=drawn[:3] + tuple(signs) + drawn[3:])
+    oracle = _oracle_members(f, 0)
+    assert (oracle == []) if patterns == 8 else (0 < len(oracle) and oracle[-1] < 1 << 16)
+    assert landscape.enumerate_sat(f, 0).members.tolist() == oracle
+
+
+def test_grouped_r0_filter_on_uint64_words_above_2_to_32():
+    # one block at n = 40 above 2^32: candidates and masks are uint64 words,
+    # and 20 clauses are three whole groups and two clauses
+    f = ksat.generate_formula(40, 20, 3, seed=8)
+    masks, values, _ = f.clause_arrays
+    start = (0x5A << 32) + (0x3C << 16)
+    x = np.arange(start, start + landscape.BLOCK_SIZE)
+    oracle = x[literal_violation_counts(f, z=x) == 0]
+    assert 0 < oracle.size < x.size and masks.size == 20
+    got = landscape._scan_range((start, start + landscape.BLOCK_SIZE, masks, values, 0, f.n))
+    assert got.dtype == np.uint64
+    assert got.tolist() == oracle.tolist()
+
+
 def test_violation_counter_holds_r_plus_one():
     # 510 unit clauses: counts spread around 255, so at r = 255 a row reaches
     # 256 before it is dropped, one past what a uint8 counter holds
@@ -389,11 +434,21 @@ def test_enumerate_pool_without_clauses(workers):
     (19, 90, 0.05, 0, 3, 8),  # 83 live clauses at r = 0; 8 blocks, 3 workers ask for 24 tasks
     (17, 3, 0.05, 6, 2, 2),  # r >= the 4 live clauses: the whole cube, split
 ])
-def test_pooled_eps_pass_matches_the_union_oracle(pools, n, m, eps, r, workers, tasks):
+def test_pooled_eps_pass_matches_the_union_oracle(monkeypatch, pools, n, m, eps, r, workers, tasks):
+    monkeypatch.setattr(landscape, "usable_cpus", lambda: 64)  # workers and tasks size the pool
     f = _kernel_formula(n, m, seed=n + m + r)
     A = landscape.enumerate_sat_eps(f, eps, r, workers=workers)
     assert pools == [min(workers, tasks)]
     assert (A.members.tolist(), A.work) == _eps_oracle(f, eps, r)
+
+
+def test_pooled_eps_pass_starts_no_more_processes_than_usable_cpus(monkeypatch, pools):
+    # 3 workers split n = 19 into 8 tasks whatever the CPUs; on 2 CPUs 2 processes run them
+    monkeypatch.setattr(landscape, "usable_cpus", lambda: 2)
+    f = _kernel_formula(19, 90, seed=19 + 90)
+    A = landscape.enumerate_sat_eps(f, 0.05, 0, workers=3)
+    assert pools == [2]
+    assert (A.members.tolist(), A.work) == _eps_oracle(f, 0.05, 0)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -535,11 +590,15 @@ def test_pool_is_sized_by_its_tasks(monkeypatch):
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
-    for n, workers, r in [(17, 512, 0), (17, 512, 2), (18, 3, 2)]:
+    # processes = min(workers, usable CPUs, tasks): n = 17 holds two blocks, so
+    # two tasks; n = 18 four.  64 CPUs leave workers and tasks to decide; at 2,
+    # 3 workers start 2 processes, over the same 4 tasks.
+    for cpus, n, workers, r in [(64, 17, 512, 0), (64, 17, 512, 2), (64, 18, 3, 2), (2, 18, 3, 2), (2, 18, 3, 0)]:
+        monkeypatch.setattr(landscape, "usable_cpus", lambda: cpus)
         f = ksat.generate_formula(n, 60, 3, seed=5)
         got = landscape.enumerate_sat(f, r, workers=workers).members
         assert got.tolist() == _oracle_members(f, r)
-    assert started == [2, 2, 3]  # n = 17 holds two blocks, so two tasks; n = 18 four
+    assert started == [2, 2, 3, 2, 2]
 
 
 def test_pool_tasks_carry_the_clause_lists_not_the_tables(monkeypatch):
