@@ -2,15 +2,15 @@
 
 Every subcommand writes its data files plus a ``manifest.json`` listing each
 file with a content hash and, under ``work``, per seed the filter
-``enumerate`` ran with its assignments, table bytes and member count, the
-histogram kernel ``ogp`` ran with its priced work, the kernels ``cluster``
-ran with their pair counts, or the qubits, dense amplitudes, active
-variables, ``energy`` vector passes and support of the state ``hamiltonian``
-and ``pspin --quantize`` build; identical configs and seeds give
-byte-identical data files.  The manifest also records ``wall_time_s`` and
-``peak_rss_mb``, the process's peak resident memory in MiB from
-``ru_maxrss`` (null where the ``resource`` module is missing); manifests of
-identical runs may differ only in those two fields.
+``enumerate`` ran (``whole_cube`` when r reaches the live clause count) with
+its assignments, table bytes and member count, the histogram kernel ``ogp``
+ran with its priced work, the kernels ``cluster`` ran with their pair
+counts, or the qubits, dense amplitudes, active variables, ``energy`` vector
+passes and support of the state ``hamiltonian`` and ``pspin --quantize``
+build; identical configs and seeds give byte-identical data files.  The
+manifest also records ``wall_time_s`` and ``peak_rss_mb``, the process's peak
+resident memory in MiB from ``ru_maxrss`` (null where the ``resource`` module
+is missing); manifests of identical runs may differ only in those two fields.
 
 Each subcommand takes ``--config``, ``--out`` and only the flags it reads:
 all but theory-scan and depth-bound take the seed flags (``--instances``
@@ -21,20 +21,21 @@ set in place of the set at ``--r``) and ``--workers``, which is refused below
 The stream of instance ``i`` under the 64-bit master seed is the first 8
 bytes of blake2b("<master>:<i>").
 
-``--config`` names an INI file whose section for the subcommand acts as flags
-placed before argv's own, so argv wins and argparse parses everything once;
-a key that names no flag of the subcommand is ignored.
+``--config`` names a UTF-8 INI file whose section for the subcommand acts as
+flags placed before argv's own, so argv wins and argparse parses everything
+once; a key that names no flag of the subcommand is ignored.
 
 Exit codes: 0 success, 2 validation, 3 resource-cap breach, 4 internal
 assertion.  Each error prints one JSON record on stderr with ``error`` and
 ``message``; a resource record adds ``budget``, ``requested`` and ``allowed``
 (``requested`` is null for a draw that ran out of tries, and all three are
-null when an enumeration worker process dies).  ``--out`` is made at the
-first file written, and each file into a ``.staging-<pid>-<random>``
-directory inside it.  Only a run that exits 0 moves its files into ``--out``,
+null when an enumeration worker process dies).  ``--out`` and a
+``.staging-<pid>-<random>`` directory inside it, where each file is written,
+are made when the run starts; an ``--out`` that cannot hold them exits 2
+before any work.  Only a run that exits 0 moves its files into ``--out``,
 then removes the files that the manifest already there lists and it did not
 write, and moves its own manifest in last; one that exits nonzero removes its
-stage, and ``--out`` if it made it and left it empty.  A run killed from
+stage, then ``--out`` and each parent it made, while empty.  A run killed from
 outside leaves its files in the stage, so data files only ever sit next to the
 manifest that hashes them; the next run that exits 0 into that ``--out``
 removes every stage whose pid names no live process.
@@ -58,6 +59,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import BrokenExecutor
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -99,15 +101,19 @@ class _Run:
         self.subcommand = subcommand
         self.config = config
         self.t0 = time.monotonic()
-        self.stage: Path | None = None  # made inside --out at the first file; every file is written there
-        self.made_outdir = not outdir.exists()
+        self.stage: Path | None = None  # made inside --out before any work; every file is written there
+        self.made: list[Path] = []  # --out and each parent this run creates, deepest first
         self.work: dict[int, dict] = {}  # per seed: kernels chosen and their work counts
+        try:
+            self.made = list(takewhile(lambda d: not d.exists(), (outdir, *outdir.parents)))
+            outdir.mkdir(parents=True, exist_ok=True)
+            self.stage = Path(tempfile.mkdtemp(prefix=f".staging-{os.getpid()}-", dir=outdir))
+        except OSError as exc:
+            self.discard()
+            raise ParameterError(f"--out {str(outdir)!r} cannot hold the run: {exc.strerror or exc}") from None
 
     def path(self, name: str) -> Path:
         """Where to write ``name``: this run's stage, so it and any sidecar its writer adds reach the manifest."""
-        if self.stage is None:
-            self.outdir.mkdir(parents=True, exist_ok=True)
-            self.stage = Path(tempfile.mkdtemp(prefix=f".staging-{os.getpid()}-", dir=self.outdir))
         return self.stage / name
 
     def write_json(self, name: str, obj) -> None:
@@ -159,11 +165,14 @@ class _Run:
             shutil.rmtree(stage, ignore_errors=True)
 
     def discard(self) -> None:
-        """On failure: remove this run's stage, and ``--out`` if this run made it and it is now empty."""
+        """On failure: remove this run's stage, then each directory it made, from ``--out`` up, while empty."""
         if self.stage:
             shutil.rmtree(self.stage)
-        if self.made_outdir and self.outdir.is_dir() and not any(self.outdir.iterdir()):
-            self.outdir.rmdir()
+        for made in self.made:
+            try:
+                made.rmdir()
+            except OSError:  # not empty, or never made
+                break
 
 
 def _dead_stages(outdir: Path) -> list[Path]:
@@ -504,10 +513,10 @@ def _config_flags(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
     section = argv[0]
     cp = configparser.ConfigParser()
     try:
-        if not cp.read(path):
+        if not cp.read(path, encoding="utf-8"):
             raise ParameterError(f"config file not found: {path}")
         items = cp.items(section) if cp.has_section(section) else []
-    except configparser.Error as exc:  # no section header, a stray '%', ...
+    except (configparser.Error, UnicodeDecodeError) as exc:  # no section header, a stray '%', not UTF-8, ...
         raise ParameterError(f"config file {path}: {exc}") from None
     # configparser lowercases keys, so "K-list" arrives as "k-list"
     actions = {a.dest.lower(): a for a in subcommands[section]._actions

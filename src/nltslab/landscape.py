@@ -1,12 +1,14 @@
 """Exhaustive enumeration of (near-)satisfying assignments and their geometry.
 
-Assignments are enumerated as packed integers in ranges of the cube; each
-range is an independent work unit, so _cube_scan runs both scans below in
-one process or over a pool of at most usable_cpus() processes, merging in
-ascending order.  Satisfying assignments (r = 0) pass an early-exit clause
-filter that compresses the candidates once per group of _CLAUSE_GROUP
-clauses; near-satisfying ones (r > 0) are counted 64 clauses at a time from
-split tables over the low and high variables.  The eps-robust union over excluded variable sets reads the
+Both enumerations go through one driver, _enumerate, which returns the whole
+cube unscanned when r reaches the live clause count.  Otherwise assignments
+are enumerated as packed integers in ranges of the cube; each range is an
+independent work unit, so _cube_scan runs both scans below in one process or
+over a pool of at most usable_cpus() processes, merging in ascending order.
+Satisfying assignments (r = 0) pass an early-exit clause filter that
+compresses the candidates once per group of _CLAUSE_GROUP clauses;
+near-satisfying ones (r > 0) are counted 64 clauses at a time from split
+tables over the low and high variables.  The eps-robust union over excluded variable sets reads the
 same tables in one pass: each excluded set is a mask of the clauses that
 avoid it, tested against every assignment's violated-clause words.
 Every pair histogram goes through _pair_counts, which picks one of two
@@ -35,7 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ContractError, ParameterError, check_budget
-from .ksat import Formula, clauses_within
+from .ksat import Formula
 
 #: Work-unit size for enumeration; blocks are independent.
 BLOCK_SIZE = 1 << 16
@@ -149,7 +151,7 @@ def _packed(bits: np.ndarray, words: int) -> np.ndarray:
     return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
-def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray, words: int) -> tuple[np.ndarray, np.ndarray]:
     """Split tables (lo, hi) of shapes (words, 2^L) and (words, 2^(n-L)), L = ceil(n/2).
 
     Bit c of lo[w, a] is set when every literal of clause 64w + c on the low L
@@ -157,10 +159,9 @@ def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray) -> tuple[np.nd
     the same over the high variables.  So lo[w, x mod 2^L] & hi[w, x >> L] is
     the set of clauses of word w that x violates.  Each table ANDs, doubling
     over its variables, the clauses that each variable's value leaves
-    unsatisfied.  Only the words _table_size admits are built.
+    unsatisfied.  Only the first `words` words are built.
     """
     L = (n + 1) // 2
-    words = _table_size(n, masks.size)[0]
     m = min(masks.size, 64 * words)
     var = np.arange(n, dtype=np.uint64)[:, None]
     inside = (masks[None, :m] >> var) & 1 == 1
@@ -179,56 +180,34 @@ def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray) -> tuple[np.nd
     return side(range(L)), side(range(L, n))
 
 
-def _table_counts(tables, start: int, stop: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Assignments in [start, stop) violating at most r clauses of the tabled words, and their counts.
-
-    start and stop are multiples of 2^L.  Word 0 is ANDed over the whole run
-    of high halves at once; each later word is gathered for the survivors
-    only.  The count is the narrowest unsigned type holding r + 64.
-    """
-    lo, hi = tables
-    count = np.min_scalar_type(r + 64)
-    if not lo.shape[0]:
-        return np.arange(start, stop), np.zeros(stop - start, dtype=count)
-    L = lo.shape[1].bit_length() - 1
-    viol = np.bitwise_count(hi[0, start >> L : stop >> L, None] & lo[0]).ravel()
-    x = np.flatnonzero(viol <= r)
-    viol = viol[x].astype(count)
-    x += start
-    for w in range(1, lo.shape[0]):
-        viol += np.bitwise_count(lo[w, x & ((1 << L) - 1)] & hi[w, x >> L])
-        keep = viol <= r
-        x, viol = x[keep], viol[keep]
-    return x, viol
-
-
 def _scan_range(args) -> np.ndarray:
     """Packed assignments in [start, stop) violating at most r of the clauses.
 
     Blocks of BLOCK_SIZE candidates are filtered in turn.  For r = 0
     the tests of _CLAUSE_GROUP clauses are ANDed into one keep-mask, and a
     row is dropped at the end of the first group holding a clause it violates
-    (early exit); a block that empties stops there.  For r > 0
-    the split tables of the n-variable cube, built here so that a pool task
-    carries only its clause lists, count 64 clauses at a time and keep the
-    rows with at most r (_table_counts); the clauses past the tabled words add
-    to that count on the survivors one by one, dropping rows above r after
-    every clause; start and stop are then multiples of 2^L.
+    (early exit); a block that empties stops there.  For r > 0 the split
+    tables of the first `tabled` words, built here so that a pool task carries
+    only its clause lists, count 64 clauses at a time (word 0 ANDed over the
+    block's high halves at once, later words gathered for the survivors), and
+    the clauses past them one by one, into the narrowest unsigned type holding
+    r + 64, dropping rows above r; start and stop are then multiples of 2^L.
     Candidates and clause masks are uint32 words when they fit in 32 bits,
     which always holds at n <= 32 (enum_cap is 30), and uint64 words otherwise.
     The result is cast to uint64 once per range.
     """
-    start, stop, masks, values, r, n = args
-    if r >= masks.size:  # every assignment violates at most r clauses
-        return np.arange(start, stop, dtype=np.uint64)
-    tables = _clause_tables(n, masks, values) if r > 0 else None
+    start, stop, masks, values, r, n, tabled = args
+    if r > 0:
+        lo, hi = _clause_tables(n, masks, values, tabled)
+        L, count = (n + 1) // 2, np.min_scalar_type(r + 64)
     fits32 = stop <= 1 << 32 and not (masks >> np.uint64(32)).any()
     word = np.uint32 if fits32 else np.uint64
     masks, values = masks.astype(word), values.astype(word)
     out: list[np.ndarray] = []
-    for lo in range(start, stop, BLOCK_SIZE):
-        cand = np.arange(lo, min(lo + BLOCK_SIZE, stop), dtype=word)
+    for a in range(start, stop, BLOCK_SIZE):
+        b = min(a + BLOCK_SIZE, stop)
         if r == 0:
+            cand = np.arange(a, b, dtype=word)
             for g in range(0, masks.size, _CLAUSE_GROUP):
                 keep = (cand & masks[g]) != values[g]
                 for mask, val in zip(masks[g + 1 : g + _CLAUSE_GROUP], values[g + 1 : g + _CLAUSE_GROUP]):
@@ -237,10 +216,19 @@ def _scan_range(args) -> np.ndarray:
                 if cand.size == 0:
                     break
         else:
-            cand, viol = _table_counts(tables, lo, min(lo + BLOCK_SIZE, stop), r)
-            cand = cand.astype(word)
-            tabled = 64 * tables[0].shape[0]
-            for mask, val in zip(masks[tabled:], values[tabled:]):
+            if tabled:
+                viol = np.bitwise_count(hi[0, a >> L : b >> L, None] & lo[0]).ravel()
+                x = np.flatnonzero(viol <= r)
+                viol = viol[x].astype(count)
+                x += a
+                for w in range(1, tabled):
+                    viol += np.bitwise_count(lo[w, x & ((1 << L) - 1)] & hi[w, x >> L])
+                    keep = viol <= r
+                    x, viol = x[keep], viol[keep]
+            else:
+                x, viol = np.arange(a, b), np.zeros(b - a, dtype=count)
+            cand = x.astype(word)
+            for mask, val in zip(masks[64 * tabled :], values[64 * tabled :]):
                 viol += (cand & mask) == val
                 keep = viol <= r
                 if not keep.all():
@@ -250,15 +238,6 @@ def _scan_range(args) -> np.ndarray:
                         break
         out.append(cand)
     return np.concatenate(out).astype(np.uint64, copy=False) if out else np.empty(0, dtype=np.uint64)
-
-
-def _restricted_clause_arrays(f: Formula, S: Iterable[int] | None):
-    masks, values, idx = f.clause_arrays
-    if S is None:
-        return masks, values
-    keep_idx = clauses_within(f, S)
-    sel = np.isin(idx, np.fromiter(keep_idx, dtype=np.int64, count=len(keep_idx)))
-    return masks[sel], values[sel]
 
 
 def usable_cpus() -> int:
@@ -289,8 +268,6 @@ def _cube_scan(scan, args: tuple, n: int, workers: int) -> np.ndarray:
     processes start than can run at once, and their results are concatenated
     in order.  The split depends on workers alone, and the result on neither.
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
     total = 1 << n
     if workers == 1 or total <= BLOCK_SIZE:
         return scan((0, total, *args))
@@ -302,23 +279,46 @@ def _cube_scan(scan, args: tuple, n: int, workers: int) -> np.ndarray:
         return np.concatenate(list(pool.map(scan, tasks)))
 
 
-def enumerate_sat(
-    f: Formula,
-    r: int,
-    S: Iterable[int] | None = None,
-    workers: int = 1,
-) -> SolutionSet:
-    """All assignments violating at most r clauses of C(S) (all clauses if S is None)."""
+def _enumerate(f: Formula, r: int, workers: int, S: Iterable[int] | None = None,
+               excluded: int | None = None) -> SolutionSet:
+    """enumerate_sat's set, or given `excluded` enumerate_sat_eps's union, after the checks both share.
+
+    enum_cap, r, the range of S and workers are refused in that order.  When r
+    reaches the live clause count the whole cube returns, with no scan and no
+    pool, as the filter "whole_cube".  Otherwise one _table_size call gives
+    the words the scan tables, none for the early exit, to scan and record.
+    """
     check_budget("enum_cap", f.n, "enumeration", "variables")
     if r < 0:
         raise ParameterError("violation budget r must be nonnegative")
-    masks, values = _restricted_clause_arrays(f, S)
-    members = _cube_scan(_scan_range, (masks, values, r, f.n), f.n, workers)
-    words, per_word = _table_size(f.n, masks.size)
-    table_bytes = words * per_word if 0 < r < masks.size else 0
-    work = {"filter": "split_tables" if table_bytes else "early_exit", "assignments": 1 << f.n,
-            "table_bytes": table_bytes, "members": int(members.size)}
-    return SolutionSet(n=f.n, members=members, r=r, work=work)
+    masks, values, _ = f.clause_arrays
+    if S is not None:
+        S = frozenset(S)
+        if any(not 0 <= i < f.n for i in S):
+            raise ParameterError("subset contains out-of-range variable index")
+        within = (masks & ~np.uint64(sum(1 << int(i) for i in S))) == 0  # C(S)
+        masks, values = masks[within], values[within]
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
+    work = {"filter": "whole_cube", "assignments": 1 << f.n, "table_bytes": 0}
+    if r >= masks.size:  # every assignment violates at most r clauses
+        members = np.arange(1 << f.n, dtype=np.uint64)
+    else:
+        tabled, per_word = _table_size(f.n, masks.size)
+        if r == 0 and excluded is None:  # the early-exit filter reads no table
+            tabled = 0
+        scan, extra = (_scan_range, ()) if excluded is None else (_scan_eps_range, (excluded,))
+        members = _cube_scan(scan, (masks, values, r, f.n, tabled, *extra), f.n, workers)
+        work["table_bytes"] = tabled * per_word
+        work["filter"] = "clause_masks" if excluded is not None else "split_tables" if tabled else "early_exit"
+    if excluded is not None:
+        work["excluded_sets"] = math.comb(f.n, excluded)
+    return SolutionSet(n=f.n, members=members, r=r, work={**work, "members": int(members.size)})
+
+
+def enumerate_sat(f: Formula, r: int, S: Iterable[int] | None = None, workers: int = 1) -> SolutionSet:
+    """All assignments violating at most r clauses of C(S) (all clauses if S is None)."""
+    return _enumerate(f, r, workers, S=S)
 
 
 def _scan_eps_range(args) -> np.ndarray:
@@ -330,11 +330,9 @@ def _scan_eps_range(args) -> np.ndarray:
     compare per clause past them) and temporaries fit _TABLE_BUDGET, as the
     masks' groups do.  x is kept when its words ANDed with some mask hold at most r bits.
     """
-    start, stop, masks, values, excluded, r, n = args
-    if r >= masks.size:  # no set keeps more than r clauses
-        return np.arange(start, stop, dtype=np.uint64)
-    lo, hi = _clause_tables(n, masks, values)
-    tabled, L, words = lo.shape[0], (n + 1) // 2, -(-masks.size // 64)
+    start, stop, masks, values, r, n, tabled, excluded = args
+    lo, hi = _clause_tables(n, masks, values, tabled)
+    L, words = (n + 1) // 2, -(-masks.size // 64)
     E = np.fromiter((sum(1 << v for v in e) for e in combinations(range(n), excluded)), dtype=np.uint64)
     group = max(1, _TABLE_BUDGET // (16 * 64 * words))  # 16 bytes per set and clause slot
     kept = np.concatenate([_packed((masks & E[g : g + group, None]) == 0, words) for g in range(0, E.size, group)])
@@ -361,28 +359,15 @@ def _scan_eps_range(args) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def enumerate_sat_eps(
-    f: Formula,
-    eps: float,
-    r: int,
-    workers: int = 1,
-) -> SolutionSet:
+def enumerate_sat_eps(f: Formula, eps: float, r: int, workers: int = 1) -> SolutionSet:
     """Union over all S of size n - ceil(eps*n) of enumerate_sat(f, r, S), in one _scan_eps_range pass."""
     if not 0.0 <= eps < 1.0:
         raise ParameterError("eps must be in [0, 1)")
-    n, excluded = f.n, math.ceil(eps * f.n)
-    n_subsets = math.comb(n, excluded)
-    masks, values, _ = f.clause_arrays
-    check_budget("eps_budget", (n_subsets << n) * max(1, -(-masks.size // 64)),
+    excluded = math.ceil(eps * f.n)
+    n_subsets = math.comb(f.n, excluded)
+    check_budget("eps_budget", (n_subsets << f.n) * max(1, -(-f.clause_arrays[0].size // 64)),
                  f"enumerate_sat_eps over {n_subsets} kept sets", "mask-word tests")
-    check_budget("enum_cap", n, "enumeration", "variables")
-    if r < 0:
-        raise ParameterError("violation budget r must be nonnegative")
-    members = _cube_scan(_scan_eps_range, (masks, values, excluded, r, n), n, workers)
-    words, per_word = _table_size(n, masks.size)
-    work = {"filter": "clause_masks", "assignments": 1 << n, "excluded_sets": n_subsets,
-            "table_bytes": words * per_word if r < masks.size else 0, "members": int(members.size)}
-    return SolutionSet(n=n, members=members, r=r, work=work)
+    return _enumerate(f, r, workers, excluded=excluded)
 
 
 # ---------------------------------------------------------------------------

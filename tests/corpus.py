@@ -8,7 +8,8 @@ them and names every file whose bytes moved.  Regenerate only for a change
 that is meant to alter data files, and name each moved file and the reason in
 CHANGES.md; never delete an entry to make the test pass.
 
-Every run covers a branch a data file can depend on: the enumeration filters,
+Every run covers a branch a data file can depend on: the enumeration filters
+on one and two workers, the whole cube (``--r`` at least m) with and without
 ``--eps`` on one and two workers, both histogram kernels, both cluster
 kernels, state dumps, the p-spin model at p = 2 and 3, both theory scans'
 K lists at three densities, and one refusal per exit code 2, 3 and 4, whose
@@ -43,6 +44,12 @@ RUNS: dict[str, str] = {
     "enumerate-split-tables": "enumerate --n 12 --K 3 --m 40 --r 1 --seeds 3",
     "enumerate-eps-1-worker": "enumerate --n 17 --K 3 --m 64 --eps 0.06 --workers 1 --seeds 2",
     "enumerate-eps-2-workers": "enumerate --n 17 --K 3 --m 64 --eps 0.06 --workers 2 --seeds 2",
+    "enumerate-early-exit-2-workers": "enumerate --n 17 --K 3 --m 64 --r 0 --workers 2 --seeds 2",
+    "enumerate-split-tables-2-workers": "enumerate --n 17 --K 3 --m 64 --r 1 --workers 2 --seeds 2",
+    "enumerate-whole-cube-1-worker": "enumerate --n 17 --K 3 --m 4 --r 4 --workers 1 --seeds 2",
+    "enumerate-whole-cube-2-workers": "enumerate --n 17 --K 3 --m 4 --r 4 --workers 2 --seeds 2",
+    "enumerate-eps-whole-cube-1-worker": "enumerate --n 17 --K 3 --m 4 --r 4 --eps 0.06 --workers 1 --seeds 2",
+    "enumerate-eps-whole-cube-2-workers": "enumerate --n 17 --K 3 --m 4 --r 4 --eps 0.06 --workers 2 --seeds 2",
     "ogp-walsh": "ogp --n 12 --K 3 --m 10 --nu1 0.1 --nu2 0.3 --seeds 5",
     "ogp-tiles": "ogp --n 12 --K 3 --m 20 --nu1 0.1 --nu2 0.3 --seeds 5",
     "cluster-tiles": "cluster --n 18 --K 3 --m 70 --nu1 0.12 --nu2 0.3 --seeds 7",

@@ -145,7 +145,7 @@ def test_ogp_manifest_records_the_histogram_kernel(tmp_path, monkeypatch, m, siz
     assert_identical_data_files(tmp_path / "priced", tmp_path / "other")
 
 
-@pytest.mark.parametrize("r, filt", [(0, "early_exit"), (1, "split_tables"), (40, "early_exit")])
+@pytest.mark.parametrize("r, filt", [(0, "early_exit"), (1, "split_tables"), (40, "whole_cube")])
 def test_enumerate_manifest_records_the_filter(tmp_path, r, filt):
     out = tmp_path / "run"
     assert run_cli(["enumerate", "--n", 10, "--K", 3, "--m", 40, "--r", r,
@@ -952,6 +952,18 @@ def test_unreadable_config_is_a_validation_error(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("data", ["[gen]\nseeds = 5\n".encode("utf-16"), b"[gen]\nseeds = 5\xff\n"],
+                         ids=["utf-16", "stray-0xff"])
+def test_config_that_is_not_utf8_is_a_validation_error(tmp_path, capsys, data):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(data)
+    out = tmp_path / "x"
+    assert run_cli(["gen", "--config", cfg, "--n", 6, "--K", 3, "--m", 4, "--out", out]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation" and str(cfg) in record["message"] and "utf-8" in record["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, env, budget, requested, allowed", [
     (["enumerate", "--n", 10, "--K", 3, "--m", 5, "--seeds", 1], {"NLTSLAB_ENUM_CAP": "5"}, "enum_cap", 10, 5),
     (["enumerate", "--n", 30, "--K", 3, "--m", 10, "--eps", 0.5, "--seeds", 1], {}, "eps_budget",
@@ -1036,6 +1048,38 @@ def test_run_failing_at_a_later_seed_removes_the_files_it_wrote(tmp_path, monkey
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+@pytest.mark.parametrize("argv", [["gen", "--n", 5, "--K", 3, "--m", 4],
+                                  ["enumerate", "--n", 5, "--K", 3, "--m", 4, "--workers", 2]],
+                         ids=["gen", "enumerate"])
+def test_out_that_cannot_hold_the_run_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, under):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before making --out")
+
+    monkeypatch.setattr(landscape, "enumerate_sat", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"kept\n")
+    out = blocker / "sub" if under else blocker
+    assert run_cli([*argv, "--seeds", "1", "--out", out]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "validation" and record["message"].startswith(f"--out {str(out)!r}")
+    assert blocker.read_bytes() == b"kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_refused_run_removes_every_directory_it_made(tmp_path, monkeypatch):
+    # seed 1 writes its files, seed 2 is over the cap: deep/a/b and its parents go
+    monkeypatch.setenv("NLTSLAB_PAIR_CAP", "40")
+    (tmp_path / "kept").mkdir()
+    for out in (tmp_path / "deep" / "a" / "b", tmp_path / "kept" / "a" / "b"):
+        assert run_cli(["ogp", "--n", 12, "--K", 3, "--m", 30, "--nu1", 0.1, "--nu2", 0.3,
+                        "--seeds", "1,2", "--out", out]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+    assert not any((tmp_path / "kept").iterdir())
 
 
 def test_failed_run_leaves_an_earlier_run_in_out_as_it_was(tmp_path, monkeypatch):

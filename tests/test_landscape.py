@@ -78,6 +78,18 @@ def test_enumerate_cap(monkeypatch):
     assert exc.value.budget_name == "enum_cap"
 
 
+def test_enumerate_sat_refusals_come_in_order(monkeypatch):
+    # enum_cap, then r, then the range of S, then workers
+    f = ksat.generate_formula(12, 3, 2, seed=0)
+    with pytest.raises(ParameterError, match="out-of-range variable"):
+        landscape.enumerate_sat(f, 0, S={0, 12}, workers=0)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        landscape.enumerate_sat(f, -1, S={12}, workers=0)
+    monkeypatch.setitem(errors.BUDGETS, "enum_cap", 10)
+    with pytest.raises(ResourceLimitError):
+        landscape.enumerate_sat(f, -1, S={12}, workers=0)
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_enumerate_sat_refuses_workers_below_one(workers):
     f = ksat.generate_formula(8, 3, 2, seed=0)
@@ -204,7 +216,8 @@ def _eps_oracle(f: ksat.Formula, eps: float, r: int) -> tuple[list[int], dict]:
     members = np.flatnonzero(union).tolist()
     live = sum(not c.is_tautology for c in f.clauses)
     tabled = min(-(-live // 64), landscape._TABLE_BUDGET // _per_word(f.n)) if r < live else 0
-    work = {"filter": "clause_masks", "assignments": 1 << f.n, "excluded_sets": math.comb(f.n, excluded),
+    work = {"filter": "clause_masks" if r < live else "whole_cube", "assignments": 1 << f.n,
+            "excluded_sets": math.comb(f.n, excluded),
             "table_bytes": tabled * _per_word(f.n), "members": len(members)}
     return members, work
 
@@ -340,7 +353,7 @@ def test_scan_range_keeps_clause_bits_above_32():
     L = ksat.Literal
     f = ksat.Formula(n=41, K=2, clauses=(ksat.Clause((L(0, False), L(40, True))),))
     masks, values, _ = f.clause_arrays
-    got = landscape._scan_range((0, landscape.BLOCK_SIZE, masks, values, 0, f.n))
+    got = landscape._scan_range((0, landscape.BLOCK_SIZE, masks, values, 0, f.n, 0))
     assert got.dtype == np.uint64
     assert got.tolist() == list(range(landscape.BLOCK_SIZE))
 
@@ -385,7 +398,7 @@ def test_grouped_r0_filter_on_uint64_words_above_2_to_32():
     x = np.arange(start, start + landscape.BLOCK_SIZE)
     oracle = x[literal_violation_counts(f, z=x) == 0]
     assert 0 < oracle.size < x.size and masks.size == 20
-    got = landscape._scan_range((start, start + landscape.BLOCK_SIZE, masks, values, 0, f.n))
+    got = landscape._scan_range((start, start + landscape.BLOCK_SIZE, masks, values, 0, f.n, 0))
     assert got.dtype == np.uint64
     assert got.tolist() == oracle.tolist()
 
@@ -432,13 +445,13 @@ def test_enumerate_pool_without_clauses(workers):
     (17, 150, 0.05, 3, 2, 2),  # 131 live clauses: three mask words, each task a block
     (18, 70, 0.05, 1, 2, 4),  # 64 live clauses fill one word; 4 blocks
     (19, 90, 0.05, 0, 3, 8),  # 83 live clauses at r = 0; 8 blocks, 3 workers ask for 24 tasks
-    (17, 3, 0.05, 6, 2, 2),  # r >= the 4 live clauses: the whole cube, split
+    (17, 3, 0.05, 6, 2, 2),  # r >= the 4 live clauses: the whole cube, with no scan and no pool
 ])
 def test_pooled_eps_pass_matches_the_union_oracle(monkeypatch, pools, n, m, eps, r, workers, tasks):
     monkeypatch.setattr(landscape, "usable_cpus", lambda: 64)  # workers and tasks size the pool
     f = _kernel_formula(n, m, seed=n + m + r)
     A = landscape.enumerate_sat_eps(f, eps, r, workers=workers)
-    assert pools == [min(workers, tasks)]
+    assert pools == ([] if r >= f.clause_arrays[0].size else [min(workers, tasks)])
     assert (A.members.tolist(), A.work) == _eps_oracle(f, eps, r)
 
 
@@ -449,6 +462,22 @@ def test_pooled_eps_pass_starts_no_more_processes_than_usable_cpus(monkeypatch, 
     A = landscape.enumerate_sat_eps(f, 0.05, 0, workers=3)
     assert pools == [2]
     assert (A.members.tolist(), A.work) == _eps_oracle(f, 0.05, 0)
+
+
+def test_whole_cube_starts_no_pool(pools):
+    # r reaches the 4 live clauses: every assignment is a member, so neither
+    # enumeration scans or starts a pool, whatever the workers
+    f = _kernel_formula(17, 3, seed=1)
+    assert f.clause_arrays[0].size == 4
+    for A in (landscape.enumerate_sat(f, 4, workers=4), landscape.enumerate_sat_eps(f, 0.05, 9, workers=4)):
+        assert A.members.dtype == np.uint64
+        assert np.array_equal(A.members, np.arange(2**17))
+        assert (A.work["filter"], A.work["table_bytes"], A.work["members"]) == ("whole_cube", 0, 2**17)
+    assert pools == []
+    with pytest.raises(ParameterError, match="workers must be at least 1, got 0"):
+        landscape.enumerate_sat(f, 4, workers=0)
+    with pytest.raises(ParameterError, match="workers must be at least 1, got 0"):
+        landscape.enumerate_sat_eps(f, 0.05, 4, workers=0)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -487,7 +516,7 @@ def test_clause_tables_give_each_violated_clause(n, m):
     # words 1, 2, 3 and 5; the low half takes the extra variable at odd n
     f = _kernel_formula(n, m, seed=n * 1000 + m)
     masks, values, idx = f.clause_arrays
-    lo, hi = landscape._clause_tables(n, masks, values)
+    lo, hi = landscape._clause_tables(n, masks, values, -(-masks.size // 64))
     L = (n + 1) // 2
     assert lo.shape == (-(-masks.size // 64), 1 << L) and hi.shape == (lo.shape[0], 1 << (n - L))
     x = np.arange(1 << n)
@@ -512,8 +541,8 @@ def test_split_table_enumeration_matches_literal_oracle(n, m, r, restricted):
     S = frozenset(range(n)) - {n // 3} if restricted else None
     A = landscape.enumerate_sat(f, r, S=S)
     assert A.members.tolist() == _oracle_members(f, r, S)
-    live = landscape._restricted_clause_arrays(f, S)[0].size
-    assert A.work["filter"] == ("split_tables" if r < live else "early_exit")
+    live = sum(not c.is_tautology and (S is None or c.variable_set <= S) for c in f.clauses)
+    assert A.work["filter"] == ("split_tables" if r < live else "whole_cube")
 
 
 def test_split_tables_at_r_m_minus_one_and_beyond():
@@ -525,7 +554,7 @@ def test_split_tables_at_r_m_minus_one_and_beyond():
                         (70, every), (75, every)]:
         A = landscape.enumerate_sat(f, r)
         assert A.members.tolist() == expected == _oracle_members(f, r)
-        assert A.work["filter"] == ("split_tables" if r < 70 else "early_exit")
+        assert A.work["filter"] == ("split_tables" if r < 70 else "whole_cube")
 
 
 @pytest.mark.parametrize("budget_words, filt", [(0, "early_exit"), (1, "split_tables"), (2, "split_tables")])
@@ -545,7 +574,7 @@ def test_clauses_past_the_table_budget_are_counted(monkeypatch, budget_words, fi
 
 def test_split_tables_skip_cubes_whose_blocks_split_a_high_half():
     masks, values, _ = ksat.generate_formula(34, 10, 3, seed=2).clause_arrays
-    lo, hi = landscape._clause_tables(34, masks, values)
+    lo, hi = landscape._clause_tables(34, masks, values, landscape._table_size(34, masks.size)[0])
     assert lo.shape[0] == hi.shape[0] == 0
 
 
@@ -622,7 +651,7 @@ def test_pool_tasks_carry_the_clause_lists_not_the_tables(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
     f = ksat.generate_formula(30, 1024, 8, seed=1)
-    masks, values = landscape._restricted_clause_arrays(f, None)
+    masks, values, _ = f.clause_arrays
     A = landscape.enumerate_sat(f, 1, workers=4)
     assert A.work["table_bytes"] == 11 * _per_word(30)
     assert len(pickled) == 32
