@@ -24,6 +24,9 @@ BUDGETS = {
     "basis_cap": 16,  # free qubits of W(S), log2 of its elements; full-basis enumeration is exponential
     "eta_budget": 2_000_000,  # excluded-variable sets eta_exact_excluded visits
     "retry_budget": 10_000,  # configuration-model draws of generate_regular_hypergraph
+    # literals m*K that generate_formula draws; each holds about 150 bytes as
+    # Clause and Literal objects, so the cap is about 150 MB
+    "literal_budget": 1_000_000,
 }
 #: The environment variables that override a budget's entry, such as NLTSLAB_ENUM_CAP.
 OVERRIDES = {name: f"NLTSLAB_{name.upper()}" for name in ("enum_cap", "qubit_cap", "pair_cap")}

@@ -37,7 +37,7 @@ import numpy as np
 from . import ksat
 from .errors import ContractError, ParameterError, check_budget
 from .ksat import Formula
-from .landscape import _bit_rows
+from .landscape import _bit_rows, _subset_xors
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 #: gamma below this underflows double precision at large violation counts.
@@ -207,15 +207,6 @@ def build_layout(f: Formula) -> QubitLayout:
             forbidden = (sum(b << k for k, b in enumerate(pat)),)
         blocks.append((c.variables, forbidden))
     return layout_from_blocks(blocks, num_variables=f.n)
-
-
-def _subset_xors(masks: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Entry b XORs ``masks[k]`` over the set bits k of b; on disjoint masks, their union."""
-    masks = np.asarray(masks, dtype=np.uint64)
-    out = np.zeros(1 << masks.size, dtype=np.uint64)
-    for k, mask in enumerate(masks):
-        np.bitwise_xor(out[: 1 << k], mask, out=out[1 << k : 2 << k])
-    return out
 
 
 def violation_counts(layout: QubitLayout, constraint_ids: Iterable[int] | None = None) -> np.ndarray:

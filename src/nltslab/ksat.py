@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import or_
@@ -129,10 +130,13 @@ class Formula:
 
 
 def clause_count(alpha: float, K: int, n: int) -> int:
-    """m = round(alpha * 2^K * ln2 * n), round-to-nearest."""
+    """m = round(alpha * 2^K * ln2 * n), round-to-nearest; exact past the float range."""
     if not math.isfinite(alpha):
         raise ParameterError(f"alpha must be finite, got {alpha}")
-    m = round(alpha * (2**K) * LN2 * n)
+    try:
+        m = round(alpha * (2**K) * LN2 * n)
+    except OverflowError:  # 2^K or the product is past the largest float
+        m = round(Fraction(alpha) * 2**K * Fraction(LN2) * n)
     if m < 0:
         raise ParameterError("derived clause count is negative")
     return m
@@ -144,6 +148,7 @@ def generate_formula(n: int, m: int, K: int, seed: int) -> Formula:
         raise ParameterError(f"need n >= 1 and K >= 1, got n={n}, K={K}")
     if m < 0:
         raise ParameterError("m must be nonnegative")
+    check_budget("literal_budget", m * K, "the formula", "literals")
     rng = np.random.default_rng(seed)
     # One uniform draw from [0, 2n) per slot: low bit = polarity.
     raw = rng.integers(0, 2 * n, size=(m, K), dtype=np.int64)

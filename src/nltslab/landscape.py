@@ -151,6 +151,15 @@ def _packed(bits: np.ndarray, words: int) -> np.ndarray:
     return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
+def _subset_xors(masks) -> np.ndarray:
+    """Masks (..., k) give tables (..., 2^k): entry b XORs masks at b's set bits (disjoint masks: their union)."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    out = np.zeros((*masks.shape[:-1], 1 << masks.shape[-1]), dtype=np.uint64)
+    for k in range(masks.shape[-1]):
+        np.bitwise_xor(out[..., : 1 << k], masks[..., k, None], out=out[..., 1 << k : 2 << k])
+    return out
+
+
 def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray, words: int) -> tuple[np.ndarray, np.ndarray]:
     """Split tables (lo, hi) of shapes (words, 2^L) and (words, 2^(n-L)), L = ceil(n/2).
 

@@ -3,9 +3,10 @@
 Hypergraphs come from the configuration model: n*d stubs are shuffled and
 grouped into m = n*d/p hyperedges, resampling whole draws until no edge
 repeats a node.  Spin configurations are packed bit masks (bit i = 1 means
-sigma_i = -1), so each energy term is a parity.  Whether each edge's term is
--1 is read from two half-cube tables, and both cube scans (the ground state
-and the near-ground set) read one walk over the cube's blocks.
+sigma_i = -1), so each energy term is a parity, as in p-XORSAT.  Both cube
+scans (the ground state and the near-ground set) read one walk over the cube
+in blocks of whole high halves, each read by broadcast from two half-cube
+tables of 64-edge parity words.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, allowance, check_budget
-from .hamiltonian import QubitLayout, _subset_xors, layout_from_blocks
-from .landscape import BLOCK_SIZE, SolutionSet
+from .hamiltonian import QubitLayout, layout_from_blocks
+from .landscape import BLOCK_SIZE, SolutionSet, _packed, _subset_xors
 
 
 @dataclass(frozen=True)
@@ -116,46 +117,44 @@ def energy(g: RegularHypergraph, J: CouplingVector, sigma: Sequence[int]) -> int
 
 
 def _energies_packed(g: RegularHypergraph, J: CouplingVector, zs: np.ndarray) -> np.ndarray:
-    """Vectorized energies for packed configurations (bit i set = spin -1).
+    """int64 energies of the configurations zs = [a 2^L, b 2^L), L = ceil(n/2): whole high halves, in order.
 
-    Bit e of a 64-edge word W(z) is set exactly where edge e's term
-    J_e * prod sigma is -1.  W splits over the low L = ceil(n/2) and the high
-    n - L spins, W(z) = T_lo[z mod 2^L] ^ T_hi[z >> L]: each table XOR-doubles
-    the spins' edge-incidence words (the parities), and T_lo also carries the
-    word's J_e = -1 bits.  Then H = m - 2 sum_words popcount(W).
+    Bit i of z set means spin i is -1.  Bit e of word w of W(z) is set exactly
+    where edge 64w + e's term J_e prod sigma is -1 (a p-XORSAT parity), and
+    W_w(z) = t_lo[w, z mod 2^L] ^ t_hi[w, z >> L]: each word row of a table
+    XORs its spins' edge-incidence bits over every subset, and t_lo also
+    carries the J_e = -1 bits.  So H = m - 2 sum_w popcount(t_hi[w, a:b, None] ^ t_lo[w]).
     """
-    L = (g.n + 1) // 2
-    zs = np.asarray(zs, dtype=np.uint64)
-    lo = (zs & np.uint64((1 << L) - 1)).astype(np.intp)
-    hi = (zs >> np.uint64(L)).astype(np.intp)
-    total = np.full(zs.size, g.m, dtype=np.int64)
-    for w in range(0, g.m, 64):
-        incidence = [0] * g.n
-        for e, edge in enumerate(g.hyperedges[w : w + 64]):
-            for v in edge:
-                incidence[v] |= 1 << e
-        t_lo = _subset_xors(incidence[:L])
-        t_lo ^= np.uint64(sum(1 << e for e, j in enumerate(J.values[w : w + 64]) if j == -1))
-        total -= 2 * np.bitwise_count(t_lo[lo] ^ _subset_xors(incidence[L:])[hi])
-    return total
+    L, size = (g.n + 1) // 2, np.size(zs)
+    a = int(zs[0]) >> L if size else 0
+    b = a + (size >> L)
+    if size % (1 << L) or b > 1 << (g.n - L) or not np.array_equal(zs, np.arange(a << L, b << L)):
+        raise ParameterError(f"p-spin energies are read by whole high halves [a 2^{L}, b 2^{L}) in order")
+    words = -(-g.m // 64)
+    incidence = _packed(np.equal.outer(np.arange(g.n), np.reshape(g.hyperedges, (g.m, g.p))).any(axis=2), words).T
+    t_lo = _subset_xors(incidence[:, :L]) ^ _packed(np.reshape(J.values, (1, -1)) == -1, words).T
+    t_hi = _subset_xors(incidence[:, L:])[:, a:b, None]
+    return g.m - 2 * np.bitwise_count(t_hi ^ t_lo[:, None]).sum(axis=0, dtype=np.int64).ravel()
 
 
 def _energy_blocks(g: RegularHypergraph, J: CouplingVector, stop: int):
-    """(offset, energies) for each BLOCK_SIZE block of the configurations [0, stop), in order."""
-    for lo in range(0, stop, BLOCK_SIZE):
-        yield lo, _energies_packed(g, J, np.arange(lo, min(lo + BLOCK_SIZE, stop), dtype=np.uint64))
+    """(offset, energies) per block of [0, stop), in order: max(BLOCK_SIZE, 2^L) configurations, whole halves."""
+    step = max(BLOCK_SIZE, 1 << (g.n + 1) // 2)
+    for lo in range(0, stop, step):
+        yield lo, _energies_packed(g, J, np.arange(lo, min(lo + step, stop), dtype=np.uint64))
 
 
 def ground_state_bruteforce(g: RegularHypergraph, J: CouplingVector) -> tuple[np.ndarray, int]:
     """Global minimizer and energy; lexicographically smallest on ties.
 
     For even p the global flip symmetry halves the search space; the
-    lexicographically smallest minimizer always lies in the searched half.
+    lexicographically smallest minimizer always lies in the searched half
+    (at n = 1, the whole cube: one high half).
     """
     check_budget("enum_cap", g.n, "the spin cube scan", "spins")
     if len(J.values) != g.m:
         raise ParameterError("coupling vector length differs from edge count")
-    search = 1 << (g.n - 1) if g.p % 2 == 0 else 1 << g.n
+    search = max(1 << (g.n - 1), 1 << (g.n + 1) // 2) if g.p % 2 == 0 else 1 << g.n
     emin, zmin = min((int(en.min()), lo + int(en.argmin())) for lo, en in _energy_blocks(g, J, search))
     return packed_to_spins(zmin, g.n), emin
 

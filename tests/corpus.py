@@ -11,7 +11,7 @@ CHANGES.md; never delete an entry to make the test pass.
 Every run covers a branch a data file can depend on: the enumeration filters
 on one and two workers, the whole cube (``--r`` at least m) with and without
 ``--eps`` on one and two workers, both histogram kernels, both cluster
-kernels, state dumps, the p-spin model at p = 2 and 3, both theory scans'
+kernels, state dumps, the p-spin model at p = 2 and 3 on one and on two 64-edge words, both theory scans'
 K lists at three densities, and one refusal per exit code 2, 3 and 4, whose
 ``--out`` must stay absent.  ``manifest.json`` is left out: it holds timings.
 """
@@ -61,6 +61,8 @@ RUNS: dict[str, str] = {
     "pspin-p3-slack": "pspin --n 9 --d 2 --p 3 --slack 1 --seeds 1",
     "pspin-p2-quantize": "pspin --n 8 --d 2 --p 2 --quantize --gamma 0.3 --seeds 4",
     "pspin-p3-quantize": "pspin --n 6 --d 2 --p 3 --quantize --seeds 1",
+    "pspin-p2-80-edges": "pspin --n 20 --d 8 --p 2 --slack 2 --seeds 1",
+    "pspin-p3-66-edges": "pspin --n 22 --d 9 --p 3 --slack 2 --seeds 1",
     **_THEORY_SCANS,
     "depth-bound": "depth-bound --d 400000 --n-bits 1000000 --mu 0.45",
     "exit-2-validation": "theory-scan --alpha 0.5",

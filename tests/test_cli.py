@@ -964,6 +964,16 @@ def test_config_that_is_not_utf8_is_a_validation_error(tmp_path, capsys, data):
     assert not out.exists()
 
 
+def test_config_naming_a_missing_file_is_a_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "absent.ini"
+    out = tmp_path / "x"
+    assert run_cli(["gen", "--config", cfg, "--n", 6, "--K", 3, "--m", 4, "--out", out]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "validation", "message": f"config file not found: {cfg}"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, env, budget, requested, allowed", [
     (["enumerate", "--n", 10, "--K", 3, "--m", 5, "--seeds", 1], {"NLTSLAB_ENUM_CAP": "5"}, "enum_cap", 10, 5),
     (["enumerate", "--n", 30, "--K", 3, "--m", 10, "--eps", 0.5, "--seeds", 1], {}, "eps_budget",
@@ -1231,3 +1241,21 @@ def test_enumerate_alpha_reports_its_clause_count(tmp_path):
     assert run_cli(["enumerate", "--n", 8, "--K", 3, "--alpha", 0.9, "--seeds", "5", "--out", out]) == 0
     summary = json.loads((out / "summary_5.json").read_text())
     assert summary["m"] == ksat.clause_count(0.9, 3, 8)
+
+
+@pytest.mark.parametrize("argv", [["--K", 60, "--alpha", 0.9], ["--K", 1100, "--alpha", 0.9], ["--K", 3, "--m", 10**6]],
+                         ids=["K-60", "K-1100", "m-flag"])
+def test_clauses_over_the_literal_budget_are_a_resource_error(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert run_cli(["gen", "--n", 5, *argv, "--seeds", "1,2", "--out", out]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "Infinity" not in lines[0]
+    record = json.loads(lines[0])
+    K, m = argv[1], argv[3] if argv[2] == "--m" else ksat.clause_count(0.9, argv[1], 5)
+    assert (record["error"], record["budget"], record["allowed"]) == ("resource", "literal_budget",
+                                                                     errors.BUDGETS["literal_budget"])
+    assert type(record["requested"]) is int and record["requested"] == m * K
+    # m = round(alpha 2^K ln2 n), to the float's precision even past the float range
+    if argv[2] == "--alpha":
+        assert math.log(m) == pytest.approx(K * math.log(2) + math.log(0.9 * math.log(2) * 5), rel=1e-12)
+    assert not out.exists()

@@ -28,6 +28,7 @@ BUDGETS = {
     "eta_budget": (lambda: ksat.eta_exact_excluded(ksat.generate_formula(30, 10, 3, seed=0), 15),
                    math.comb(30, 15)),
     "retry_budget": (lambda: pspin.generate_regular_hypergraph(1, 2, 2, seed=0), None),
+    "literal_budget": (lambda: ksat.generate_formula(10, 500_000, 3, seed=0), 1_500_000),
 }
 
 

@@ -790,6 +790,18 @@ def test_probability_bound_reduced_s(demo_formula):
         assert rep.sandwich_violations == 0
 
 
+def test_probability_bound_is_vacuous_when_no_consistent_string_satisfies_C_S():
+    # x0 and not-x0: every string violates one clause of C({0}), so Sbar(0) is empty
+    L, C = ksat.Literal, ksat.Clause
+    f = ksat.Formula(n=1, K=1, clauses=(C((L(0, False),)), C((L(0, True),))))
+    psi = ham.ground_state(ham.build_layout(f), 0.5)
+    rep = ham.check_probability_bound(f, 0.5, {0}, psi)
+    assert rep.vacuous and rep.s0_size == 0
+    assert rep.s_bar_size == ham.consistent_strings(psi.layout, {0}).size == 2
+    assert (rep.bound_violations, rep.sandwich_violations) == (0, 0)
+    assert (rep.max_bound_ratio, rep.max_sandwich_slack) == (0.0, 0.0)
+
+
 def test_amplitude_zero_off_basis_span(demo_formula):
     """Strings inconsistent on a fiber of S carry exactly zero amplitude."""
     gamma = 0.5

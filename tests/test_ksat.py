@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,23 @@ def test_single_variable_clause_space():
 
 def test_clause_count_formula():
     assert ksat.clause_count(0.8, 8, 100) == round(0.8 * 256 * LN2 * 100)
+
+
+def test_clause_count_past_the_float_range_is_exact():
+    # 2^1100 is no float: m is the same product, rounded once, as an integer
+    m = ksat.clause_count(0.9, 1100, 5)
+    assert type(m) is int and m.bit_length() == 1102
+    assert math.log(m) == pytest.approx(1100 * LN2 + math.log(0.9 * LN2 * 5), rel=1e-12)
+    assert ksat.clause_count(1e300, 60, 5) == round(Fraction(1e300) * 2**60 * Fraction(LN2) * 5)
+
+
+def test_literal_budget_refuses_before_the_draw(monkeypatch):
+    monkeypatch.setitem(errors.BUDGETS, "literal_budget", 12)
+    assert ksat.generate_formula(5, 4, 3, seed=0).m == 4  # 12 literals: at the budget
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew before pricing"))
+    with pytest.raises(ResourceLimitError) as exc:
+        ksat.generate_formula(5, 5, 3, seed=0)
+    assert (exc.value.budget_name, exc.value.requested, exc.value.allowed) == ("literal_budget", 15, 12)
     assert ksat.clause_count(0.8, 8, 100) == 14196
 
 
@@ -126,6 +144,16 @@ def test_count_violations_empty_formula():
 def test_count_violations_length_mismatch(demo_formula):
     with pytest.raises(ParameterError):
         ksat.count_violations(demo_formula, (0, 1))
+
+
+def test_count_violations_of_a_packed_assignment(demo_formula):
+    for bits in [(0, 0, 1), (1, 1, 0)]:
+        packed = sum(b << i for i, b in enumerate(bits))
+        assert ksat.count_violations(demo_formula, packed) == ksat.count_violations(demo_formula, bits)
+        assert ksat.count_violations(demo_formula, np.int64(packed)) == ksat.count_violations(demo_formula, bits)
+    for packed in (-1, 1 << 3):
+        with pytest.raises(ParameterError, match="out of range"):
+            ksat.count_violations(demo_formula, packed)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 10), st.integers(0, 12))
@@ -232,6 +260,12 @@ def test_dimacs_roundtrip_tautology(tmp_path):
 def test_dimacs_header_mismatch():
     with pytest.raises(ParameterError):
         ksat.from_dimacs("p cnf 2 3\n1 2 0\n")
+
+
+@pytest.mark.parametrize("text", ["1 -2 0\n", "c only a comment\n", ""], ids=["clauses", "comment", "empty"])
+def test_dimacs_without_a_header_is_refused(text):
+    with pytest.raises(ParameterError, match="missing DIMACS header"):
+        ksat.from_dimacs(text)
 
 
 @pytest.mark.parametrize(

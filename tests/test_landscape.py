@@ -455,6 +455,15 @@ def test_pooled_eps_pass_matches_the_union_oracle(monkeypatch, pools, n, m, eps,
     assert (A.members.tolist(), A.work) == _eps_oracle(f, eps, r)
 
 
+@pytest.mark.parametrize("cpu_max, cpus", [("150000 100000\n", 1), ("400000 100000\n", 4), ("50000 100000\n", 1),
+                                           ("1600000 100000\n", 8), ("max 100000\n", 8)])
+def test_usable_cpus_is_capped_by_a_cgroup_quota(monkeypatch, cpu_max, cpus):
+    # eight CPUs in the affinity mask; the quota's whole CPUs cap them, and at least one is usable
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(landscape.Path, "read_text", lambda self, *args, **kwargs: cpu_max)
+    assert landscape.usable_cpus() == cpus
+
+
 def test_pooled_eps_pass_starts_no_more_processes_than_usable_cpus(monkeypatch, pools):
     # 3 workers split n = 19 into 8 tasks whatever the CPUs; on 2 CPUs 2 processes run them
     monkeypatch.setattr(landscape, "usable_cpus", lambda: 2)
@@ -509,6 +518,18 @@ def _oracle_members(f: ksat.Formula, r: int, S=None) -> list[int]:
 
 def _per_word(n: int) -> int:
     return ((1 << (n + 1) // 2) + (1 << n // 2)) * 8
+
+
+@pytest.mark.parametrize("w, k", [(3, 0), (0, 0), (1, 1), (2, 4), (0, 5), (3, 7)])
+def test_subset_xors_tables_every_word_row_at_once(w, k):
+    masks = np.random.default_rng(10 * k + w).integers(0, 2**64, size=(w, k), dtype=np.uint64, endpoint=False)
+    got = landscape._subset_xors(masks)
+    assert got.shape == (w, 1 << k) and got.dtype == np.uint64
+    for j in range(w):  # entry b of row j: the XOR of row j's masks picked by b's bits
+        want = [functools.reduce(lambda x, y: x ^ y, (int(masks[j, i]) for i in range(k) if b >> i & 1), 0)
+                for b in range(1 << k)]
+        assert got[j].tolist() == want
+        assert np.array_equal(landscape._subset_xors(masks[j].tolist()), got[j])  # each row alone
 
 
 @pytest.mark.parametrize("n, m", [(1, 5), (4, 40), (7, 61), (6, 100), (9, 125), (8, 190), (10, 300)])

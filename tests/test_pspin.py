@@ -118,13 +118,15 @@ def test_energy_dimension_mismatch():
 def test_energy_matches_naive_and_packed(seed):
     g = pspin.generate_regular_hypergraph(8, 3, 4, seed=seed)
     J = pspin.generate_couplings(g, seed + 1)
+    cube = pspin._energies_packed(g, J, np.arange(256, dtype=np.uint64))  # all 16 high halves at once
     rng = np.random.default_rng(seed)
     for _ in range(5):
         spins = (rng.integers(0, 2, size=8) * 2 - 1).tolist()
         e = pspin.energy(g, J, spins)
         assert e == naive_energy(g, J, spins)
         packed = pspin.spins_to_packed(spins, 8)
-        assert pspin._energies_packed(g, J, np.asarray([packed], dtype=np.uint64))[0] == e
+        half = packed >> 4  # L = 4: the high half holding the configuration, alone
+        assert cube[packed] == e == pspin._energies_packed(g, J, np.arange(half << 4, half + 1 << 4))[packed & 15]
 
 
 @given(st.integers(0, 10**6))
@@ -163,14 +165,17 @@ def circulant_hypergraph(n, offset_families):
     return pspin.RegularHypergraph(n=n, d=p * len(offset_families), p=p, hyperedges=edges)
 
 
-def whole_cube_energies(g, J) -> list[int]:
-    """sum_e J_e prod_{v in e} sigma_v over the whole cube, one edge at a time."""
-    z = np.arange(1 << g.n)
-    spins = 1 - 2 * ((z[:, None] >> np.arange(g.n)) & 1)
-    total = np.zeros(z.size, dtype=np.int64)
+def per_edge_energies(g, J, zs) -> np.ndarray:
+    """sum_e J_e prod_{v in e} sigma_v for each packed configuration in zs, one edge at a time."""
+    spins = (1 - 2 * ((np.asarray(zs, dtype=np.int64)[:, None] >> np.arange(g.n)) & 1)).astype(np.int8)
+    total = np.zeros(spins.shape[0], dtype=np.int64)
     for e, j in zip(g.hyperedges, J.values):
-        total += j * np.prod(spins[:, list(e)], axis=1)
-    return total.tolist()
+        total += j * np.prod(spins[:, list(e)], axis=1, dtype=np.int64)
+    return total
+
+
+def whole_cube_energies(g, J) -> list[int]:
+    return per_edge_energies(g, J, np.arange(1 << g.n)).tolist()
 
 
 KERNEL_CASES = {
@@ -189,11 +194,9 @@ def test_energies_packed_matches_per_edge_oracle(case):
     n, families = KERNEL_CASES[case]
     g = circulant_hypergraph(n, families)
     assert g.m == n * len(families)
+    L = (n + 1) // 2
+    halves = 1 << (n - L)
     rng = np.random.default_rng(g.m)
-    full = (1 << n) - 1
-    # unsorted, non-contiguous, duplicated, and both ends of the cube
-    zs = rng.integers(0, full, size=300, endpoint=True, dtype=np.uint64)
-    zs = np.concatenate([zs, zs[:40], np.asarray([0, full, 1, 1 << (n - 1)], dtype=np.uint64)])
     couplings = [
         tuple(int(v) for v in rng.integers(0, 2, size=g.m) * 2 - 1),
         (1,) * g.m,
@@ -201,11 +204,58 @@ def test_energies_packed_matches_per_edge_oracle(case):
     ]
     for values in couplings:
         J = pspin.CouplingVector(values=values)
-        got = pspin._energies_packed(g, J, zs)
-        want = [naive_energy(g, J, pspin.packed_to_spins(int(z), n).tolist()) for z in zs]
-        assert got.dtype == np.int64
-        assert got.tolist() == want
+        # the first (z = 0 first), a middle and the last (z = 2^n - 1 last) high half
+        for a in (0, halves // 2 + 1, halves - 1):
+            zs = np.arange(a << L, a + 1 << L, dtype=np.uint64)
+            got = pspin._energies_packed(g, J, zs)
+            assert got.dtype == np.int64
+            assert got.tolist() == per_edge_energies(g, J, zs).tolist()
+            # every configuration of a half of at most 4096, else a sample with both ends
+            picks = range(zs.size) if zs.size <= 4096 else [0, zs.size - 1, *rng.integers(0, zs.size, 60)]
+            for i in picks:
+                assert got[i] == naive_energy(g, J, pspin.packed_to_spins(int(zs[i]), n).tolist())
+        # two halves in one call read as each half alone
+        both = pspin._energies_packed(g, J, np.arange(2 << L, dtype=np.uint64))
+        assert both.tolist() == [*pspin._energies_packed(g, J, np.arange(1 << L, dtype=np.uint64)),
+                                 *pspin._energies_packed(g, J, np.arange(1 << L, 2 << L, dtype=np.uint64))]
         assert pspin._energies_packed(g, J, np.zeros(0, dtype=np.uint64)).shape == (0,)
+
+
+@pytest.mark.parametrize("zs", [
+    np.arange(16)[::-1], np.delete(np.arange(17), 3), np.concatenate([np.arange(15), [14]]), np.arange(3, 19),
+    np.arange(8, 40), [0], [5], np.arange(256, 272), np.arange(240, 272),
+], ids=["unsorted", "gapped", "duplicated", "misaligned", "misaligned-two-halves", "single-zero", "single",
+        "past-the-cube", "across-the-cube-end"])
+def test_energies_packed_refuses_anything_but_whole_high_halves_in_order(zs):
+    g = pspin.generate_regular_hypergraph(8, 3, 4, seed=1)  # L = 4: halves of 16
+    with pytest.raises(ParameterError, match="whole high halves"):
+        pspin._energies_packed(g, pspin.generate_couplings(g, 2), np.asarray(zs, dtype=np.uint64))
+
+
+def test_energy_blocks_hold_whole_high_halves_past_n_32(monkeypatch):
+    # n = 33: a high half is 2^17 configurations, twice BLOCK_SIZE, so each block is one half
+    g = circulant_hypergraph(*KERNEL_CASES["p4-m132-odd-n"])
+    J = pspin.generate_couplings(g, 3)
+    kernel, calls = pspin._energies_packed, []
+    monkeypatch.setattr(pspin, "_energies_packed", lambda g, J, zs: calls.append(zs) or kernel(g, J, zs))
+    blocks = list(pspin._energy_blocks(g, J, 1 << 18))
+    assert [lo for lo, _ in blocks] == [0, 1 << 17]
+    assert all(np.array_equal(zs, np.arange(lo, lo + (1 << 17))) for zs, (lo, _) in zip(calls, blocks))
+    got = np.concatenate([en for _, en in blocks])
+    assert got.tolist() == per_edge_energies(g, J, np.arange(1 << 18)).tolist()
+
+
+def test_energies_with_no_edges_and_a_single_node():
+    # d = 0: no 64-edge word at all, and every configuration has energy 0
+    g = pspin.generate_regular_hypergraph(5, 0, 3, seed=0)
+    J = pspin.generate_couplings(g, 1)
+    assert pspin._energies_packed(g, J, np.arange(32, dtype=np.uint64)).tolist() == [0] * 32
+    # n = 1 at even p: one high half holds the whole cube, so the flip symmetry cannot halve it
+    g = pspin.generate_regular_hypergraph(1, 0, 2, seed=0)
+    J = pspin.generate_couplings(g, 1)
+    sigma, emin = pspin.ground_state_bruteforce(g, J)
+    assert (sigma.tolist(), emin) == ([1], 0)
+    assert pspin.near_ground_set(g, J, 0).members.tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("n, families", [
