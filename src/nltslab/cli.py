@@ -28,8 +28,9 @@ once; a key that names no flag of the subcommand is ignored.
 Exit codes: 0 success, 2 validation, 3 resource-cap breach, 4 internal
 assertion.  Each error prints one JSON record on stderr with ``error`` and
 ``message``; a resource record adds ``budget``, ``requested`` and ``allowed``
-(``requested`` is null for a draw that ran out of tries, and all three are
-null when an enumeration worker process dies).  ``--out`` and a
+(``requested`` is null for a draw that ran out of tries or an amount past
+Python's integer-to-string digit limit, and all three are null when an
+enumeration worker process dies).  ``--out`` and a
 ``.staging-<pid>-<random>`` directory inside it, where each file is written,
 are made when the run starts; an ``--out`` that cannot hold them exits 2
 before any work.  Only a run that exits 0 moves its files into ``--out``,
@@ -39,7 +40,7 @@ stage, then ``--out`` and each parent it made, while empty.  A run killed from
 outside leaves its files in the stage, so data files only ever sit next to the
 manifest that hashes them; the next run that exits 0 into that ``--out``
 removes every stage whose pid names no live process.
-The seven budgets are ``errors.BUDGETS``, where ``enum_cap`` prices both 2^n
+The budgets are ``errors.BUDGETS``, where ``enum_cap`` prices both 2^n
 cube scans (enumeration and the pspin scan); NLTSLAB_ENUM_CAP,
 NLTSLAB_QUBIT_CAP and NLTSLAB_PAIR_CAP override theirs, read where the budget
 is checked.

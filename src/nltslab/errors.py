@@ -37,7 +37,8 @@ class ParameterError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A budget would be exceeded; ``requested`` is None for work not priced up front."""
+    """A budget would be exceeded; ``requested`` is None for work not priced up front,
+    or priced at more digits than Python turns into a string."""
 
     def __init__(self, budget_name: str, requested: int | None, allowed: int, message: str):
         super().__init__(message)
@@ -62,8 +63,12 @@ def check_budget(budget_name: str, requested: int, what: str, unit: str) -> None
     """Raise ResourceLimitError when ``requested`` exceeds the budget's allowance."""
     allowed = allowance(budget_name)
     if requested > allowed:
+        try:
+            amount = str(requested)
+        except ValueError:  # past sys.get_int_max_str_digits(): None, and a power of two it reaches
+            amount, requested = f"at least 2^{requested.bit_length() - 1}", None
         raise ResourceLimitError(budget_name, requested, allowed,
-                                 f"{what} needs {requested} {unit}, over budget {allowed}")
+                                 f"{what} needs {amount} {unit}, over budget {allowed}")
 
 
 class ContractError(RuntimeError):

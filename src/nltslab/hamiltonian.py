@@ -37,7 +37,7 @@ import numpy as np
 from . import ksat
 from .errors import ContractError, ParameterError, check_budget
 from .ksat import Formula
-from .landscape import _bit_rows, _subset_xors
+from .landscape import _bit_strings, _subset_xors
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 #: gamma below this underflows double precision at large violation counts.
@@ -311,8 +311,9 @@ def _fiber_slabs(amp: np.ndarray, num_qubits: int, fiber: tuple[int, ...]) -> tu
     """Views of ``amp`` with every fiber qubit at 0, and at 1.
 
     Adjacent qubits of one kind share an axis (the first axis holds the top
-    qubits), so a slab has one axis per run of qubits off the fiber; the
-    trailing ... keeps it a view when the fiber holds every qubit.
+    qubits), so a slab has one axis per run of qubits off the fiber, and a
+    trailing unit axis, so that no slab is 0-d, even when the fiber holds
+    every qubit.
     """
     runs: list[list] = []  # [on the fiber, qubits], from the top qubit down
     on = set(fiber)
@@ -321,10 +322,9 @@ def _fiber_slabs(amp: np.ndarray, num_qubits: int, fiber: tuple[int, ...]) -> tu
             runs[-1][1] += 1
         else:
             runs.append([q in on, 1])
-    view = amp.reshape([1 << size for _, size in runs])
-    z0 = tuple(0 if fib else slice(None) for fib, _ in runs)
-    z1 = tuple(-1 if fib else slice(None) for fib, _ in runs)
-    return view[(*z0, ...)], view[(*z1, ...)]
+    view = amp.reshape([*(1 << size for _, size in runs), 1])
+    return (view[tuple(0 if fib else slice(None) for fib, _ in runs)],
+            view[tuple(-1 if fib else slice(None) for fib, _ in runs)])
 
 
 def project_out_cat(psi: StateVector, variable: int, *, out: StateVector | None = None) -> StateVector:
@@ -343,14 +343,11 @@ def project_out_cat(psi: StateVector, variable: int, *, out: StateVector | None 
         s0, s1 = _fiber_slabs(target, psi.layout.num_qubits, fiber)
         # the fiber mean s = (a0 + a1) / 2, a chunk of about _MEAN_CHUNK
         # amplitudes at a time along the slabs' longest axis
-        if s0.ndim == 0:
-            blocks = [(...,)]
-        else:
-            axis = int(np.argmax(s0.shape))
-            rows = max(1, _MEAN_CHUNK * s0.shape[axis] // s0.size)
-            head = (slice(None),) * axis
-            blocks = [(*head, slice(start, start + rows)) for start in range(0, s0.shape[axis], rows)]
-        for block in blocks:
+        axis = int(np.argmax(s0.shape))
+        rows = max(1, _MEAN_CHUNK * s0.shape[axis] // s0.size)
+        head = (slice(None),) * axis
+        for start in range(0, s0.shape[axis], rows):
+            block = (*head, slice(start, start + rows))
             c0, c1 = s0[block], s1[block]
             mean = c0 + c1
             mean /= 2.0
@@ -417,11 +414,6 @@ def measurement_support(psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
     if not kept.all():
         z, probs = z[kept], probs[kept]
     return z, probs
-
-
-def _bit_strings(z: np.ndarray, num_qubits: int) -> list[str]:
-    """Basis strings of the indices z: position q holds qubit q = (j, k), q = j*K + k."""
-    return _bit_rows(z, num_qubits).astype(str).tolist()
 
 
 def measurement_rows(z: np.ndarray, probs: np.ndarray, num_qubits: int) -> Iterator[tuple[str, float]]:

@@ -134,9 +134,11 @@ def clause_count(alpha: float, K: int, n: int) -> int:
     if not math.isfinite(alpha):
         raise ParameterError(f"alpha must be finite, got {alpha}")
     try:
-        m = round(alpha * (2**K) * LN2 * n)
+        m = round(alpha * 2.0**K * LN2 * n)
     except OverflowError:  # 2^K or the product is past the largest float
-        m = round(Fraction(alpha) * 2**K * Fraction(LN2) * n)
+        c = Fraction(alpha) * Fraction(LN2) * n  # a dyadic rational, num / 2^s
+        s = c.denominator.bit_length() - 1
+        m = c.numerator << (K - s) if K >= s else round(c * Fraction(2) ** K)
     if m < 0:
         raise ParameterError("derived clause count is negative")
     return m

@@ -37,7 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ContractError, ParameterError, check_budget
-from .ksat import Formula
+from .ksat import Formula, clauses_within
 
 #: Work-unit size for enumeration; blocks are independent.
 BLOCK_SIZE = 1 << 16
@@ -80,6 +80,11 @@ def _bit_rows(members: np.ndarray, n: int) -> np.ndarray:
     return bits.view(f"S{n}").reshape(-1)
 
 
+def _bit_strings(members: np.ndarray, n: int) -> list[str]:
+    """_bit_rows as Python strings."""
+    return _bit_rows(members, n).astype(str).tolist()
+
+
 @dataclass(frozen=True)
 class SolutionSet:
     """Sorted, duplicate-free set of packed assignments on n variables."""
@@ -101,7 +106,7 @@ class SolutionSet:
         return int(self.members.size)
 
     def bitstrings(self) -> list[str]:
-        return _bit_rows(self.members, self.n).astype(str).tolist()
+        return _bit_strings(self.members, self.n)
 
 
 @dataclass(frozen=True)
@@ -135,13 +140,12 @@ class ClusterPartition:
 def _table_size(n: int, m: int) -> tuple[int, int]:
     """(words, bytes per word) of the split tables for m clauses on n variables.
 
-    Only the leading 64-clause words that fit _TABLE_BUDGET are tabled, and
-    none when 2^ceil(n/2) exceeds BLOCK_SIZE (n > 32), so that every block of
-    _scan_range holds whole high halves.
+    Only the leading 64-clause words that fit _TABLE_BUDGET are tabled, at
+    every n: _scan_range's blocks hold whole high halves.
     """
     L = (n + 1) // 2
     per_word = ((1 << L) + (1 << (n - L))) * 8
-    return (min(-(-m // 64), _TABLE_BUDGET // per_word) if 1 << L <= BLOCK_SIZE else 0), per_word
+    return min(-(-m // 64), _TABLE_BUDGET // per_word), per_word
 
 
 def _packed(bits: np.ndarray, words: int) -> np.ndarray:
@@ -192,31 +196,30 @@ def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray, words: int) ->
 def _scan_range(args) -> np.ndarray:
     """Packed assignments in [start, stop) violating at most r of the clauses.
 
-    Blocks of BLOCK_SIZE candidates are filtered in turn.  For r = 0
-    the tests of _CLAUSE_GROUP clauses are ANDed into one keep-mask, and a
-    row is dropped at the end of the first group holding a clause it violates
-    (early exit); a block that empties stops there.  For r > 0 the split
-    tables of the first `tabled` words, built here so that a pool task carries
-    only its clause lists, count 64 clauses at a time (word 0 ANDed over the
-    block's high halves at once, later words gathered for the survivors), and
-    the clauses past them one by one, into the narrowest unsigned type holding
-    r + 64, dropping rows above r; start and stop are then multiples of 2^L.
-    Candidates and clause masks are uint32 words when they fit in 32 bits,
-    which always holds at n <= 32 (enum_cap is 30), and uint64 words otherwise.
-    The result is cast to uint64 once per range.
+    Blocks of max(BLOCK_SIZE, 2^L) candidates, L = ceil(n/2), are filtered
+    in turn.  For r = 0 the tests of _CLAUSE_GROUP clauses are ANDed into one
+    keep-mask, and a row is dropped at the end of the first group holding a
+    clause it violates (early exit); a block that empties stops there.  For
+    r > 0 the split tables of the first `tabled` words, built here so that a
+    pool task carries only its clause lists, count 64 clauses at a time (word
+    0 ANDed over the block's high halves at once, later words gathered for the
+    survivors), and the clauses past them one by one, into the narrowest
+    unsigned type holding r + 64, dropping rows above r; start and stop are
+    then multiples of 2^L, so every block holds whole high halves, at every n.
+    Candidates and clause masks are words of _words's width, uint32 at
+    n <= 32.  The result is cast to uint64 once per range.
     """
     start, stop, masks, values, r, n, tabled = args
     if r > 0:
         lo, hi = _clause_tables(n, masks, values, tabled)
         L, count = (n + 1) // 2, np.min_scalar_type(r + 64)
-    fits32 = stop <= 1 << 32 and not (masks >> np.uint64(32)).any()
-    word = np.uint32 if fits32 else np.uint64
-    masks, values = masks.astype(word), values.astype(word)
+    masks, values = _words(masks, n), _words(values, n)
+    step = max(BLOCK_SIZE, 1 << (n + 1) // 2)
     out: list[np.ndarray] = []
-    for a in range(start, stop, BLOCK_SIZE):
-        b = min(a + BLOCK_SIZE, stop)
+    for a in range(start, stop, step):
+        b = min(a + step, stop)
         if r == 0:
-            cand = np.arange(a, b, dtype=word)
+            cand = np.arange(a, b, dtype=masks.dtype)
             for g in range(0, masks.size, _CLAUSE_GROUP):
                 keep = (cand & masks[g]) != values[g]
                 for mask, val in zip(masks[g + 1 : g + _CLAUSE_GROUP], values[g + 1 : g + _CLAUSE_GROUP]):
@@ -236,7 +239,7 @@ def _scan_range(args) -> np.ndarray:
                     x, viol = x[keep], viol[keep]
             else:
                 x, viol = np.arange(a, b), np.zeros(b - a, dtype=count)
-            cand = x.astype(word)
+            cand = x.astype(masks.dtype)
             for mask, val in zip(masks[64 * tabled :], values[64 * tabled :]):
                 viol += (cand & mask) == val
                 keep = viol <= r
@@ -300,12 +303,9 @@ def _enumerate(f: Formula, r: int, workers: int, S: Iterable[int] | None = None,
     check_budget("enum_cap", f.n, "enumeration", "variables")
     if r < 0:
         raise ParameterError("violation budget r must be nonnegative")
-    masks, values, _ = f.clause_arrays
+    masks, values, idx = f.clause_arrays
     if S is not None:
-        S = frozenset(S)
-        if any(not 0 <= i < f.n for i in S):
-            raise ParameterError("subset contains out-of-range variable index")
-        within = (masks & ~np.uint64(sum(1 << int(i) for i in S))) == 0  # C(S)
+        within = np.isin(idx, list(clauses_within(f, S)))
         masks, values = masks[within], values[within]
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")

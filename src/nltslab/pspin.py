@@ -6,13 +6,14 @@ repeats a node.  Spin configurations are packed bit masks (bit i = 1 means
 sigma_i = -1), so each energy term is a parity, as in p-XORSAT.  Both cube
 scans (the ground state and the near-ground set) read one walk over the cube
 in blocks of whole high halves, each read by broadcast from two half-cube
-tables of 64-edge parity words.
+tables of 64-edge parity words, built once per hypergraph.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -46,6 +47,13 @@ class RegularHypergraph:
     @property
     def m(self) -> int:
         return len(self.hyperedges)
+
+    @cached_property
+    def _parity_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """_energies_packed's (t_lo, t_hi), built once per hypergraph."""
+        incidence = np.equal.outer(np.arange(self.n), np.reshape(self.hyperedges, (self.m, self.p))).any(axis=2)
+        words, L = _packed(incidence, -(-self.m // 64)).T, (self.n + 1) // 2
+        return _subset_xors(words[:, :L]), _subset_xors(words[:, L:])
 
 
 @dataclass(frozen=True)
@@ -121,19 +129,17 @@ def _energies_packed(g: RegularHypergraph, J: CouplingVector, zs: np.ndarray) ->
 
     Bit i of z set means spin i is -1.  Bit e of word w of W(z) is set exactly
     where edge 64w + e's term J_e prod sigma is -1 (a p-XORSAT parity), and
-    W_w(z) = t_lo[w, z mod 2^L] ^ t_hi[w, z >> L]: each word row of a table
-    XORs its spins' edge-incidence bits over every subset, and t_lo also
-    carries the J_e = -1 bits.  So H = m - 2 sum_w popcount(t_hi[w, a:b, None] ^ t_lo[w]).
+    W_w(z) = t_lo[w, z mod 2^L] ^ t_hi[w, z >> L] ^ j_w: g's tables, built once
+    per hypergraph, XOR each word row's edge-incidence bits over every subset,
+    and j_w holds the J_e = -1 bits.  So H = m - 2 sum_w popcount((t_hi[w, a:b] ^ j_w)[:, None] ^ t_lo[w]).
     """
     L, size = (g.n + 1) // 2, np.size(zs)
     a = int(zs[0]) >> L if size else 0
     b = a + (size >> L)
     if size % (1 << L) or b > 1 << (g.n - L) or not np.array_equal(zs, np.arange(a << L, b << L)):
         raise ParameterError(f"p-spin energies are read by whole high halves [a 2^{L}, b 2^{L}) in order")
-    words = -(-g.m // 64)
-    incidence = _packed(np.equal.outer(np.arange(g.n), np.reshape(g.hyperedges, (g.m, g.p))).any(axis=2), words).T
-    t_lo = _subset_xors(incidence[:, :L]) ^ _packed(np.reshape(J.values, (1, -1)) == -1, words).T
-    t_hi = _subset_xors(incidence[:, L:])[:, a:b, None]
+    t_lo, t_hi = g._parity_tables
+    t_hi = t_hi[:, a:b, None] ^ _packed(np.reshape(J.values, (1, -1)) == -1, t_hi.shape[0]).T[:, :, None]
     return g.m - 2 * np.bitwise_count(t_hi ^ t_lo[:, None]).sum(axis=0, dtype=np.int64).ravel()
 
 

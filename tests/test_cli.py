@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -1013,9 +1014,12 @@ def test_resource_record_carries_the_amounts_and_leaves_no_output(
     ["pspin", "--n", -1, "--d", 2, "--p", 2, "--seeds", "1"],
     ["pspin", "--n", 4, "--d", -2, "--p", 2, "--seeds", "1"],
     ["theory-scan", "--alpha", 0.75, "--K-list", "0,-3,8"],
+    ["gen", "--n", 5, "--K", -1, "--alpha", 0.9, "--seeds", "1"],
+    ["gen", "--n", 5, "--K", 0, "--alpha", 0.9, "--seeds", "1"],
 ], ids=["no-m-or-alpha", "gamma-without-quantize", "alpha-nan", "alpha-inf", "d-nan", "d-inf",
         "ogp-nu1-above-nu2", "hamiltonian-gamma-below-floor", "pspin-gamma-below-floor", "pspin-negative-slack",
-        "pspin-no-nodes", "pspin-negative-n", "pspin-negative-d", "theory-scan-K-below-1"])
+        "pspin-no-nodes", "pspin-negative-n", "pspin-negative-d", "theory-scan-K-below-1", "gen-alpha-negative-K",
+        "gen-alpha-K-0"])
 def test_validation_error_leaves_no_output(tmp_path, capsys, argv):
     out = tmp_path / "x"
     assert run_cli([*argv, "--out", out]) == 2
@@ -1258,4 +1262,20 @@ def test_clauses_over_the_literal_budget_are_a_resource_error(tmp_path, capsys, 
     # m = round(alpha 2^K ln2 n), to the float's precision even past the float range
     if argv[2] == "--alpha":
         assert math.log(m) == pytest.approx(K * math.log(2) + math.log(0.9 * math.log(2) * 5), rel=1e-12)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("K", [15_000, 10**6, 10**8])
+def test_clause_counts_past_the_digit_limit_are_a_resource_error(tmp_path, capsys, K):
+    # m K has from 4,521 to about 3 10^7 digits, past the 4,300 Python turns into a string
+    out = tmp_path / "x"
+    started = time.perf_counter()
+    assert run_cli(["gen", "--n", 5, "--K", K, "--alpha", 0.9, "--seeds", "1", "--out", out]) == 3
+    assert time.perf_counter() - started < 1.0
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert (record["error"], record["budget"], record["requested"], record["allowed"]) == (
+        "resource", "literal_budget", None, errors.BUDGETS["literal_budget"])
+    assert f"at least 2^{(ksat.clause_count(0.9, K, 5) * K).bit_length() - 1} literals" in record["message"]
     assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,12 @@ BUDGETS = {
 def test_every_table_entry_has_one_case():
     assert sorted(BUDGETS) == sorted(errors.BUDGETS)
     assert set(errors.OVERRIDES) <= set(errors.BUDGETS)
+
+
+def test_readme_names_every_budget_and_override():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name in [*errors.BUDGETS, *errors.OVERRIDES.values()]:
+        assert f"`{name}`" in readme, name
 
 
 @pytest.mark.parametrize("budget", sorted(BUDGETS))

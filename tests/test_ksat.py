@@ -36,7 +36,9 @@ def test_clause_count_past_the_float_range_is_exact():
     m = ksat.clause_count(0.9, 1100, 5)
     assert type(m) is int and m.bit_length() == 1102
     assert math.log(m) == pytest.approx(1100 * LN2 + math.log(0.9 * LN2 * 5), rel=1e-12)
-    assert ksat.clause_count(1e300, 60, 5) == round(Fraction(1e300) * 2**60 * Fraction(LN2) * 5)
+    for alpha, K in [(0.9, 1100), (0.9, 14_000), (1e300, 60), (1.7e308, 1), (1.7e308, -1), (2.0**-1074, 1100)]:
+        assert ksat.clause_count(alpha, K, 5) == round(Fraction(alpha) * Fraction(2)**K * Fraction(LN2) * 5), (alpha, K)
+    assert ksat.clause_count(0.9, -1, 5) == round(0.9 * 0.5 * LN2 * 5)  # generate_formula refuses K < 1
 
 
 def test_literal_budget_refuses_before_the_draw(monkeypatch):

@@ -593,10 +593,23 @@ def test_clauses_past_the_table_budget_are_counted(monkeypatch, budget_words, fi
     assert landscape.enumerate_sat(g, 3).members.tolist() == _oracle_members(g, 3)
 
 
-def test_split_tables_skip_cubes_whose_blocks_split_a_high_half():
-    masks, values, _ = ksat.generate_formula(34, 10, 3, seed=2).clause_arrays
-    lo, hi = landscape._clause_tables(34, masks, values, landscape._table_size(34, masks.size)[0])
-    assert lo.shape[0] == hi.shape[0] == 0
+@pytest.mark.parametrize("halves", [1, 2])
+@pytest.mark.parametrize("words", [1, 2])
+def test_split_tables_serve_whole_high_halves_past_n_32(halves, words):
+    # n = 34: a high half is 2^17 rows, twice BLOCK_SIZE, and the budget
+    # tables both words of the 70 clauses; with one word tabled, the last 6
+    # clauses are counted one by one
+    f = ksat.generate_formula(34, 70, 4, seed=2)
+    masks, values, _ = f.clause_arrays
+    L = 17
+    assert landscape._table_size(34, masks.size)[0] == 2 == -(-masks.size // 64)
+    start = 0x2D3 << L
+    x = np.arange(start, start + (halves << L))
+    oracle = x[literal_violation_counts(f, z=x) <= 2]
+    assert 0 < oracle.size < x.size
+    got = landscape._scan_range((start, start + (halves << L), masks, values, 2, f.n, words))
+    assert got.dtype == np.uint64
+    assert got.tolist() == oracle.tolist()
 
 
 _SPLIT_POOL = ksat.generate_formula(17, 150, 3, seed=21)

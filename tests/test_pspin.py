@@ -378,6 +378,22 @@ def test_scans_walk_the_cube_in_blocks(monkeypatch):
     assert_calls(blocks(1 << 17) + blocks(1 << 18))
 
 
+def test_parity_tables_are_built_once_per_hypergraph(monkeypatch):
+    # n = 18: per coupling vector the two scans walk 2 + 2 + 4 blocks; the
+    # two half tables are built once for all of them, whatever the couplings
+    g = pspin.generate_regular_hypergraph(18, 3, 2, seed=5)
+    tables, builds = pspin._subset_xors, []
+    monkeypatch.setattr(pspin, "_subset_xors", lambda masks: builds.append(masks.shape) or tables(masks))
+    for seed in (6, 7):
+        J = pspin.generate_couplings(g, seed)
+        emin = pspin.ground_state_bruteforce(g, J)[1]
+        A = pspin.near_ground_set(g, J, 2)
+        energies = per_edge_energies(g, J, np.arange(1 << 18))
+        assert emin == energies.min()
+        assert A.members.tolist() == np.flatnonzero(energies <= emin + 2).tolist()
+    assert builds == [(1, 9), (1, 9)]
+
+
 # ---------------------------------------------------------------------------
 # near-ground sets
 # ---------------------------------------------------------------------------
