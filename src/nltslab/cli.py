@@ -2,13 +2,16 @@
 
 Every subcommand writes its data files plus a ``manifest.json`` listing each
 file with a content hash and, under ``work``, per seed the filter
-``enumerate`` ran (``whole_cube`` when r reaches the live clause count) with
+``enumerate`` ran (``early_exit`` at r = 0; ``split_tables`` at r > 0, or
+``clause_counts`` when no clause word fits the table budget; ``clause_masks``
+with ``--eps``; ``whole_cube`` when r reaches the live clause count) with
 its assignments, table bytes and member count, the histogram kernel ``ogp``
 ran with its priced work, the kernels ``cluster`` ran with their pair
-counts, or the qubits, dense amplitudes, active variables, ``energy`` vector
-passes and support of the state ``hamiltonian`` and ``pspin --quantize``
-build; identical configs and seeds give byte-identical data files.  The
-manifest also records ``wall_time_s`` and ``peak_rss_mb``, the process's peak
+counts, the configurations each ``pspin`` scan walked with the near-ground
+member count, or the qubits, dense amplitudes, active variables, ``energy``
+vector passes and support of the state ``hamiltonian`` and
+``pspin --quantize`` build; identical configs and seeds give byte-identical
+data files.  The manifest also records ``wall_time_s`` and ``peak_rss_mb``, the process's peak
 resident memory in MiB from ``ru_maxrss`` (null where the ``resource`` module
 is missing); manifests of identical runs may differ only in those two fields.
 
@@ -229,6 +232,7 @@ def _resolve_m(args) -> int:
     if args.m is not None:
         return args.m
     if args.alpha is not None:
+        ksat.check_literal_budget(args.alpha, args.K, args.n)  # before a huge K builds a huge m
         return ksat.clause_count(args.alpha, args.K, args.n)
     raise ParameterError("specify either --m or --alpha")
 
@@ -346,6 +350,7 @@ def cmd_pspin(args, run: _Run):
         layout = pspin.quantize(g, J) if args.quantize else None
         A = None if args.slack is None else pspin.near_ground_set(g, J, args.slack)
         sigma, emin = pspin.ground_state_bruteforce(g, J)
+        run.work[seed] = {"ground_state_configurations": pspin._ground_search(g)}
         pspin.save_hypergraph(g, run.path(f"hypergraph_{seed}.json"))
         record = {
             "seed": seed, "n": g.n, "d": g.d, "p": g.p, "m": g.m,
@@ -357,9 +362,11 @@ def cmd_pspin(args, run: _Run):
         if A is not None:
             landscape.members_to_csv(A, run.path(f"near_ground_{seed}.csv"))
             record["near_ground_count"] = len(A)
+            run.work[seed].update(near_ground_configurations=A.work["configurations"],
+                                  near_ground_members=A.work["members"])
         if layout is not None:
             psi = hamiltonian.ground_state(layout, gamma)
-            run.work[seed] = _quantum_work(psi)
+            run.work[seed].update(_quantum_work(psi))
             record["quantized_qubits"] = layout.num_qubits
             record["quantized_energy"] = hamiltonian.energy(psi, gamma)
         run.write_json(f"pspin_{seed}.json", record)

@@ -8,6 +8,7 @@ when that is set, read where the budget is checked.
 """
 
 import os
+from typing import NoReturn
 
 #: Every resource allowance, by budget name.
 BUDGETS = {
@@ -65,10 +66,17 @@ def check_budget(budget_name: str, requested: int, what: str, unit: str) -> None
     if requested > allowed:
         try:
             amount = str(requested)
-        except ValueError:  # past sys.get_int_max_str_digits(): None, and a power of two it reaches
-            amount, requested = f"at least 2^{requested.bit_length() - 1}", None
+        except ValueError:  # past sys.get_int_max_str_digits()
+            refuse_at_least(budget_name, requested.bit_length() - 1, what, unit)
         raise ResourceLimitError(budget_name, requested, allowed,
                                  f"{what} needs {amount} {unit}, over budget {allowed}")
+
+
+def refuse_at_least(budget_name: str, bits: int, what: str, unit: str) -> NoReturn:
+    """Refuse an amount over the budget's allowance known only to reach 2^bits: ``requested`` None."""
+    allowed = allowance(budget_name)
+    raise ResourceLimitError(budget_name, None, allowed,
+                             f"{what} needs at least 2^{bits} {unit}, over budget {allowed}")
 
 
 class ContractError(RuntimeError):

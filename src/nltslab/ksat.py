@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, check_budget
+from .errors import ParameterError, allowance, check_budget, refuse_at_least
 
 LN2 = math.log(2.0)
 
@@ -136,12 +136,31 @@ def clause_count(alpha: float, K: int, n: int) -> int:
     try:
         m = round(alpha * 2.0**K * LN2 * n)
     except OverflowError:  # 2^K or the product is past the largest float
-        c = Fraction(alpha) * Fraction(LN2) * n  # a dyadic rational, num / 2^s
-        s = c.denominator.bit_length() - 1
-        m = c.numerator << (K - s) if K >= s else round(c * Fraction(2) ** K)
+        num, s = _dyadic(alpha, n)
+        m = num << (K - s) if K >= s else round(Fraction(num, 1 << s) * Fraction(2) ** K)
     if m < 0:
         raise ParameterError("derived clause count is negative")
     return m
+
+
+def _dyadic(alpha: float, n: int) -> tuple[int, int]:
+    """(num, s) with alpha * ln2 * n = num / 2^s exactly: both floats are dyadic rationals."""
+    c = Fraction(alpha) * Fraction(LN2) * n
+    return c.numerator, c.denominator.bit_length() - 1
+
+
+def check_literal_budget(alpha: float, K: int, n: int) -> None:
+    """Refuse under literal_budget, before m = clause_count(alpha, K, n) is built, a K over it alone.
+
+    At alpha > 0, n >= 1 and K >= max(s, 1024), clause_count's m is
+    num 2^(K - s) >= 1, so m K is over the budget; the refusal names the power
+    of two m K reaches, 2^(K - s + bitlen(num K) - 1), which needs no m.
+    Every other input is left to clause_count and generate_formula.
+    """
+    if 0 < alpha < math.inf and n >= 1 and K > allowance("literal_budget"):
+        num, s = _dyadic(alpha, n)
+        if K >= max(s, 1024):  # 2.0**K overflows from 1024 on
+            refuse_at_least("literal_budget", K - s + (num * K).bit_length() - 1, "the formula", "literals")
 
 
 def generate_formula(n: int, m: int, K: int, seed: int) -> Formula:

@@ -5,12 +5,16 @@ cube unscanned when r reaches the live clause count.  Otherwise assignments
 are enumerated as packed integers in ranges of the cube; each range is an
 independent work unit, so _cube_scan runs both scans below in one process or
 over a pool of at most usable_cpus() processes, merging in ascending order.
+Every range and every block inside one comes from _blocks, the one walk of
+the cube in whole high halves, which pspin's scans read too.
 Satisfying assignments (r = 0) pass an early-exit clause filter that
 compresses the candidates once per group of _CLAUSE_GROUP clauses;
 near-satisfying ones (r > 0) are counted 64 clauses at a time from split
-tables over the low and high variables.  The eps-robust union over excluded variable sets reads the
-same tables in one pass: each excluded set is a mask of the clauses that
-avoid it, tested against every assignment's violated-clause words.
+tables over the low and high variables, and past the words that fit the
+table budget clause by clause.  The eps-robust union over excluded variable
+sets reads the same tables in one pass: each excluded set is a mask of the
+clauses that avoid it, tested against every assignment's violated-clause
+words.
 Every pair histogram goes through _pair_counts, which picks one of two
 kernels on n and |A| alone: for a dense set at n <= 24 the counts are the
 Krawtchouk transform of the squared Walsh-Hadamard weight classes of the
@@ -196,16 +200,17 @@ def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray, words: int) ->
 def _scan_range(args) -> np.ndarray:
     """Packed assignments in [start, stop) violating at most r of the clauses.
 
-    Blocks of max(BLOCK_SIZE, 2^L) candidates, L = ceil(n/2), are filtered
-    in turn.  For r = 0 the tests of _CLAUSE_GROUP clauses are ANDed into one
-    keep-mask, and a row is dropped at the end of the first group holding a
-    clause it violates (early exit); a block that empties stops there.  For
-    r > 0 the split tables of the first `tabled` words, built here so that a
-    pool task carries only its clause lists, count 64 clauses at a time (word
-    0 ANDed over the block's high halves at once, later words gathered for the
-    survivors), and the clauses past them one by one, into the narrowest
-    unsigned type holding r + 64, dropping rows above r; start and stop are
-    then multiples of 2^L, so every block holds whole high halves, at every n.
+    _blocks's serial blocks, max(BLOCK_SIZE, 2^L) candidates, L = ceil(n/2),
+    are filtered in turn.  For r = 0 the tests of _CLAUSE_GROUP clauses are
+    ANDed into one keep-mask, and a row is dropped at the end of the first
+    group holding a clause it violates (early exit); a block that empties
+    stops there.  For r > 0 the split tables of the first `tabled` words,
+    built here so that a pool task carries only its clause lists, count 64
+    clauses at a time (word 0 ANDed over the block's high halves at once,
+    later words gathered for the survivors), and the clauses past them one by
+    one (every clause when `tabled` is 0), into the narrowest unsigned type
+    holding r + 64, dropping rows above r; start and stop are then multiples
+    of 2^L, so every block holds whole high halves, at every n.
     Candidates and clause masks are words of _words's width, uint32 at
     n <= 32.  The result is cast to uint64 once per range.
     """
@@ -214,10 +219,8 @@ def _scan_range(args) -> np.ndarray:
         lo, hi = _clause_tables(n, masks, values, tabled)
         L, count = (n + 1) // 2, np.min_scalar_type(r + 64)
     masks, values = _words(masks, n), _words(values, n)
-    step = max(BLOCK_SIZE, 1 << (n + 1) // 2)
     out: list[np.ndarray] = []
-    for a in range(start, stop, step):
-        b = min(a + step, stop)
+    for a, b in _blocks(start, stop, n):
         if r == 0:
             cand = np.arange(a, b, dtype=masks.dtype)
             for g in range(0, masks.size, _CLAUSE_GROUP):
@@ -271,11 +274,19 @@ def usable_cpus() -> int:
     return cpus
 
 
+def _blocks(start: int, stop: int, n: int, rows: int = BLOCK_SIZE):
+    """[a, b) ranges tiling [start, stop) in order: `rows` rounded up to whole high halves (2^ceil(n/2) rows)."""
+    step = max(1, -(-rows >> (n + 1) // 2)) << (n + 1) // 2
+    for a in range(start, stop, step):
+        yield a, min(a + step, stop)
+
+
 def _cube_scan(scan, args: tuple, n: int, workers: int) -> np.ndarray:
     """Module-level scan((start, stop, *args)) over the n-bit cube, in this process or on a pool.
 
-    The cube is split into up to 8 tasks per worker, on whole high halves of
-    the split tables (multiples of 2^ceil(n/2)); a pool of
+    _blocks splits the cube into up to 8 tasks per worker, each but the last
+    at least BLOCK_SIZE assignments, on whole high halves of the split tables
+    (multiples of 2^ceil(n/2)); a pool of
     min(workers, usable_cpus(), tasks) processes runs them, so that no more
     processes start than can run at once, and their results are concatenated
     in order.  The split depends on workers alone, and the result on neither.
@@ -283,9 +294,7 @@ def _cube_scan(scan, args: tuple, n: int, workers: int) -> np.ndarray:
     total = 1 << n
     if workers == 1 or total <= BLOCK_SIZE:
         return scan((0, total, *args))
-    L = (n + 1) // 2
-    bounds = np.linspace(0, total >> L, min(workers * 8, total // BLOCK_SIZE) + 1, dtype=np.int64) << L
-    tasks = [(int(a), int(b), *args) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    tasks = [(a, b, *args) for a, b in _blocks(0, total, n, max(BLOCK_SIZE, -(-total // (8 * workers))))]
     # a dead worker raises BrokenProcessPool here, not a hang; the executor's module loads only here
     with concurrent.futures.ProcessPoolExecutor(min(workers, usable_cpus(), len(tasks))) as pool:
         return np.concatenate(list(pool.map(scan, tasks)))
@@ -298,7 +307,10 @@ def _enumerate(f: Formula, r: int, workers: int, S: Iterable[int] | None = None,
     enum_cap, r, the range of S and workers are refused in that order.  When r
     reaches the live clause count the whole cube returns, with no scan and no
     pool, as the filter "whole_cube".  Otherwise one _table_size call gives
-    the words the scan tables, none for the early exit, to scan and record.
+    the words the scan tables, none for the early exit, to scan and record,
+    and the filter names the branch that ran: "clause_masks" for the eps
+    union, and _scan_range's "early_exit" at r = 0, "split_tables" with tabled
+    words and "clause_counts" without.
     """
     check_budget("enum_cap", f.n, "enumeration", "variables")
     if r < 0:
@@ -319,7 +331,8 @@ def _enumerate(f: Formula, r: int, workers: int, S: Iterable[int] | None = None,
         scan, extra = (_scan_range, ()) if excluded is None else (_scan_eps_range, (excluded,))
         members = _cube_scan(scan, (masks, values, r, f.n, tabled, *extra), f.n, workers)
         work["table_bytes"] = tabled * per_word
-        work["filter"] = "clause_masks" if excluded is not None else "split_tables" if tabled else "early_exit"
+        work["filter"] = ("clause_masks" if excluded is not None else "early_exit" if r == 0
+                          else "split_tables" if tabled else "clause_counts")
     if excluded is not None:
         work["excluded_sets"] = math.comb(f.n, excluded)
     return SolutionSet(n=f.n, members=members, r=r, work={**work, "members": int(members.size)})
@@ -334,10 +347,10 @@ def _scan_eps_range(args) -> np.ndarray:
     """Packed assignments in [start, stop) violating at most r of the clauses some excluded set keeps.
 
     Each excluded set is a mask of the clauses that avoid it, in 64-clause
-    words.  The range, on multiples of 2^L, is walked in blocks of whole high
-    halves whose violated-clause words (hi & lo on the tabled words, one
+    words.  The range, on multiples of 2^L, is walked in _blocks of whole
+    high halves whose violated-clause words (hi & lo on the tabled words, one
     compare per clause past them) and temporaries fit _TABLE_BUDGET, as the
-    masks' groups do.  x is kept when its words ANDed with some mask hold at most r bits.
+    masks' groups do, rounded up to one high half more at most.  x is kept when its words ANDed with some mask hold at most r bits.
     """
     start, stop, masks, values, r, n, tabled, excluded = args
     lo, hi = _clause_tables(n, masks, values, tabled)
@@ -346,13 +359,11 @@ def _scan_eps_range(args) -> np.ndarray:
     group = max(1, _TABLE_BUDGET // (16 * 64 * words))  # 16 bytes per set and clause slot
     kept = np.concatenate([_packed((masks & E[g : g + group, None]) == 0, words) for g in range(0, E.size, group)])
     count = np.min_scalar_type(64 * words)
-    halves = max(1, _TABLE_BUDGET // (48 * words) >> L)  # 17 bytes per row and word, plus 30 per row
     parts = []
-    for a in range(start >> L, stop >> L, halves):
-        b = min(a + halves, stop >> L)
-        x = np.arange(a << L, b << L, dtype=np.uint64)
+    for a, b in _blocks(start, stop, n, _TABLE_BUDGET // (48 * words)):  # 17 bytes per row and word, plus 30 per row
+        x = np.arange(a, b, dtype=np.uint64)
         viol = np.zeros((words, x.size), dtype=np.uint64)
-        viol[:tabled] = (hi[:, a:b, None] & lo[:, None]).reshape(tabled, x.size)
+        viol[:tabled] = (hi[:, a >> L : b >> L, None] & lo[:, None]).reshape(tabled, x.size)
         for c in range(64 * tabled, masks.size):
             viol[c // 64] |= ((x & masks[c]) == values[c]).astype(np.uint64) << np.uint64(c % 64)
         keep = np.zeros(x.size, dtype=bool)

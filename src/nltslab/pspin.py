@@ -4,9 +4,10 @@ Hypergraphs come from the configuration model: n*d stubs are shuffled and
 grouped into m = n*d/p hyperedges, resampling whole draws until no edge
 repeats a node.  Spin configurations are packed bit masks (bit i = 1 means
 sigma_i = -1), so each energy term is a parity, as in p-XORSAT.  Both cube
-scans (the ground state and the near-ground set) read one walk over the cube
-in blocks of whole high halves, each read by broadcast from two half-cube
-tables of 64-edge parity words, built once per hypergraph.
+scans (the ground state and the near-ground set) read the cube in
+landscape._blocks's blocks of whole high halves, the walk the K-SAT scans
+take, each read by broadcast from two half-cube tables of 64-edge parity
+words, built once per hypergraph.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, allowance, check_budget
 from .hamiltonian import QubitLayout, layout_from_blocks
-from .landscape import BLOCK_SIZE, SolutionSet, _packed, _subset_xors
+from .landscape import SolutionSet, _blocks, _packed, _subset_xors
 
 
 @dataclass(frozen=True)
@@ -144,10 +145,14 @@ def _energies_packed(g: RegularHypergraph, J: CouplingVector, zs: np.ndarray) ->
 
 
 def _energy_blocks(g: RegularHypergraph, J: CouplingVector, stop: int):
-    """(offset, energies) per block of [0, stop), in order: max(BLOCK_SIZE, 2^L) configurations, whole halves."""
-    step = max(BLOCK_SIZE, 1 << (g.n + 1) // 2)
-    for lo in range(0, stop, step):
-        yield lo, _energies_packed(g, J, np.arange(lo, min(lo + step, stop), dtype=np.uint64))
+    """(offset, energies) per block of [0, stop), in order: _blocks's serial blocks, whole high halves."""
+    for a, b in _blocks(0, stop, g.n):
+        yield a, _energies_packed(g, J, np.arange(a, b, dtype=np.uint64))
+
+
+def _ground_search(g: RegularHypergraph) -> int:
+    """Configurations ground_state_bruteforce walks: [0, this), whole high halves."""
+    return max(1 << (g.n - 1), 1 << (g.n + 1) // 2) if g.p % 2 == 0 else 1 << g.n
 
 
 def ground_state_bruteforce(g: RegularHypergraph, J: CouplingVector) -> tuple[np.ndarray, int]:
@@ -160,18 +165,22 @@ def ground_state_bruteforce(g: RegularHypergraph, J: CouplingVector) -> tuple[np
     check_budget("enum_cap", g.n, "the spin cube scan", "spins")
     if len(J.values) != g.m:
         raise ParameterError("coupling vector length differs from edge count")
-    search = max(1 << (g.n - 1), 1 << (g.n + 1) // 2) if g.p % 2 == 0 else 1 << g.n
-    emin, zmin = min((int(en.min()), lo + int(en.argmin())) for lo, en in _energy_blocks(g, J, search))
+    emin, zmin = min((int(en.min()), lo + int(en.argmin())) for lo, en in _energy_blocks(g, J, _ground_search(g)))
     return packed_to_spins(zmin, g.n), emin
 
 
 def near_ground_set(g: RegularHypergraph, J: CouplingVector, slack: int) -> SolutionSet:
-    """All sigma with H(sigma) <= min + slack, as packed bits for the landscape tools."""
+    """All sigma with H(sigma) <= min + slack, as packed bits for the landscape tools.
+
+    Its work records the configurations walked, the ground search's and then
+    the whole cube's, and the member count.
+    """
     if slack < 0:
         raise ParameterError("slack must be nonnegative")
     threshold = ground_state_bruteforce(g, J)[1] + slack
-    members = [np.flatnonzero(en <= threshold) + lo for lo, en in _energy_blocks(g, J, 1 << g.n)]
-    return SolutionSet(n=g.n, members=np.concatenate(members).astype(np.uint64), r=int(slack))
+    members = np.concatenate([np.flatnonzero(en <= threshold) + lo for lo, en in _energy_blocks(g, J, 1 << g.n)])
+    return SolutionSet(n=g.n, members=members.astype(np.uint64), r=int(slack),
+                       work={"configurations": _ground_search(g) + (1 << g.n), "members": int(members.size)})
 
 
 def quantize(g: RegularHypergraph, J: CouplingVector) -> QubitLayout:

@@ -160,6 +160,19 @@ def test_enumerate_manifest_records_the_filter(tmp_path, r, filt):
                             "duplicates"}
 
 
+def test_readme_and_cli_docstring_name_every_enumeration_filter(monkeypatch):
+    f = ksat.generate_formula(10, 40, 3, seed=3)
+    # r = 0, 1 and 40: the early exit, split tables and the whole cube; then the eps masks
+    recorded = [landscape.enumerate_sat(f, r).work["filter"] for r in (0, 1, 40)]
+    recorded.append(landscape.enumerate_sat_eps(f, 0.1, 1).work["filter"])
+    monkeypatch.setattr(landscape, "_TABLE_BUDGET", 0)  # no word tabled: the clause counter
+    recorded.append(landscape.enumerate_sat(f, 1).work["filter"])
+    assert len(set(recorded)) == 5
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name in recorded:
+        assert f"``{name}``" in cli.__doc__ and f"`{name}`" in readme, name
+
+
 def test_enumerate_eps_members_do_not_depend_on_workers(tmp_path, pools, monkeypatch):
     # n = 17 holds two blocks per cube, and eps = 0.05 keeps 17 variable sets;
     # --workers 2 and 3 each start one pool of two processes over the two blocks
@@ -443,11 +456,30 @@ def test_quantum_manifest_records_the_state_and_its_energy_passes(tmp_path):
                            "ground_energy_per_spin", "ground_state", "quantized_qubits",
                            "quantized_energy"}
     assert read_manifest(out)["work"]["4"] == {
-        "qubits": 16, "amplitudes": 2**16, "active_variables": 8,
+        "ground_state_configurations": 128, "qubits": 16, "amplitudes": 2**16, "active_variables": 8,
         "energy_vector_passes": 40, "support": 2**8,
     }
     assert run_cli(["pspin", "--n", 8, "--d", 2, "--p", 2, "--seeds", "4", "--out", tmp_path / "plain"]) == 0
-    assert read_manifest(tmp_path / "plain")["work"] == {}
+    assert read_manifest(tmp_path / "plain")["work"] == {"4": {"ground_state_configurations": 128}}
+
+
+@pytest.mark.parametrize("argv, work", [
+    # even p: the ground search walks the half cube, and the near-ground set
+    # that search and then the whole cube, 2 * 2^10 configurations in all
+    (["--n", 10, "--d", 4, "--p", 2, "--slack", 2],
+     {"ground_state_configurations": 512, "near_ground_configurations": 512 + 1024}),
+    (["--n", 9, "--d", 3, "--p", 3], {"ground_state_configurations": 512}),  # odd p: the whole cube
+], ids=["even-p-slack", "odd-p"])
+def test_pspin_manifest_records_the_configurations_each_scan_walked(tmp_path, monkeypatch, argv, work):
+    kernel, walked = pspin._energies_packed, []
+    monkeypatch.setattr(pspin, "_energies_packed", lambda g, J, zs: walked.append(zs.size) or kernel(g, J, zs))
+    out = tmp_path / "run"
+    assert run_cli(["pspin", *argv, "--seeds", "4", "--out", out]) == 0
+    record = json.loads((out / "pspin_4.json").read_text())
+    if "near_ground_count" in record:
+        work = {**work, "near_ground_members": record["near_ground_count"]}
+    assert read_manifest(out)["work"] == {"4": work}
+    assert sum(walked) == sum(v for k, v in work.items() if k.endswith("configurations"))
 
 
 def test_pspin_subcommand(tmp_path):
@@ -1279,3 +1311,21 @@ def test_clause_counts_past_the_digit_limit_are_a_resource_error(tmp_path, capsy
         "resource", "literal_budget", None, errors.BUDGETS["literal_budget"])
     assert f"at least 2^{(ksat.clause_count(0.9, K, 5) * K).bit_length() - 1} literals" in record["message"]
     assert not out.exists()
+
+
+def test_huge_K_is_refused_before_the_clause_count_is_built(tmp_path, capsys):
+    # at alpha > 0 and n >= 1 every m is at least 1, so a K over the literal
+    # budget is refused alone; the exact m would hold about 10^8 bits
+    tracemalloc.start()
+    try:
+        code = run_cli(["gen", "--n", 5, "--K", 10**8, "--alpha", 0.9, "--seeds", "1", "--out", tmp_path / "x"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, peak < 1 << 20) == (3, True), peak
+    record = json.loads(capsys.readouterr().err.strip())
+    assert (record["budget"], record["requested"]) == ("literal_budget", None)
+    # alpha = 0 draws no clause, and a negative alpha is still a validation error
+    assert run_cli(["gen", "--n", 5, "--K", 10**8, "--alpha", 0, "--seeds", "1", "--out", tmp_path / "zero"]) == 0
+    assert run_cli(["gen", "--n", 5, "--K", 10**8, "--alpha", -0.9, "--seeds", "1", "--out", tmp_path / "neg"]) == 2
+    assert run_cli(["gen", "--n", 0, "--K", 10**8, "--alpha", 0.9, "--seeds", "1", "--out", tmp_path / "none"]) == 2

@@ -51,6 +51,21 @@ def test_literal_budget_refuses_before_the_draw(monkeypatch):
     assert ksat.clause_count(0.8, 8, 100) == 14196
 
 
+def test_a_K_over_the_literal_budget_is_priced_without_m(monkeypatch):
+    # past the float range m = num 2^(K - s) >= 1; at 2^-1074 and n = 5, s = 1127
+    # exceeds K = 1100, and that m is left to clause_count
+    monkeypatch.setitem(errors.BUDGETS, "literal_budget", 1023)
+    for alpha, K, n in [(0.9, 1100, 5), (0.9, 5000, 1), (3.7, 1024, 7), (1e300, 2000, 3), (2.0**-1074, 1200, 5)]:
+        with pytest.raises(ResourceLimitError) as exc:
+            ksat.check_literal_budget(alpha, K, n)
+        bits = (ksat.clause_count(alpha, K, n) * K).bit_length() - 1
+        assert (exc.value.requested, exc.value.allowed) == (None, 1023)
+        assert str(exc.value) == f"the formula needs at least 2^{bits} literals, over budget 1023", (alpha, K, n)
+    for alpha, K, n in [(2.0**-1074, 1100, 5), (0.9, 1000, 5), (0.0, 5000, 5), (-0.9, 5000, 5), (0.9, 5000, 0),
+                        (math.inf, 5000, 5), (math.nan, 5000, 5)]:
+        ksat.check_literal_budget(alpha, K, n)
+
+
 def test_generation_deterministic():
     a = ksat.generate_formula(10, 5, 3, seed=42)
     b = ksat.generate_formula(10, 5, 3, seed=42)

@@ -578,7 +578,7 @@ def test_split_tables_at_r_m_minus_one_and_beyond():
         assert A.work["filter"] == ("split_tables" if r < 70 else "whole_cube")
 
 
-@pytest.mark.parametrize("budget_words, filt", [(0, "early_exit"), (1, "split_tables"), (2, "split_tables")])
+@pytest.mark.parametrize("budget_words, filt", [(0, "clause_counts"), (1, "split_tables"), (2, "split_tables")])
 def test_clauses_past_the_table_budget_are_counted(monkeypatch, budget_words, filt):
     # 510 unit clauses (8 words) at r = 255: the tail counter must hold 256
     # as well, and the tables must stay within the budget
@@ -662,6 +662,39 @@ def test_pool_is_sized_by_its_tasks(monkeypatch):
         got = landscape.enumerate_sat(f, r, workers=workers).members
         assert got.tolist() == _oracle_members(f, r)
     assert started == [2, 2, 3, 2, 2]
+
+
+def test_blocks_round_rows_up_to_whole_high_halves():
+    assert list(landscape._blocks(0, 1 << 18, 18)) == [(a, a + (1 << 16)) for a in range(0, 1 << 18, 1 << 16)]
+    assert list(landscape._blocks(3 << 17, 6 << 17, 34)) == [(a << 17, a + 1 << 17) for a in (3, 4, 5)]  # one half
+    assert list(landscape._blocks(0, 200, 10, 33)) == [(0, 64), (64, 128), (128, 192), (192, 200)]
+    assert list(landscape._blocks(0, 64, 10, 0)) == [(0, 32), (32, 64)]  # never below one high half
+    assert list(landscape._blocks(5, 5, 10)) == []
+
+
+@pytest.mark.parametrize("n, workers, tasks", [(26, 4, 32), (22, 5, 40), (20, 5, 16), (17, 3, 2), (34, 2, 16), (35, 64, 512)])
+def test_pool_tasks_tile_the_cube_in_whole_high_halves(monkeypatch, n, workers, tasks):
+    # at most 8 tasks per worker, on whole high halves, each but the last of
+    # at least BLOCK_SIZE rows; at n = 26 and 4 workers, 32 tasks of 2^21
+    class Executor:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+    got = landscape._cube_scan(lambda task: np.array([task], dtype=np.uint64), (), n, workers).tolist()
+    assert len(got) == tasks <= 8 * workers
+    assert [a for a, _ in got] == [0] + [b for _, b in got[:-1]] and got[-1][1] == 1 << n
+    assert all(a % (1 << (n + 1) // 2) == 0 for a, _ in got)
+    assert min(b - a for a, b in got[:-1] or got) >= landscape.BLOCK_SIZE
 
 
 def test_pool_tasks_carry_the_clause_lists_not_the_tables(monkeypatch):
