@@ -137,6 +137,8 @@ def clause_count(alpha: float, K: int, n: int) -> int:
         m = round(alpha * 2.0**K * LN2 * n)
     except OverflowError:  # 2^K or the product is past the largest float
         num, s = _dyadic(alpha, n)
+        if num < 0 and K >= s:  # refused before num 2^(K - s), about K bits, is built
+            raise ParameterError("derived clause count is negative") from None
         m = num << (K - s) if K >= s else round(Fraction(num, 1 << s) * Fraction(2) ** K)
     if m < 0:
         raise ParameterError("derived clause count is negative")

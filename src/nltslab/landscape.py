@@ -8,7 +8,8 @@ over a pool of at most usable_cpus() processes, merging in ascending order.
 Every range and every block inside one comes from _blocks, the one walk of
 the cube in whole high halves, which pspin's scans read too.
 Satisfying assignments (r = 0) pass an early-exit clause filter that
-compresses the candidates once per group of _CLAUSE_GROUP clauses;
+compresses the candidates once per group of _CLAUSE_GROUP clauses, over
+batches of whole blocks so that a group's survivors are joined across them;
 near-satisfying ones (r > 0) are counted 64 clauses at a time from split
 tables over the low and high variables, and past the words that fit the
 table budget clause by clause.  The eps-robust union over excluded variable
@@ -48,8 +49,16 @@ BLOCK_SIZE = 1 << 16
 #: Clauses whose tests r = 0 enumeration ANDs into one keep-mask before it
 #: compresses the candidates.  At n = 26, m = 100, K = 4 on a 2-CPU host, 6
 #: took 0.74 s against 1.11 s for one compress per clause; 4, 8 and 12 took
-#: 0.77, 0.72 and 0.72 s (see CHANGES.md).
+#: 0.77, 0.72 and 0.72 s, with each block's survivors filtered alone (see
+#: CHANGES.md).
 _CLAUSE_GROUP = 6
+#: Candidates of one r = 0 batch, 16 blocks at n <= 32: each clause group
+#: runs over the batch's survivors in BLOCK_SIZE slices, so that groups after
+#: the first few make one pass per batch, not one per block.  The batch is
+#: the filter's only buffer, 4 MiB of uint32 words, whatever m is.  At
+#: n = 26, m = 100, K = 4, batches of 2^18, 2^20 and 2^21 rows took 0.58-0.60,
+#: 0.49-0.57 and 0.51-0.56 s against 0.70-0.71 s at one block (see CHANGES.md).
+_BATCH_ROWS = 1 << 20
 #: Pair tile shape: its widest temporary, 2^20 uint64 XOR words, is 8 MiB.
 _TILE_ROWS, _TILE_COLS = 256, 4096
 #: The Walsh pair kernel runs only for n <= _WALSH_MAX_N.  There its float32
@@ -71,17 +80,23 @@ _BUCKET_SHARE = 1 / 8
 #: (2^ceil(n/2) + 2^floor(n/2)) * 8 bytes per 64-clause word; clauses past
 #: the words that fit are counted on the survivors one by one.
 _TABLE_BUDGET = 1 << 23
-#: Member rows formatted per write in members_to_csv; bounds its buffers.
+#: Member rows formatted per chunk in members_to_csv; bounds its buffers.
 _CSV_CHUNK_ROWS = 4096
+#: 10^1 .. 10^19: a member below 10^w, and not below 10^(w - 1), has w digits.
+_POWERS_OF_TEN = np.array([10**w for w in range(1, 20)], dtype=np.uint64)
+
+
+def _bit_matrix(members: np.ndarray, n: int) -> np.ndarray:
+    """Packed words as (rows, n) ASCII bytes '0' and '1': bit i of a word is column i."""
+    octets = np.ascontiguousarray(members, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, bitorder="little")[:, :n] + np.uint8(ord("0"))
 
 
 def _bit_rows(members: np.ndarray, n: int) -> np.ndarray:
-    """Packed words as ASCII bit rows of dtype S{n}: bit i of a word is character i."""
+    """_bit_matrix's rows as strings of dtype S{n}."""
     if n == 0:
         return np.zeros(len(members), dtype="S1")  # empty rows
-    octets = np.ascontiguousarray(members, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :n] + np.uint8(ord("0"))
-    return bits.view(f"S{n}").reshape(-1)
+    return _bit_matrix(members, n).view(f"S{n}").reshape(-1)
 
 
 def _bit_strings(members: np.ndarray, n: int) -> list[str]:
@@ -197,14 +212,43 @@ def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray, words: int) ->
     return side(range(L)), side(range(L, n))
 
 
+def _early_exit(a: int, b: int, masks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The candidates in [a, b), one batch, that violate none of the clauses, as words of masks's type.
+
+    The batch is filtered one group of _CLAUSE_GROUP clauses at a time: the
+    group's tests are ANDed into one keep-mask per slice of BLOCK_SIZE
+    candidates, and its survivors are compressed in place to the front of
+    the batch, so that later groups run on slices joined across blocks
+    rather than on each block's small remnant.  A batch that empties stops
+    there.  The batch is the only buffer, whatever m is.
+    """
+    cand = np.arange(a, b, dtype=masks.dtype)
+    for g in range(0, masks.size, _CLAUSE_GROUP):
+        kept = 0
+        for s in range(0, cand.size, BLOCK_SIZE):
+            rows = cand[s : s + BLOCK_SIZE]
+            keep = (rows & masks[g]) != values[g]
+            for mask, val in zip(masks[g + 1 : g + _CLAUSE_GROUP], values[g + 1 : g + _CLAUSE_GROUP]):
+                keep &= (rows & mask) != val
+            rows = rows[keep]
+            cand[kept : kept + rows.size] = rows
+            kept += rows.size
+        cand = cand[:kept]
+        if not kept:
+            break
+    return cand.copy()  # frees the candidates
+
+
 def _scan_range(args) -> np.ndarray:
     """Packed assignments in [start, stop) violating at most r of the clauses.
 
-    _blocks's serial blocks, max(BLOCK_SIZE, 2^L) candidates, L = ceil(n/2),
-    are filtered in turn.  For r = 0 the tests of _CLAUSE_GROUP clauses are
-    ANDed into one keep-mask, and a row is dropped at the end of the first
-    group holding a clause it violates (early exit); a block that empties
-    stops there.  For r > 0 the split tables of the first `tabled` words,
+    For r = 0 the range is cut by _blocks into batches of _BATCH_ROWS
+    candidates, each filtered by _early_exit: a row is dropped at the end of
+    the first group of _CLAUSE_GROUP clauses holding a clause it violates,
+    and the next group runs on the survivors joined across blocks.  For
+    r > 0 _blocks's serial blocks, max(BLOCK_SIZE, 2^L) candidates,
+    L = ceil(n/2), are filtered in turn: the split tables of the first
+    `tabled` words,
     built here so that a pool task carries only its clause lists, count 64
     clauses at a time (word 0 ANDed over the block's high halves at once,
     later words gathered for the survivors), and the clauses past them one by
@@ -219,18 +263,11 @@ def _scan_range(args) -> np.ndarray:
         lo, hi = _clause_tables(n, masks, values, tabled)
         L, count = (n + 1) // 2, np.min_scalar_type(r + 64)
     masks, values = _words(masks, n), _words(values, n)
-    out: list[np.ndarray] = []
-    for a, b in _blocks(start, stop, n):
-        if r == 0:
-            cand = np.arange(a, b, dtype=masks.dtype)
-            for g in range(0, masks.size, _CLAUSE_GROUP):
-                keep = (cand & masks[g]) != values[g]
-                for mask, val in zip(masks[g + 1 : g + _CLAUSE_GROUP], values[g + 1 : g + _CLAUSE_GROUP]):
-                    keep &= (cand & mask) != val
-                cand = cand[keep]
-                if cand.size == 0:
-                    break
-        else:
+    if r == 0:
+        out = [_early_exit(a, b, masks, values) for a, b in _blocks(start, stop, n, _BATCH_ROWS)]
+    else:
+        out = []
+        for a, b in _blocks(start, stop, n):
             if tabled:
                 viol = np.bitwise_count(hi[0, a >> L : b >> L, None] & lo[0]).ravel()
                 x = np.flatnonzero(viol <= r)
@@ -251,8 +288,8 @@ def _scan_range(args) -> np.ndarray:
                     viol = viol[keep]
                     if cand.size == 0:
                         break
-        out.append(cand)
-    return np.concatenate(out).astype(np.uint64, copy=False) if out else np.empty(0, dtype=np.uint64)
+            out.append(cand)
+    return np.concatenate(out, dtype=np.uint64) if out else np.empty(0, dtype=np.uint64)
 
 
 def usable_cpus() -> int:
@@ -764,8 +801,25 @@ def members_to_csv(A: SolutionSet, path: str | Path) -> None:
         fh.write(head.getvalue().encode())
         for lo in range(0, len(A), _CSV_CHUNK_ROWS):
             chunk = A.members[lo : lo + _CSV_CHUNK_ROWS]
-            rows = zip(chunk.tolist(), _bit_rows(chunk, A.n).tolist())
-            fh.write(b"".join(b"%d,%s\r\n" % row for row in rows))
+            bits = _bit_matrix(chunk, A.n)
+            # members ascend, so those of one decimal width are one run
+            ends = [0, *np.searchsorted(chunk, _POWERS_OF_TEN).tolist(), chunk.size]
+            for width, (a, b) in enumerate(zip(ends, ends[1:]), start=1):
+                if a < b:
+                    fh.write(_csv_rows(chunk[a:b], bits[a:b], width))
+
+
+def _csv_rows(members: np.ndarray, bits: np.ndarray, width: int) -> np.ndarray:
+    """``packed,bits`` rows, CRLF-terminated, of members of `width` decimal digits as one uint8 matrix."""
+    rows = np.empty((members.size, width + bits.shape[1] + 3), dtype=np.uint8)
+    v = members.astype(np.uint32 if width <= 9 else np.uint64)  # 10^9 - 1 < 2^32
+    for k in range(width - 1, -1, -1):
+        v, rows[:, k] = np.divmod(v, 10)
+    rows[:, :width] += ord("0")
+    rows[:, width] = ord(",")
+    rows[:, width + 1 : -2] = bits
+    rows[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    return rows
 
 
 def histogram_to_csv(h: OverlapHistogram, path: str | Path) -> None:

@@ -1329,3 +1329,20 @@ def test_huge_K_is_refused_before_the_clause_count_is_built(tmp_path, capsys):
     assert run_cli(["gen", "--n", 5, "--K", 10**8, "--alpha", 0, "--seeds", "1", "--out", tmp_path / "zero"]) == 0
     assert run_cli(["gen", "--n", 5, "--K", 10**8, "--alpha", -0.9, "--seeds", "1", "--out", tmp_path / "neg"]) == 2
     assert run_cli(["gen", "--n", 0, "--K", 10**8, "--alpha", 0.9, "--seeds", "1", "--out", tmp_path / "none"]) == 2
+
+
+def test_a_negative_clause_count_is_refused_before_it_is_built(tmp_path, capsys):
+    # alpha < 0 makes m negative whatever K is: the exact m, about 10^8 bits,
+    # is never built, and the refusal is the small-K one
+    tracemalloc.start()
+    try:
+        code = run_cli(["gen", "--n", 5, "--K", 10**8, "--alpha", -0.9, "--seeds", "1", "--out", tmp_path / "x"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, peak < 1 << 20) == (2, True), peak
+    huge = capsys.readouterr().err
+    assert run_cli(["gen", "--n", 5, "--K", 3, "--alpha", -0.9, "--seeds", "1", "--out", tmp_path / "y"]) == 2
+    small = capsys.readouterr().err
+    assert "derived clause count is negative" in huge and huge == small
+    assert not (tmp_path / "x").exists()

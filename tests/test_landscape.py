@@ -403,6 +403,66 @@ def test_grouped_r0_filter_on_uint64_words_above_2_to_32():
     assert got.tolist() == oracle.tolist()
 
 
+def _batch_formula(n: int, live: int) -> ksat.Formula:
+    """`live` drawn 3-clauses with a tautology among them and, from 8 drawn on,
+    every sign pattern on x0, x1 joined with ~x(n-1) as live clauses 8-11: no
+    assignment with x(n-1) = 1 survives the second group, so every slice of
+    that half of a batch empties inside it."""
+    L, C = ksat.Literal, ksat.Clause
+    drawn = tuple(c for c in ksat.generate_formula(n, 2 * live, 3, seed=n).clauses if c.mask_value is not None)[:live]
+    tautology = C((L(3, False), L(9, False), L(3, True)))
+    signs = tuple(C((L(0, bool(p & 1)), L(1, bool(p & 2)), L(n - 1, True))) for p in range(4)) if live >= 8 else ()
+    return ksat.Formula(n=n, K=3, clauses=drawn[:2] + (tautology,) + drawn[2:8] + signs + drawn[8:])
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_oracle(n: int, live: int, restricted: bool) -> tuple[int, ...]:
+    S = frozenset(range(n)) - {n // 3} if restricted else None
+    return tuple(_oracle_members(_batch_formula(n, live), 0, S))
+
+
+@pytest.mark.parametrize("n, live, workers, restricted, blocks", [
+    (18, 40, 1, False, None), (19, 40, 1, True, None), (20, 40, 1, False, None),  # one batch of 4-16 blocks
+    (20, 40, 1, True, 3), (19, 40, 1, False, 3),  # batches of 3 blocks and a shorter last one
+    (20, 40, 3, False, None), (19, 40, 3, True, 3),  # pooled tasks of one block
+    (19, 4, 1, False, None), (20, 4, 3, True, 3),  # fewer live clauses than one group
+])
+def test_r0_batches_join_survivors_across_blocks(monkeypatch, n, live, workers, restricted, blocks):
+    # the groups after the first run on survivors joined across the blocks of
+    # a batch, in BLOCK_SIZE slices; members stay ascending and equal the
+    # oracle's whatever the batch, the pool and the restriction
+    if blocks is not None:
+        monkeypatch.setattr(landscape, "_BATCH_ROWS", blocks * landscape.BLOCK_SIZE)
+    f = _batch_formula(n, live)
+    S = frozenset(range(n)) - {n // 3} if restricted else None
+    oracle = list(_batch_oracle(n, live, restricted))
+    assert 0 < len(oracle) < 1 << n
+    if live >= 8:
+        assert oracle[-1] < 1 << (n - 1) and f.clause_arrays[0].size == live + 4
+    A = landscape.enumerate_sat(f, 0, S=S, workers=workers)
+    assert (A.members.tolist(), A.work["filter"]) == (oracle, "early_exit")
+
+
+def test_r0_filter_memory_is_one_batch_whatever_m_is():
+    # 2,000 weak clauses (K = 10) are 334 groups, and about 15% of the cube
+    # survives them all: a pipeline holding a BLOCK_SIZE buffer per group
+    # would hold hundreds of blocks.  Beyond the result and its uint32 parts,
+    # the filter holds one _BATCH_ROWS batch of 16 blocks and slice temporaries.
+    n = 20
+    f = ksat.generate_formula(n, 2000, 10, seed=1)
+    masks, values, _ = f.clause_arrays
+    assert landscape._BATCH_ROWS == 16 * landscape.BLOCK_SIZE
+    tracemalloc.start()
+    try:
+        got = landscape._scan_range((0, 1 << n, masks, values, 0, n, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.1 < got.size / (1 << n) < 0.2
+    beyond = (peak - got.nbytes * 3 // 2) / (4 * landscape.BLOCK_SIZE)
+    assert beyond < 24, f"{beyond:.1f} blocks of uint32 rows beyond the result"
+
+
 def test_violation_counter_holds_r_plus_one():
     # 510 unit clauses: counts spread around 255, so at r = 255 a row reaches
     # 256 before it is dropped, one past what a uint8 counter holds
@@ -1411,8 +1471,13 @@ def _random_members(n: int, size: int) -> list[int]:
         (30, 2, [0, 2**30 - 1]),
         (64, 0, [3, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1]),
         (40, 1, _random_members(40, 10_000)),
+        (3, 0, [5]),
+        # each decimal width is one run of rows; 10^9 is the first past uint32 digits
+        (34, 0, [0, 9, 10, 99, 100, 10**9 - 1, 10**9, 2**32 - 1, 2**32, 2**34 - 1]),
+        (64, 2, [10**19 - 1, 10**19, 2**64 - 1]),
+        (17, 0, list(range(0, 1 << 17, 13))),  # widths 1-6, runs across chunks
     ],
-    ids=["empty", "n1", "n30", "n64", "n40-random"],
+    ids=["empty", "n1", "n30", "n64", "n40-random", "single", "widths", "n64-20-digits", "runs-across-chunks"],
 )
 def test_members_csv_matches_csv_writer(tmp_path, n, r, members):
     A = landscape.SolutionSet(n=n, members=np.asarray(members, dtype=np.uint64), r=r)
