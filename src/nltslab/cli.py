@@ -4,16 +4,17 @@ Every subcommand writes its data files plus a ``manifest.json`` listing each
 file with a content hash and, under ``work``, per seed the filter
 ``enumerate`` ran (``early_exit`` at r = 0; ``split_tables`` at r > 0, or
 ``clause_counts`` when no clause word fits the table budget; ``clause_masks``
-with ``--eps``; ``whole_cube`` when r reaches the live clause count) with
-its assignments, table bytes and member count, the histogram kernel ``ogp``
-ran with its priced work, the kernels ``cluster`` ran with their pair
-counts, the configurations each ``pspin`` scan walked with the near-ground
-member count, or the qubits, dense amplitudes, active variables, ``energy``
-vector passes and support of the state ``hamiltonian`` and
-``pspin --quantize`` build; identical configs and seeds give byte-identical
-data files.  The manifest also records ``wall_time_s`` and ``peak_rss_mb``, the process's peak
-resident memory in MiB from ``ru_maxrss`` (null where the ``resource`` module
-is missing); manifests of identical runs may differ only in those two fields.
+with ``--eps``; ``whole_cube``, with or without ``--eps``, when r reaches the
+live clause count) with its assignments, table bytes and member count, the
+histogram kernel ``ogp`` ran with its priced work, the kernels ``cluster``
+ran with their pair counts, the configurations each ``pspin`` scan walked
+with the near-ground member count, or the qubits, dense amplitudes, active
+variables, ``energy`` vector passes and support of the state ``hamiltonian``
+and ``pspin --quantize`` build; identical configs and seeds give
+byte-identical data files.  The manifest also records ``wall_time_s`` and
+``peak_rss_mb``, the process's peak resident memory in MiB from
+``ru_maxrss`` (null where the ``resource`` module is missing); manifests of
+identical runs may differ only in those two fields.
 
 Each subcommand takes ``--config``, ``--out`` and only the flags it reads:
 all but theory-scan and depth-bound take the seed flags (``--instances``
@@ -44,9 +45,10 @@ outside leaves its files in the stage, so data files only ever sit next to the
 manifest that hashes them; the next run that exits 0 into that ``--out``
 removes every stage whose pid names no live process.
 The budgets are ``errors.BUDGETS``, where ``enum_cap`` prices both 2^n
-cube scans (enumeration and the pspin scan); NLTSLAB_ENUM_CAP,
-NLTSLAB_QUBIT_CAP and NLTSLAB_PAIR_CAP override theirs, read where the budget
-is checked.
+cube scans (enumeration and the pspin scan); an enumeration checks it first
+and its kernel's price (``eps_budget`` with ``--eps``) last, which the whole
+cube does not pay; NLTSLAB_ENUM_CAP, NLTSLAB_QUBIT_CAP and NLTSLAB_PAIR_CAP
+override theirs, read where the budget is checked.
 """
 
 from __future__ import annotations

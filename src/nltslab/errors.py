@@ -18,7 +18,7 @@ BUDGETS = {
     # up to |A|^2/2 pairs, a dense set's Walsh histogram costs n 2^n, and
     # cluster adds its candidate and intra-cluster pairs or one more sweep.
     "pair_cap": 1 << 20,
-    "eps_budget": 1 << 34,  # enumerate_sat_eps's mask-word tests: C(n, excluded) 2^n max(1, 64-clause words)
+    "eps_budget": 1 << 34,  # enumerate_sat_eps's mask-word tests: C(n, excluded) 2^n 64-clause words
     # qubits of a layout, checked when it is built: every state vector, violation
     # table and consistent-string set on it holds at most 2^qubits entries
     "qubit_cap": 20,

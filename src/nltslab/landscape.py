@@ -1,21 +1,21 @@
 """Exhaustive enumeration of (near-)satisfying assignments and their geometry.
 
-Both enumerations go through one driver, _enumerate, which returns the whole
-cube unscanned when r reaches the live clause count.  Otherwise assignments
-are enumerated as packed integers in ranges of the cube; each range is an
-independent work unit, so _cube_scan runs both scans below in one process or
-over a pool of at most usable_cpus() processes, merging in ascending order.
-Every range and every block inside one comes from _blocks, the one walk of
-the cube in whole high halves, which pspin's scans read too.
-Satisfying assignments (r = 0) pass an early-exit clause filter that
-compresses the candidates once per group of _CLAUSE_GROUP clauses, over
-batches of whole blocks so that a group's survivors are joined across them;
-near-satisfying ones (r > 0) are counted 64 clauses at a time from split
+Both enumerations go through one function, _enumerate, which picks one scan per
+kernel, with its tables, its price and the filter name the manifest records;
+the whole cube, when r reaches the live clause count, takes none of them.
+Each scan enumerates packed integers in a range of the cube, an independent
+work unit, so _cube_scan runs it in one process or over a pool of at most
+usable_cpus() processes, merging in ascending order.  Every range and every
+block inside one comes from _blocks, the one walk of the cube in whole high
+halves, which pspin's scans read too.  Satisfying assignments (r = 0,
+_scan_early_exit) pass an early-exit clause filter that compresses the
+candidates once per group of _CLAUSE_GROUP clauses, over batches of whole
+blocks so that a group's survivors are joined across them; near-satisfying
+ones (r > 0, _scan_counts) are counted 64 clauses at a time from split
 tables over the low and high variables, and past the words that fit the
-table budget clause by clause.  The eps-robust union over excluded variable
-sets reads the same tables in one pass: each excluded set is a mask of the
-clauses that avoid it, tested against every assignment's violated-clause
-words.
+table budget clause by clause.  The eps-robust union (_scan_eps_range) reads
+the same tables in one pass: each excluded set is a mask of the clauses that
+avoid it, tested against every assignment's violated-clause words.
 Every pair histogram goes through _pair_counts, which picks one of two
 kernels on n and |A| alone: for a dense set at n <= 24 the counts are the
 Krawtchouk transform of the squared Walsh-Hadamard weight classes of the
@@ -160,7 +160,7 @@ def _table_size(n: int, m: int) -> tuple[int, int]:
     """(words, bytes per word) of the split tables for m clauses on n variables.
 
     Only the leading 64-clause words that fit _TABLE_BUDGET are tabled, at
-    every n: _scan_range's blocks hold whole high halves.
+    every n: _scan_counts's and _scan_eps_range's blocks hold whole high halves.
     """
     L = (n + 1) // 2
     per_word = ((1 << L) + (1 << (n - L))) * 8
@@ -239,57 +239,54 @@ def _early_exit(a: int, b: int, masks: np.ndarray, values: np.ndarray) -> np.nda
     return cand.copy()  # frees the candidates
 
 
-def _scan_range(args) -> np.ndarray:
-    """Packed assignments in [start, stop) violating at most r of the clauses.
+def _scan_early_exit(args) -> np.ndarray:
+    """Packed assignments in [start, stop) violating none of the clauses: _early_exit on _blocks's batches."""
+    start, stop, masks, values, n = args
+    masks, values = _words(masks, n), _words(values, n)
+    return np.concatenate([_early_exit(a, b, masks, values) for a, b in _blocks(start, stop, n, _BATCH_ROWS)],
+                          dtype=np.uint64)
 
-    For r = 0 the range is cut by _blocks into batches of _BATCH_ROWS
-    candidates, each filtered by _early_exit: a row is dropped at the end of
-    the first group of _CLAUSE_GROUP clauses holding a clause it violates,
-    and the next group runs on the survivors joined across blocks.  For
-    r > 0 _blocks's serial blocks, max(BLOCK_SIZE, 2^L) candidates,
-    L = ceil(n/2), are filtered in turn: the split tables of the first
-    `tabled` words,
-    built here so that a pool task carries only its clause lists, count 64
-    clauses at a time (word 0 ANDed over the block's high halves at once,
-    later words gathered for the survivors), and the clauses past them one by
-    one (every clause when `tabled` is 0), into the narrowest unsigned type
-    holding r + 64, dropping rows above r; start and stop are then multiples
-    of 2^L, so every block holds whole high halves, at every n.
-    Candidates and clause masks are words of _words's width, uint32 at
-    n <= 32.  The result is cast to uint64 once per range.
+
+def _scan_counts(args) -> np.ndarray:
+    """Packed assignments in [start, stop) violating at most r > 0 of the clauses.
+
+    _blocks's serial blocks, max(BLOCK_SIZE, 2^L) candidates, L = ceil(n/2),
+    are filtered in turn: the split tables of the first `tabled` words, built
+    here so that a pool task carries only its clause lists, count 64 clauses
+    at a time (word 0 ANDed over the block's high halves at once, later words
+    gathered for the survivors), and the clauses past them one by one (every
+    clause when `tabled` is 0), on _words's words, into the narrowest unsigned
+    type holding r + 64, dropping rows above r.  start and stop are multiples
+    of 2^L, so every block holds whole high halves.  The result is uint64.
     """
     start, stop, masks, values, r, n, tabled = args
-    if r > 0:
-        lo, hi = _clause_tables(n, masks, values, tabled)
-        L, count = (n + 1) // 2, np.min_scalar_type(r + 64)
+    lo, hi = _clause_tables(n, masks, values, tabled)
+    L, count = (n + 1) // 2, np.min_scalar_type(r + 64)
     masks, values = _words(masks, n), _words(values, n)
-    if r == 0:
-        out = [_early_exit(a, b, masks, values) for a, b in _blocks(start, stop, n, _BATCH_ROWS)]
-    else:
-        out = []
-        for a, b in _blocks(start, stop, n):
-            if tabled:
-                viol = np.bitwise_count(hi[0, a >> L : b >> L, None] & lo[0]).ravel()
-                x = np.flatnonzero(viol <= r)
-                viol = viol[x].astype(count)
-                x += a
-                for w in range(1, tabled):
-                    viol += np.bitwise_count(lo[w, x & ((1 << L) - 1)] & hi[w, x >> L])
-                    keep = viol <= r
-                    x, viol = x[keep], viol[keep]
-            else:
-                x, viol = np.arange(a, b), np.zeros(b - a, dtype=count)
-            cand = x.astype(masks.dtype)
-            for mask, val in zip(masks[64 * tabled :], values[64 * tabled :]):
-                viol += (cand & mask) == val
+    out = []
+    for a, b in _blocks(start, stop, n):
+        if tabled:
+            viol = np.bitwise_count(hi[0, a >> L : b >> L, None] & lo[0]).ravel()
+            x = np.flatnonzero(viol <= r)
+            viol = viol[x].astype(count)
+            x += a
+            for w in range(1, tabled):
+                viol += np.bitwise_count(lo[w, x & ((1 << L) - 1)] & hi[w, x >> L])
                 keep = viol <= r
-                if not keep.all():
-                    cand = cand[keep]
-                    viol = viol[keep]
-                    if cand.size == 0:
-                        break
-            out.append(cand)
-    return np.concatenate(out, dtype=np.uint64) if out else np.empty(0, dtype=np.uint64)
+                x, viol = x[keep], viol[keep]
+        else:
+            x, viol = np.arange(a, b), np.zeros(b - a, dtype=count)
+        cand = x.astype(masks.dtype)
+        for mask, val in zip(masks[64 * tabled :], values[64 * tabled :]):
+            viol += (cand & mask) == val
+            keep = viol <= r
+            if not keep.all():
+                cand = cand[keep]
+                viol = viol[keep]
+                if cand.size == 0:
+                    break
+        out.append(cand)
+    return np.concatenate(out, dtype=np.uint64)
 
 
 def usable_cpus() -> int:
@@ -341,13 +338,12 @@ def _enumerate(f: Formula, r: int, workers: int, S: Iterable[int] | None = None,
                excluded: int | None = None) -> SolutionSet:
     """enumerate_sat's set, or given `excluded` enumerate_sat_eps's union, after the checks both share.
 
-    enum_cap, r, the range of S and workers are refused in that order.  When r
-    reaches the live clause count the whole cube returns, with no scan and no
-    pool, as the filter "whole_cube".  Otherwise one _table_size call gives
-    the words the scan tables, none for the early exit, to scan and record,
-    and the filter names the branch that ran: "clause_masks" for the eps
-    union, and _scan_range's "early_exit" at r = 0, "split_tables" with tabled
-    words and "clause_counts" without.
+    enum_cap, r, the range of S and workers are refused in that order.  Then
+    one choice names the filter and gives its scan, tables and price: the
+    whole cube when r reaches the live clause count ("whole_cube": no scan,
+    no pool, no price), else "clause_masks" for the eps union, priced by
+    eps_budget, "early_exit" at r = 0, with no table, and at r > 0
+    "split_tables" when a word fits the table budget, else "clause_counts".
     """
     check_budget("enum_cap", f.n, "enumeration", "variables")
     if r < 0:
@@ -358,20 +354,24 @@ def _enumerate(f: Formula, r: int, workers: int, S: Iterable[int] | None = None,
         masks, values = masks[within], values[within]
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
-    work = {"filter": "whole_cube", "assignments": 1 << f.n, "table_bytes": 0}
+    sets = None if excluded is None else math.comb(f.n, excluded)
+    words, per_word = _table_size(f.n, masks.size)
     if r >= masks.size:  # every assignment violates at most r clauses
-        members = np.arange(1 << f.n, dtype=np.uint64)
+        filt, scan, tabled = "whole_cube", None, 0
+    elif sets is not None:
+        check_budget("eps_budget", (sets << f.n) * -(-masks.size // 64),
+                     f"enumerate_sat_eps over {sets} kept sets", "mask-word tests")
+        filt, scan, tabled, args = "clause_masks", _scan_eps_range, words, (r, f.n, words, excluded)
+    elif r == 0:
+        filt, scan, tabled, args = "early_exit", _scan_early_exit, 0, (f.n,)
+    elif words:
+        filt, scan, tabled, args = "split_tables", _scan_counts, words, (r, f.n, words)
     else:
-        tabled, per_word = _table_size(f.n, masks.size)
-        if r == 0 and excluded is None:  # the early-exit filter reads no table
-            tabled = 0
-        scan, extra = (_scan_range, ()) if excluded is None else (_scan_eps_range, (excluded,))
-        members = _cube_scan(scan, (masks, values, r, f.n, tabled, *extra), f.n, workers)
-        work["table_bytes"] = tabled * per_word
-        work["filter"] = ("clause_masks" if excluded is not None else "early_exit" if r == 0
-                          else "split_tables" if tabled else "clause_counts")
-    if excluded is not None:
-        work["excluded_sets"] = math.comb(f.n, excluded)
+        filt, scan, tabled, args = "clause_counts", _scan_counts, 0, (r, f.n, 0)
+    members = _cube_scan(scan, (masks, values, *args), f.n, workers) if scan else np.arange(1 << f.n, dtype=np.uint64)
+    work = {"filter": filt, "assignments": 1 << f.n, "table_bytes": tabled * per_word}
+    if sets is not None:
+        work["excluded_sets"] = sets
     return SolutionSet(n=f.n, members=members, r=r, work={**work, "members": int(members.size)})
 
 
@@ -417,14 +417,10 @@ def _scan_eps_range(args) -> np.ndarray:
 
 
 def enumerate_sat_eps(f: Formula, eps: float, r: int, workers: int = 1) -> SolutionSet:
-    """Union over all S of size n - ceil(eps*n) of enumerate_sat(f, r, S), in one _scan_eps_range pass."""
+    """Union over all S of size n - ceil(eps*n) of enumerate_sat(f, r, S), in one _scan_eps_range pass or none."""
     if not 0.0 <= eps < 1.0:
         raise ParameterError("eps must be in [0, 1)")
-    excluded = math.ceil(eps * f.n)
-    n_subsets = math.comb(f.n, excluded)
-    check_budget("eps_budget", (n_subsets << f.n) * max(1, -(-f.clause_arrays[0].size // 64)),
-                 f"enumerate_sat_eps over {n_subsets} kept sets", "mask-word tests")
-    return _enumerate(f, r, workers, excluded=excluded)
+    return _enumerate(f, r, workers, excluded=math.ceil(eps * f.n))
 
 
 # ---------------------------------------------------------------------------

@@ -303,7 +303,7 @@ def die(task):
     os.kill(os.getpid(), signal.SIGKILL)
 
 if __name__ == "__main__":
-    landscape._scan_range = die
+    landscape._scan_early_exit = die
     sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -328,7 +328,7 @@ def test_dead_worker_is_a_resource_error(tmp_path):
 
 def test_dead_eps_worker_is_a_resource_error(tmp_path):
     script = tmp_path / "die.py"
-    script.write_text(_KILLED_WORKER.replace("_scan_range", "_scan_eps_range"))
+    script.write_text(_KILLED_WORKER.replace("_scan_early_exit", "_scan_eps_range"))
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     out = tmp_path / "x"
     proc = subprocess.run(
@@ -1011,13 +1011,16 @@ def test_config_naming_a_missing_file_is_a_validation_error(tmp_path, capsys):
     (["enumerate", "--n", 10, "--K", 3, "--m", 5, "--seeds", 1], {"NLTSLAB_ENUM_CAP": "5"}, "enum_cap", 10, 5),
     (["enumerate", "--n", 30, "--K", 3, "--m", 10, "--eps", 0.5, "--seeds", 1], {}, "eps_budget",
      math.comb(30, 15) << 30, errors.BUDGETS["eps_budget"]),
+    # enum_cap comes before the eps price, which reads the clause masks
+    (["enumerate", "--n", 100, "--K", 3, "--m", 3, "--eps", 0.5, "--seeds", 1], {}, "enum_cap", 100,
+     errors.BUDGETS["enum_cap"]),
     (["ogp", "--n", 8, "--K", 3, "--m", 0, "--nu1", 0.1, "--nu2", 0.3, "--seeds", 1], {"NLTSLAB_PAIR_CAP": "1"},
      "pair_cap", 256, 1),
     (["pspin", "--n", 12, "--d", 2, "--p", 2, "--quantize", "--seeds", 1], {}, "qubit_cap", 24,
      errors.BUDGETS["qubit_cap"]),
     (["pspin", "--n", 32, "--d", 2, "--p", 2, "--seeds", 1], {}, "enum_cap", 32, errors.BUDGETS["enum_cap"]),
     (["pspin", "--n", 1, "--d", 2, "--p", 2, "--seeds", 1], {}, "retry_budget", None, errors.BUDGETS["retry_budget"]),
-], ids=["enum_cap", "eps_budget", "pair_cap", "qubit_cap", "pspin-enum_cap", "retry_budget"])
+], ids=["enum_cap", "eps_budget", "eps-enum_cap", "pair_cap", "qubit_cap", "pspin-enum_cap", "retry_budget"])
 def test_resource_record_carries_the_amounts_and_leaves_no_output(
         tmp_path, capsys, monkeypatch, argv, env, budget, requested, allowed):
     for name, value in env.items():

@@ -202,9 +202,23 @@ def test_enumerate_eps_budget_prices_every_mask_word(monkeypatch):
     assert "mask-word tests" in str(exc.value)
     monkeypatch.setitem(errors.BUDGETS, "eps_budget", price)
     landscape.enumerate_sat_eps(f, 0.1, 0)
-    # no live clause still costs one word test per set and assignment
+    # no live clause: the whole cube, which scans nothing and pays no price
     monkeypatch.setitem(errors.BUDGETS, "eps_budget", 10 * 2**10)
     landscape.enumerate_sat_eps(ksat.Formula(n=10, K=3, clauses=()), 0.1, 0)
+
+
+def test_the_whole_cube_pays_no_eps_price(monkeypatch):
+    # r reaches the live clauses: every assignment is a member and nothing is
+    # scanned, so even a one-test budget admits it; one r below, it is priced
+    monkeypatch.setitem(errors.BUDGETS, "eps_budget", 1)
+    f = _kernel_formula(10, 20, seed=5)
+    live = f.clause_arrays[0].size
+    for r in (live, live + 3):
+        A = landscape.enumerate_sat_eps(f, 0.3, r)
+        assert np.array_equal(A.members, np.arange(2**10))
+        assert (A.work["filter"], A.work["excluded_sets"]) == ("whole_cube", math.comb(10, 3))
+    with pytest.raises(ResourceLimitError):
+        landscape.enumerate_sat_eps(f, 0.3, live - 1)
 
 
 def _eps_oracle(f: ksat.Formula, eps: float, r: int) -> tuple[list[int], dict]:
@@ -353,7 +367,7 @@ def test_scan_range_keeps_clause_bits_above_32():
     L = ksat.Literal
     f = ksat.Formula(n=41, K=2, clauses=(ksat.Clause((L(0, False), L(40, True))),))
     masks, values, _ = f.clause_arrays
-    got = landscape._scan_range((0, landscape.BLOCK_SIZE, masks, values, 0, f.n, 0))
+    got = landscape._scan_early_exit((0, landscape.BLOCK_SIZE, masks, values, f.n))
     assert got.dtype == np.uint64
     assert got.tolist() == list(range(landscape.BLOCK_SIZE))
 
@@ -398,7 +412,7 @@ def test_grouped_r0_filter_on_uint64_words_above_2_to_32():
     x = np.arange(start, start + landscape.BLOCK_SIZE)
     oracle = x[literal_violation_counts(f, z=x) == 0]
     assert 0 < oracle.size < x.size and masks.size == 20
-    got = landscape._scan_range((start, start + landscape.BLOCK_SIZE, masks, values, 0, f.n, 0))
+    got = landscape._scan_early_exit((start, start + landscape.BLOCK_SIZE, masks, values, f.n))
     assert got.dtype == np.uint64
     assert got.tolist() == oracle.tolist()
 
@@ -454,7 +468,7 @@ def test_r0_filter_memory_is_one_batch_whatever_m_is():
     assert landscape._BATCH_ROWS == 16 * landscape.BLOCK_SIZE
     tracemalloc.start()
     try:
-        got = landscape._scan_range((0, 1 << n, masks, values, 0, n, 0))
+        got = landscape._scan_early_exit((0, 1 << n, masks, values, n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -626,6 +640,44 @@ def test_split_table_enumeration_matches_literal_oracle(n, m, r, restricted):
     assert A.work["filter"] == ("split_tables" if r < live else "whole_cube")
 
 
+def test_each_filter_names_the_scan_that_ran(monkeypatch):
+    # the scan _cube_scan receives and the words it tables, against the filter
+    # recorded: r = 0, r > 0 with tables and with none, the eps masks; the
+    # whole cube calls no scan
+    ran, cube_scan = [], landscape._cube_scan
+
+    def spy(scan, args, n, workers):
+        ran.append((scan, args))
+        return cube_scan(scan, args, n, workers)
+
+    monkeypatch.setattr(landscape, "_cube_scan", spy)
+    f = ksat.generate_formula(10, 40, 3, seed=3)
+    whole, budget = list(range(1 << 10)), landscape._TABLE_BUDGET
+    cases = [  # (table budget, call, filter, scan, tabled words, members)
+        (budget, lambda: landscape.enumerate_sat(f, 0), "early_exit", landscape._scan_early_exit, None,
+         _oracle_members(f, 0)),
+        (budget, lambda: landscape.enumerate_sat(f, 1), "split_tables", landscape._scan_counts, 1,
+         _oracle_members(f, 1)),
+        (0, lambda: landscape.enumerate_sat(f, 1), "clause_counts", landscape._scan_counts, 0, _oracle_members(f, 1)),
+        (budget, lambda: landscape.enumerate_sat_eps(f, 0.1, 1), "clause_masks", landscape._scan_eps_range, 1,
+         _eps_oracle(f, 0.1, 1)[0]),
+        (budget, lambda: landscape.enumerate_sat(f, 40), "whole_cube", None, None, whole),
+        (budget, lambda: landscape.enumerate_sat_eps(f, 0.1, 40), "whole_cube", None, None, whole),
+    ]
+    for table_budget, call, filt, scan, tabled, members in cases:
+        monkeypatch.setattr(landscape, "_TABLE_BUDGET", table_budget)
+        ran.clear()
+        A = call()
+        assert (A.work["filter"], A.members.tolist()) == (filt, members)
+        assert A.work["table_bytes"] == (tabled or 0) * _per_word(f.n)
+        if scan is None:
+            assert ran == []
+        elif tabled is None:  # masks, values and n: no r, no tables
+            assert [(s.__name__, len(args)) for s, args in ran] == [(scan.__name__, 3)]
+        else:  # masks, values, r, n, then the tabled words
+            assert [(s.__name__, args[4]) for s, args in ran] == [(scan.__name__, tabled)]
+
+
 def test_split_tables_at_r_m_minus_one_and_beyond():
     # 70 copies of (x0 | x1) span two words: only x0 = x1 = 0 violates all 70
     L, C = ksat.Literal, ksat.Clause
@@ -667,7 +719,7 @@ def test_split_tables_serve_whole_high_halves_past_n_32(halves, words):
     x = np.arange(start, start + (halves << L))
     oracle = x[literal_violation_counts(f, z=x) <= 2]
     assert 0 < oracle.size < x.size
-    got = landscape._scan_range((start, start + (halves << L), masks, values, 2, f.n, words))
+    got = landscape._scan_counts((start, start + (halves << L), masks, values, 2, f.n, words))
     assert got.dtype == np.uint64
     assert got.tolist() == oracle.tolist()
 
