@@ -37,7 +37,7 @@ import numpy as np
 from . import ksat
 from .errors import ContractError, ParameterError, check_budget
 from .ksat import Formula
-from .landscape import _bit_strings, _subset_xors
+from .landscape import _bit_strings, _subset_fold
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 #: gamma below this underflows double precision at large violation counts.
@@ -494,9 +494,8 @@ def _basis_support(layout: QubitLayout, w: BasisElement) -> tuple[np.ndarray, np
     base = 0
     for pat, i in zip(w.patterns, active):
         base |= _scatter(pat, layout.fibers[i])
-    idx = _subset_xors([layout.fiber_masks[i] for i in active])
-    idx ^= np.uint64(base)
-    return idx, _subset_xors([sign == -1 for sign in w.signs]) if -1 in w.signs else None
+    idx = _subset_fold(base, [layout.fiber_masks[i] for i in active])
+    return idx, _subset_fold(0, [sign == -1 for sign in w.signs]) if -1 in w.signs else None
 
 
 def basis_element_vector(layout: QubitLayout, w: BasisElement) -> StateVector:
@@ -595,7 +594,7 @@ def consistent_strings(layout: QubitLayout, S: Iterable[int]) -> np.ndarray:
     flips = []
     for i in layout.active_variables:
         flips += [layout.fiber_masks[i]] if i in S else [1 << q for q in layout.fibers[i]]
-    return np.sort(_subset_xors(flips))
+    return np.sort(_subset_fold(0, flips))
 
 
 def check_probability_bound(

@@ -15,7 +15,10 @@ ones (r > 0, _scan_counts) are counted 64 clauses at a time from split
 tables over the low and high variables, and past the words that fit the
 table budget clause by clause.  The eps-robust union (_scan_eps_range) reads
 the same tables in one pass: each excluded set is a mask of the clauses that
-avoid it, tested against every assignment's violated-clause words.
+avoid it, tested against every assignment's violated-clause words.  Those
+tables, pspin's parity tables and hamiltonian's fiber subsets all come from
+_subset_fold, the one loop that builds a table over every subset of some
+rows by doubling (AND for clauses, XOR for parities and fibers).
 Every pair histogram goes through _pair_counts, which picks one of two
 kernels on n and |A| alone: for a dense set at n <= 24 the counts are the
 Krawtchouk transform of the squared Walsh-Hadamard weight classes of the
@@ -114,6 +117,8 @@ class SolutionSet:
     work: dict = field(default_factory=dict, compare=False)  # filter run and its work counts
 
     def __post_init__(self):
+        if not 0 <= self.n <= 64:
+            raise ParameterError(f"n={self.n} lies outside [0, 64]: members are packed in 64-bit words")
         members = np.asarray(self.members, dtype=np.uint64)
         object.__setattr__(self, "members", members)
         if not (members[1:] > members[:-1]).all():
@@ -174,13 +179,24 @@ def _packed(bits: np.ndarray, words: int) -> np.ndarray:
     return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
-def _subset_xors(masks) -> np.ndarray:
-    """Masks (..., k) give tables (..., 2^k): entry b XORs masks at b's set bits (disjoint masks: their union)."""
-    masks = np.asarray(masks, dtype=np.uint64)
-    out = np.zeros((*masks.shape[:-1], 1 << masks.shape[-1]), dtype=np.uint64)
-    for k in range(masks.shape[-1]):
-        np.bitwise_xor(out[..., : 1 << k], masks[..., k, None], out=out[..., 1 << k : 2 << k])
+def _subset_fold(base, ones, op=np.bitwise_xor, zeros=None) -> np.ndarray:
+    """Rows (..., k) give tables (..., 2^k): entry b folds base by op with ones[..., j] at each set bit j of b
+    and zeros[..., j] at each clear bit (no step when zeros is None), doubling over j."""
+    ones = np.asarray(ones, dtype=np.uint64)
+    out = np.empty((*ones.shape[:-1], 1 << ones.shape[-1]), dtype=np.uint64)
+    out[..., 0] = base
+    for j in range(ones.shape[-1]):
+        op(out[..., : 1 << j], ones[..., j, None], out=out[..., 1 << j : 2 << j])
+        if zeros is not None:
+            op(out[..., : 1 << j], zeros[..., j, None], out=out[..., : 1 << j])
     return out
+
+
+def _split_tables(n: int, base, ones: np.ndarray, op, zeros=None) -> tuple[np.ndarray, np.ndarray]:
+    """_subset_fold over the low L = ceil(n/2) and over the high variables of (words, n) rows: (lo, hi)."""
+    L = (n + 1) // 2
+    return tuple(_subset_fold(base, ones[:, v], op, None if zeros is None else zeros[:, v])
+                 for v in (slice(L), slice(L, n)))
 
 
 def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray, words: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,27 +205,18 @@ def _clause_tables(n: int, masks: np.ndarray, values: np.ndarray, words: int) ->
     Bit c of lo[w, a] is set when every literal of clause 64w + c on the low L
     variables is false under low half a, or the clause has none there; hi is
     the same over the high variables.  So lo[w, x mod 2^L] & hi[w, x >> L] is
-    the set of clauses of word w that x violates.  Each table ANDs, doubling
-    over its variables, the clauses that each variable's value leaves
-    unsatisfied.  Only the first `words` words are built.
+    the set of clauses of word w that x violates.  _split_tables's AND fold
+    starts from the valid-clause word and, doubling over the variables,
+    ANDs in the clauses that each variable's value leaves unsatisfied.  Only
+    the first `words` words are built.
     """
-    L = (n + 1) // 2
     m = min(masks.size, 64 * words)
     var = np.arange(n, dtype=np.uint64)[:, None]
     inside = (masks[None, :m] >> var) & 1 == 1
     negated = (values[None, :m] >> var) & 1 == 1
     unsat0, unsat1 = ~_packed(inside & negated, words), ~_packed(inside & ~negated, words)  # by x_v = 0, 1
     valid = _packed(np.ones((1, m), dtype=bool), words)[0]
-
-    def side(variables: range) -> np.ndarray:
-        out = np.empty((words, 1 << len(variables)), dtype=np.uint64)
-        out[:, 0] = valid
-        for k, v in enumerate(variables):
-            np.bitwise_and(out[:, : 1 << k], unsat1[v][:, None], out=out[:, 1 << k : 2 << k])
-            out[:, : 1 << k] &= unsat0[v][:, None]
-        return out
-
-    return side(range(L)), side(range(L, n))
+    return _split_tables(n, valid, unsat1.T, np.bitwise_and, unsat0.T)
 
 
 def _early_exit(a: int, b: int, masks: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ sigma_i = -1), so each energy term is a parity, as in p-XORSAT.  Both cube
 scans (the ground state and the near-ground set) read the cube in
 landscape._blocks's blocks of whole high halves, the walk the K-SAT scans
 take, each read by broadcast from two half-cube tables of 64-edge parity
-words, built once per hypergraph.
+words, built once per hypergraph by landscape._split_tables: the XOR kind of
+the subset fold whose AND kind builds the K-SAT clause tables.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, allowance, check_budget
 from .hamiltonian import QubitLayout, layout_from_blocks
-from .landscape import SolutionSet, _blocks, _packed, _subset_xors
+from .landscape import SolutionSet, _blocks, _packed, _split_tables
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,9 @@ class RegularHypergraph:
 
     @cached_property
     def _parity_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """_energies_packed's (t_lo, t_hi), built once per hypergraph."""
+        """_energies_packed's (t_lo, t_hi), built once per hypergraph: _split_tables's XOR fold of the incidence words."""
         incidence = np.equal.outer(np.arange(self.n), np.reshape(self.hyperedges, (self.m, self.p))).any(axis=2)
-        words, L = _packed(incidence, -(-self.m // 64)).T, (self.n + 1) // 2
-        return _subset_xors(words[:, :L]), _subset_xors(words[:, L:])
+        return _split_tables(self.n, 0, _packed(incidence, -(-self.m // 64)).T, np.bitwise_xor)
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,9 @@ def _energies_packed(g: RegularHypergraph, J: CouplingVector, zs: np.ndarray) ->
     Bit i of z set means spin i is -1.  Bit e of word w of W(z) is set exactly
     where edge 64w + e's term J_e prod sigma is -1 (a p-XORSAT parity), and
     W_w(z) = t_lo[w, z mod 2^L] ^ t_hi[w, z >> L] ^ j_w: g's tables, built once
-    per hypergraph, XOR each word row's edge-incidence bits over every subset,
-    and j_w holds the J_e = -1 bits.  So H = m - 2 sum_w popcount((t_hi[w, a:b] ^ j_w)[:, None] ^ t_lo[w]).
+    per hypergraph by _split_tables's XOR fold, XOR each word row's
+    edge-incidence bits over every subset of each half, and j_w holds the
+    J_e = -1 bits.  So H = m - 2 sum_w popcount((t_hi[w, a:b] ^ j_w)[:, None] ^ t_lo[w]).
     """
     L, size = (g.n + 1) // 2, np.size(zs)
     a = int(zs[0]) >> L if size else 0

@@ -47,6 +47,10 @@ def test_members_must_lie_in_the_cube():
         landscape.SolutionSet(n=40, members=[0, 2**40], r=0)
     assert len(landscape.SolutionSet(n=3, members=[0, 7], r=0)) == 2
     assert len(landscape.SolutionSet(n=64, members=[0, 2**64 - 1], r=0)) == 2
+    # members are 64-bit words: a wider or a negative n is refused, with or without members
+    for n, members in [(65, [1, 3]), (65, []), (-1, [1]), (-1, [])]:
+        with pytest.raises(ParameterError, match=rf"n={n} .*\[0, 64\]"):
+            landscape.SolutionSet(n=n, members=members, r=0)
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +601,77 @@ def _per_word(n: int) -> int:
 @pytest.mark.parametrize("w, k", [(3, 0), (0, 0), (1, 1), (2, 4), (0, 5), (3, 7)])
 def test_subset_xors_tables_every_word_row_at_once(w, k):
     masks = np.random.default_rng(10 * k + w).integers(0, 2**64, size=(w, k), dtype=np.uint64, endpoint=False)
-    got = landscape._subset_xors(masks)
+    got = landscape._subset_fold(0, masks)
     assert got.shape == (w, 1 << k) and got.dtype == np.uint64
     for j in range(w):  # entry b of row j: the XOR of row j's masks picked by b's bits
         want = [functools.reduce(lambda x, y: x ^ y, (int(masks[j, i]) for i in range(k) if b >> i & 1), 0)
                 for b in range(1 << k)]
         assert got[j].tolist() == want
-        assert np.array_equal(landscape._subset_xors(masks[j].tolist()), got[j])  # each row alone
+        assert np.array_equal(landscape._subset_fold(0, masks[j].tolist()), got[j])  # each row alone
+
+
+_PY_OPS = {np.bitwise_xor: lambda x, y: x ^ y, np.bitwise_and: lambda x, y: x & y}
+
+
+def _fold_rows(rng, op, shape):
+    """(base, ones, zeros) for a fold of rows of `shape`: XOR from 0 without zeros, AND from a random base with them.
+
+    AND rows are dense (each bit clear with probability 1/8) so that deep folds keep bits set.
+    """
+    def words(*size):
+        return rng.integers(0, 2**64, size=size, dtype=np.uint64, endpoint=False)
+
+    if op is np.bitwise_xor:
+        return np.zeros(shape[:-1], dtype=np.uint64), words(*shape), None
+    return words(*shape[:-1]), ~np.bitwise_and.reduce(words(3, *shape)), ~np.bitwise_and.reduce(words(3, *shape))
+
+
+def _brute_fold(base: int, ones, zeros, op, bits: int) -> int:
+    """base folded by op with ones[j] where bit j of `bits` is set and zeros[j] (if any) where it is clear."""
+    for j in range(len(ones)):
+        if bits >> j & 1:
+            base = op(base, int(ones[j]))
+        elif zeros is not None:
+            base = op(base, int(zeros[j]))
+    return base
+
+
+@pytest.mark.parametrize("op", [np.bitwise_xor, np.bitwise_and], ids=["xor", "and"])
+@pytest.mark.parametrize("words", [None, 1, 2, 3])  # None: 1-D rows
+@pytest.mark.parametrize("k", range(10))
+def test_subset_fold_matches_a_fold_per_entry(op, words, k):
+    rng = np.random.default_rng(100 * k + (words or 0))
+    base, ones, zeros = _fold_rows(rng, op, (k,) if words is None else (words, k))
+    got = landscape._subset_fold(base, ones, op, zeros)
+    assert got.dtype == np.uint64 and got.shape == ones.shape[:-1] + (1 << k,)
+    rows = [(int(base), ones, zeros)] if words is None else [
+        (int(base[w]), ones[w], None if zeros is None else zeros[w]) for w in range(words)]
+    for row, (b0, o, z) in zip(got.reshape(-1, 1 << k), rows):
+        assert row.tolist() == [_brute_fold(b0, o, z, _PY_OPS[op], b) for b in range(1 << k)]
+
+
+@pytest.mark.parametrize("op", [np.bitwise_xor, np.bitwise_and], ids=["xor", "and"])
+@pytest.mark.parametrize("n, words", [(1, 1), (2, 3), (17, 2), (33, 1)])
+def test_split_tables_fold_each_assignment_from_its_two_halves(op, n, words):
+    # lo over the low L = ceil(n/2) variables, hi over the rest: op(lo[w, x mod 2^L], hi[w, x >> L]) is the
+    # fold of x's own n bits; every x up to n = 17, at n = 33 the corners and 2^16 random x
+    rng = np.random.default_rng(n * 10 + words)
+    base, ones, zeros = _fold_rows(rng, op, (words, n))
+    lo, hi = landscape._split_tables(n, base, ones, op, zeros)
+    L = (n + 1) // 2
+    assert lo.shape == (words, 1 << L) and hi.shape == (words, 1 << (n - L))
+    if n <= 17:
+        x = np.arange(1 << n, dtype=np.uint64)
+    else:
+        corners = np.array([0, (1 << n) - 1, 1 << L, (1 << L) - 1], dtype=np.uint64)
+        x = np.concatenate([corners, rng.integers(0, 1 << n, size=1 << 16, dtype=np.uint64)])
+    want = np.broadcast_to(base[:, None], (words, x.size))
+    for j in range(n):  # the brute fold, vectorised over x
+        bit = (x >> np.uint64(j)) & np.uint64(1) == 1
+        picked = ones[:, j, None] if zeros is None else np.where(bit, ones[:, j, None], zeros[:, j, None])
+        want = np.where(bit | (zeros is not None), op(want, picked), want)
+    got = op(lo[:, x & np.uint64((1 << L) - 1)], hi[:, x >> np.uint64(L)])
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n, m", [(1, 5), (4, 40), (7, 61), (6, 100), (9, 125), (8, 190), (10, 300)])

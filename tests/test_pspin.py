@@ -380,10 +380,11 @@ def test_scans_walk_the_cube_in_blocks(monkeypatch):
 
 def test_parity_tables_are_built_once_per_hypergraph(monkeypatch):
     # n = 18: per coupling vector the two scans walk 2 + 2 + 4 blocks; the
-    # two half tables are built once for all of them, whatever the couplings
+    # two half tables are built by one call for all of them, whatever the couplings
     g = pspin.generate_regular_hypergraph(18, 3, 2, seed=5)
-    tables, builds = pspin._subset_xors, []
-    monkeypatch.setattr(pspin, "_subset_xors", lambda masks: builds.append(masks.shape) or tables(masks))
+    tables, builds = pspin._split_tables, []
+    monkeypatch.setattr(pspin, "_split_tables",
+                        lambda n, base, ones, op: builds.append((n, ones.shape)) or tables(n, base, ones, op))
     for seed in (6, 7):
         J = pspin.generate_couplings(g, seed)
         emin = pspin.ground_state_bruteforce(g, J)[1]
@@ -391,7 +392,7 @@ def test_parity_tables_are_built_once_per_hypergraph(monkeypatch):
         energies = per_edge_energies(g, J, np.arange(1 << 18))
         assert emin == energies.min()
         assert A.members.tolist() == np.flatnonzero(energies <= emin + 2).tolist()
-    assert builds == [(1, 9), (1, 9)]
+    assert builds == [(18, (1, 18))]
 
 
 # ---------------------------------------------------------------------------
